@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import config as cfgmod
 from . import data as datakit
 from . import features as feats
@@ -236,18 +234,12 @@ def cmd_export_embeddings(args) -> CommandResult:
     expected_hash = cfgmod.run_config_hash(train_cfg, model_cfg)
     model, _ = training.load_model_from_checkpoint(args.checkpoint, model_cfg, expected_hash=expected_hash)
     _, samples = _load_samples(args.manifest, args.features, train_cfg.dimension)
-    if not samples:
-        raise EmptySplit("no tracks to export")
+    z_fuse = training.embed(model, samples).z_fuse
 
     header = ["track_id", "label"] + [f"f_{i}" for i in range(model_cfg.fusion_dim)]
     lines = [",".join(header)]
-    for start in range(0, len(samples), 64):
-        batch = samples[start:start + 64]
-        mel = np.stack([s.pair.mel for s in batch])
-        coch = np.stack([s.pair.coch for s in batch])
-        outputs = model.forward(mel, coch, training=False)
-        for s, vec in zip(batch, outputs.z_fuse.data):
-            lines.append(",".join([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]))
+    for s, vec in zip(samples, z_fuse):
+        lines.append(",".join([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]))
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return CommandResult(
         EXIT_OK,

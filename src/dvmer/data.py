@@ -90,6 +90,7 @@ def binarize_label(value: float) -> int:
 
 def parse_manifest(path) -> list[TrackRecord]:
     records = []
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -99,6 +100,11 @@ def parse_manifest(path) -> list[TrackRecord]:
             if len(parts) < 3:
                 raise ConfigError(f"{path}:{lineno}: expected id, valence, arousal[, audio_path]")
             track_id, valence, arousal = parts[0], float(parts[1]), float(parts[2])
+            if track_id in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: duplicate track_id {track_id!r}, first on line {first_line[track_id]}"
+                )
+            first_line[track_id] = lineno
             if not (abs(valence) <= 1.0 and abs(arousal) <= 1.0):
                 raise ConfigError(
                     f"{path}:{lineno}: valence/arousal magnitudes must be <= 1, "

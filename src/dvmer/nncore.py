@@ -5,11 +5,15 @@ linear maps, temperature softmax, layer norm, exact GELU, multi-head
 attention, dropout, and the reductions that glue them together. Gradients
 are verified against central finite differences via gradient_check.
 
-Training runs in float32; gradient checking runs in float64.
+Training runs in float32; gradient checking runs in float64. Inside
+`with no_grad():` ops still compute and check their outputs but record no
+graph, so forward-only passes free each intermediate as soon as it is dead.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -18,6 +22,7 @@ from scipy.special import erf
 
 from .errors import (
     BadTemperature,
+    CheckpointMismatch,
     HeadDivisibility,
     NonFiniteValue,
     ShapeMismatch,
@@ -25,6 +30,22 @@ from .errors import (
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block keep no parents or backward closures. The mode is
+    process-wide; the previous mode is restored on exit, also when the block
+    raises."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _check_finite(data, op_name):
@@ -154,7 +175,7 @@ def _node(data, parents, backward, op_name) -> Tensor:
     _check_finite(data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out.grad = None
     out._parents = tuple(parents) if out.requires_grad else ()
     out._backward = backward if out.requires_grad else None
@@ -612,23 +633,50 @@ def pack_array_table(named: dict) -> bytes:
     return b"".join(parts)
 
 
+class BinaryReader:
+    """Bounds-checked cursor over a checkpoint buffer; a short read or
+    undecodable text raises CheckpointMismatch naming `source`."""
+
+    def __init__(self, buf: bytes, source: str, offset: int = 0):
+        self.buf = buf
+        self.source = source
+        self.offset = offset
+
+    def take(self, n: int) -> bytes:
+        if self.offset + n > len(self.buf):
+            raise CheckpointMismatch(
+                f"{self.source}: truncated: needs {n} byte(s) at offset {self.offset}, has {len(self.buf) - self.offset}"
+            )
+        self.offset += n
+        return self.buf[self.offset - n:self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int, encoding: str = "utf-8") -> str:
+        start = self.offset
+        try:
+            return self.take(n).decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise CheckpointMismatch(f"{self.source}: undecodable text at offset {start}") from exc
+
+
 def unpack_array_table(buf: bytes, offset: int = 0):
-    """Inverse of pack_array_table; returns (mapping, new_offset)."""
-    (count,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    """Inverse of pack_array_table; returns (mapping, new_offset).
+
+    Raises CheckpointMismatch when the table is short or malformed.
+    """
+    reader = BinaryReader(buf, "array table", offset)
+    (count,) = reader.unpack("<I")
     named = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        tag, rank = struct.unpack_from("<BB", buf, offset)
-        offset += 2
-        dims = struct.unpack_from(f"<{rank}I", buf, offset)
-        offset += 4 * rank
-        dtype = np.dtype(_DTYPE_TAGS[tag]).newbyteorder("<")
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(buf[offset:offset + n_bytes], dtype=dtype).reshape(dims)
-        offset += n_bytes
-        named[name] = arr.astype(np.dtype(_DTYPE_TAGS[tag]))
-    return named, offset
+        (name_len,) = reader.unpack("<H")
+        name = reader.text(name_len)
+        tag, rank = reader.unpack("<BB")
+        if tag not in _DTYPE_TAGS:
+            raise CheckpointMismatch(f"array table: unknown dtype tag {tag} for '{name}'")
+        dims = reader.unpack(f"<{rank}I")
+        dtype = np.dtype(_DTYPE_TAGS[tag])
+        raw = reader.take(math.prod(dims) * dtype.itemsize)
+        named[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(dims).astype(dtype)
+    return named, reader.offset

@@ -15,7 +15,7 @@ single-threaded mode.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -522,6 +522,31 @@ def auc_score(labels, scores) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+@dataclass
+class Embeddings:
+    """Forward-only outputs for a sample list, one row per sample in order."""
+
+    z_fuse: np.ndarray
+    logits_mel: np.ndarray
+    logits_coch: np.ndarray
+    logits_fuse: np.ndarray
+
+
+def embed(model: DualViewModel, samples: list[Sample], batch_size: int = 64) -> Embeddings:
+    """Inference forward pass over samples in batches, building no autodiff
+    graph, so only one batch's activations are alive at a time."""
+    if not samples:
+        raise EmptySplit("no samples to embed")
+    parts = {f.name: [] for f in fields(Embeddings)}
+    with nc.no_grad():
+        for start in range(0, len(samples), batch_size):
+            mel, coch, _, _ = _stack_batch(samples, range(start, min(start + batch_size, len(samples))))
+            outputs = model.forward(mel, coch, training=False)
+            for name, chunks in parts.items():
+                chunks.append(getattr(outputs, name).data)
+    return Embeddings(**{name: np.concatenate(chunks) for name, chunks in parts.items()})
+
+
 def predict_scores(model: DualViewModel, samples: list[Sample], ensemble: bool = False,
                    batch_size: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive-class probabilities and argmax predictions for a sample list.
@@ -530,22 +555,15 @@ def predict_scores(model: DualViewModel, samples: list[Sample], ensemble: bool =
     temperature-1 probabilities.
     """
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    scores = np.empty(len(samples), dtype=np.float64)
-    preds = np.empty(len(samples), dtype=np.int64)
-    for start in range(0, len(samples), batch_size):
-        idx = list(range(start, min(start + batch_size, len(samples))))
-        mel, coch, _, _ = _stack_batch(samples, idx)
-        outputs = model.forward(mel, coch, training=False)
-        probs = nc.softmax(outputs.logits_fuse).data
-        if ensemble:
-            probs = (
-                nc.softmax(outputs.logits_mel).data
-                + nc.softmax(outputs.logits_coch).data
-                + probs
-            ) / 3.0
-        scores[idx] = probs[:, 1]
-        preds[idx] = np.argmax(probs, axis=1)
-    return labels, scores, preds
+    out = embed(model, samples, batch_size)
+    probs = nc.softmax(Tensor(out.logits_fuse)).data
+    if ensemble:
+        probs = (
+            nc.softmax(Tensor(out.logits_mel)).data
+            + nc.softmax(Tensor(out.logits_coch)).data
+            + probs
+        ) / 3.0
+    return labels, probs[:, 1].astype(np.float64), np.argmax(probs, axis=1)
 
 
 def evaluate(model: DualViewModel, samples: list[Sample], ensemble: bool = False) -> Metrics:
@@ -587,29 +605,29 @@ def save_checkpoint(path, result: TrainResult, config_hash: str):
 
 
 def read_checkpoint(path) -> dict:
+    """Parse a checkpoint container; any short, malformed or trailing byte
+    raises CheckpointMismatch."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != CHECKPOINT_MAGIC:
         raise CheckpointMismatch(f"{path}: not a checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", buf, 4)
+    reader = nc.BinaryReader(buf, str(path), offset=4)
+    (version,) = reader.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(f"{path}: unsupported version {version}")
-    offset = 8
-    (hash_len,) = struct.unpack_from("<H", buf, offset)
-    offset += 2
-    config_hash = buf[offset:offset + hash_len].decode("utf-8")
-    offset += hash_len
-    (n_sections,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    (hash_len,) = reader.unpack("<H")
+    config_hash = reader.text(hash_len)
+    (n_sections,) = reader.unpack("<I")
     sections = {}
     for _ in range(n_sections):
-        tag = buf[offset:offset + 4]
-        offset += 4
-        (length,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        table, _ = nc.unpack_array_table(buf[offset:offset + length])
-        sections[tag.decode("ascii")] = table
-        offset += length
+        tag = reader.text(4, "ascii")
+        (length,) = reader.unpack("<Q")
+        table, used = nc.unpack_array_table(reader.take(length))
+        if used != length:
+            raise CheckpointMismatch(f"{path}: section {tag} has {length - used} stray byte(s)")
+        sections[tag] = table
+    if reader.offset != len(buf):
+        raise CheckpointMismatch(f"{path}: {len(buf) - reader.offset} stray byte(s) after the last section")
     return {"config_hash": config_hash, "sections": sections}
 
 
@@ -623,6 +641,8 @@ def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: s
         )
     model = DualViewModel(model_config, np.random.default_rng(0))
     params = model.parameters()
+    if "PARM" not in payload["sections"]:
+        raise CheckpointMismatch(f"{path}: no parameter section")
     stored = payload["sections"]["PARM"]
     missing = set(params) - set(stored)
     extra = set(stored) - set(params)

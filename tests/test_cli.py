@@ -186,6 +186,57 @@ def test_export_embeddings_shape_and_training_effect(workspace, trained, tmp_pat
     assert emb.read_bytes() != emb2.read_bytes()
 
 
+def test_exported_rows_match_a_graph_building_forward(workspace, trained, tmp_path):
+    from dvmer import config as cfgmod
+    from dvmer import training as tr
+    emb = tmp_path / "emb.csv"
+    rc = main([
+        "export-embeddings", "--checkpoint", str(trained / "checkpoint.dmrc"),
+        "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
+        "--features", str(workspace["cache"]), "--out", str(emb),
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in emb.read_text().strip().splitlines()[1:]]
+
+    _, model_cfg = cfgmod.load_train_configs(workspace["config"])
+    model, _ = tr.load_model_from_checkpoint(trained / "checkpoint.dmrc", model_cfg)
+    records = dk.parse_manifest(workspace["manifest"])
+    pairs = [F.read_feature_cache(workspace["cache"] / f"{r.track_id}.dmrf") for r in records]
+    out = model.forward(np.stack([p.mel for p in pairs]), np.stack([p.coch for p in pairs]))
+    assert out.z_fuse._backward is not None  # the reference builds a graph
+    assert [r[0] for r in rows] == [r.track_id for r in records]
+    exported = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float32)
+    assert np.array_equal(exported, out.z_fuse.data)
+
+
+@pytest.mark.parametrize("command", ("eval", "export-embeddings"))
+@pytest.mark.parametrize("cut", (6, 20, 200, "half"))
+def test_truncated_checkpoint_exits_5(workspace, trained, tmp_path, capsys, command, cut):
+    data = (trained / "checkpoint.dmrc").read_bytes()
+    bad = tmp_path / "cut.dmrc"
+    bad.write_bytes(data[:len(data) // 2 if cut == "half" else cut])
+    argv = [
+        command, "--checkpoint", str(bad), "--config", str(workspace["config"]),
+        "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]),
+    ]
+    if command == "export-embeddings":
+        argv += ["--out", str(tmp_path / "emb.csv")]
+    assert main(argv) == 5
+    assert "truncated" in capsys.readouterr().out
+
+
+def test_duplicate_track_id_is_a_config_error(workspace, trained, tmp_path, capsys):
+    lines = workspace["manifest"].read_text().splitlines()
+    manifest = tmp_path / "dup.tsv"
+    manifest.write_text("\n".join(lines + [lines[0]]) + "\n")
+    rc = main([
+        "eval", "--checkpoint", str(trained / "checkpoint.dmrc"), "--config", str(workspace["config"]),
+        "--manifest", str(manifest), "--features", str(workspace["cache"]),
+    ])
+    assert rc == 2
+    assert f"{manifest}:{len(lines) + 1}: duplicate track_id" in capsys.readouterr().out
+
+
 def test_ablation_flags_reach_the_log(workspace, tmp_path):
     out = tmp_path / "ablate"
     rc = main([

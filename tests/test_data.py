@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,13 @@ def test_manifest_rejects_out_of_range_labels(tmp_path):
     path = tmp_path / "oob.tsv"
     path.write_text("t0\t1.5\t0.0\t\n")
     with pytest.raises(ConfigError):
+        dk.parse_manifest(path)
+
+
+def test_manifest_rejects_duplicate_track_id(tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text("# header\nt0\t0.5\t0.5\t\nt1\t-0.5\t0.5\t\nt0\t-0.5\t-0.5\t\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: duplicate track_id 't0', first on line 2$"):
         dk.parse_manifest(path)
 
 

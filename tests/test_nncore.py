@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dvmer import nncore as nc
-from dvmer.errors import BadTemperature, HeadDivisibility, NonFiniteValue, ShapeMismatch
+from dvmer.errors import BadTemperature, CheckpointMismatch, HeadDivisibility, NonFiniteValue, ShapeMismatch
 from dvmer.nncore import Tensor
 
 import example_checks as ec
@@ -158,3 +158,58 @@ def test_pack_unpack_table_round_trip():
     assert np.array_equal(back["labels"], table["labels"])
     assert np.array_equal(back["flags"], table["flags"].astype(np.uint8))
     assert back["scalar"] == 7.5
+
+
+def test_unpack_table_rejects_unknown_dtype_tag():
+    blob = bytearray(nc.pack_array_table({"w": np.zeros(3, dtype=np.float32)}))
+    blob[4 + 2 + 1] = 9  # count, name length, name "w", then the dtype tag
+    with pytest.raises(CheckpointMismatch, match="dtype tag 9"):
+        nc.unpack_array_table(bytes(blob))
+
+
+def test_unpack_table_rejects_every_truncation():
+    blob = nc.pack_array_table({"w": np.arange(6, dtype=np.float32).reshape(2, 3), "n": np.array([1])})
+    for cut in range(len(blob)):
+        with pytest.raises(CheckpointMismatch):
+            nc.unpack_array_table(blob[:cut])
+
+
+def _parameter_and_input():
+    w = Tensor(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(3, 2), requires_grad=True)
+    x = Tensor(np.ones((4, 2), dtype=np.float32))
+    return w, x
+
+
+def test_no_grad_nodes_keep_no_graph():
+    w, x = _parameter_and_input()
+    gamma, beta = nc.init_layer_norm_params(3)
+    with nc.no_grad():
+        h = nc.linear(x, w)
+        nodes = [h, nc.gelu(h), nc.softmax(h), nc.layer_norm(h, gamma, beta), nc.tsum(h)]
+    for node in nodes:
+        assert node._parents == ()
+        assert node._backward is None
+        assert not node.requires_grad
+    after = nc.linear(x, w)
+    assert after._parents == (x, w)
+    assert after._backward is not None
+    # same arithmetic with and without a graph
+    assert np.array_equal(after.data, h.data)
+
+
+def test_no_grad_restores_the_mode_when_the_block_raises():
+    w, x = _parameter_and_input()
+    big = Tensor(np.array([1e30], dtype=np.float32), requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
+        with nc.no_grad():
+            nc.mul(big, big)  # the finite check still runs without a graph
+    assert nc.linear(x, w)._backward is not None
+
+
+def test_no_grad_nests():
+    w, x = _parameter_and_input()
+    with nc.no_grad():
+        with nc.no_grad():
+            pass
+        assert nc.linear(x, w)._backward is None
+    assert nc.linear(x, w)._backward is not None

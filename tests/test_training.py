@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from dvmer import data as dk
 from dvmer import nncore as nc
 from dvmer import training as tr
 from dvmer.errors import CheckpointMismatch, EmptySplit, NonFiniteLoss
-from dvmer.model import ModelConfig
+from dvmer.model import DualViewModel, ModelConfig
 from dvmer.nncore import Tensor
 
 import example_checks as ec
@@ -110,7 +112,6 @@ def test_ensemble_eval_averages_heads():
 
 
 def test_evaluate_empty_split_rejected():
-    from dvmer.model import DualViewModel
     model = DualViewModel(TINY_MODEL, np.random.default_rng(2))
     with pytest.raises(EmptySplit):
         tr.evaluate(model, [])
@@ -200,3 +201,152 @@ def test_checkpoint_restores_queue_and_optimizer(tmp_path):
     opt = tr.AdamW(result.model.parameters())
     opt.load_state_arrays(payload["sections"]["ADAM"])
     assert opt.step_count == result.optimizer.step_count
+
+
+def test_predict_scores_and_embed_match_a_graph_building_forward():
+    model = DualViewModel(TINY_MODEL, np.random.default_rng(30))
+    samples = dk.synth_dataset(n=150, separation=5.0, noise=0.1, seed=31)  # batches 64, 64, 22
+    labels, scores, preds = tr.predict_scores(model, samples)
+    _, ens_scores, ens_preds = tr.predict_scores(model, samples, ensemble=True)
+    emb = tr.embed(model, samples)
+    assert np.array_equal(labels, [s.label for s in samples])
+    for start in range(0, len(samples), 64):
+        batch = samples[start:start + 64]
+        rows = slice(start, start + len(batch))
+        out = model.forward(np.stack([s.pair.mel for s in batch]), np.stack([s.pair.coch for s in batch]))
+        assert out.z_fuse._backward is not None  # the reference builds a graph
+        for name in ("z_fuse", "logits_mel", "logits_coch", "logits_fuse"):
+            assert np.array_equal(getattr(emb, name)[rows], getattr(out, name).data)
+        probs = nc.softmax(out.logits_fuse).data
+        assert np.array_equal(scores[rows], probs[:, 1])
+        assert np.array_equal(preds[rows], np.argmax(probs, axis=1))
+        ens = (nc.softmax(out.logits_mel).data + nc.softmax(out.logits_coch).data + probs) / 3.0
+        assert np.array_equal(ens_scores[rows], ens[:, 1])
+        assert np.array_equal(ens_preds[rows], np.argmax(ens, axis=1))
+
+
+def test_embed_rejects_an_empty_sample_list():
+    model = DualViewModel(TINY_MODEL, np.random.default_rng(32))
+    with pytest.raises(EmptySplit):
+        tr.embed(model, [])
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_scores_memory_does_not_grow_with_batches():
+    """Forward-only inference keeps one batch's activations alive at a time,
+    so three batches peak no higher than one."""
+    model = DualViewModel(ModelConfig(embed_dim=32, fusion_dim=64, heads=2, layers=1), np.random.default_rng(33))
+    samples = dk.synth_dataset(n=192, separation=5.0, noise=0.1, seed=34)
+    tr.predict_scores(model, samples[:64])  # warm-up outside the traced runs
+    one = _traced_peak(lambda: tr.predict_scores(model, samples[:64]))
+    three = _traced_peak(lambda: tr.predict_scores(model, samples))
+    assert three <= 1.1 * one, f"peak {three / 1e6:.1f} MB over three batches vs {one / 1e6:.1f} MB over one"
+
+
+@pytest.fixture(scope="module")
+def checkpoint_layout(tmp_path_factory):
+    """A real checkpoint's bytes plus the end offset of each header field up
+    to the payload of the first parameter array."""
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=35)
+    result = tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=8, seed=36, queue_size=8), TINY_MODEL)
+    path = tmp_path_factory.mktemp("ckpt") / "model.dmrc"
+    tr.save_checkpoint(path, result, config_hash="c0ffee42")
+    buf = path.read_bytes()
+    ends, offset = {}, 0
+
+    def field(name, size):
+        nonlocal offset
+        offset += size
+        ends[name] = offset
+
+    field("magic", 4)
+    field("version", 4)
+    field("hash_len", 2)
+    field("hash", len("c0ffee42"))
+    field("n_sections", 4)
+    field("section_tag", 4)
+    field("section_length", 8)
+    field("table_count", 4)
+    field("name_len", 2)
+    field("name", struct.unpack_from("<H", buf, offset - 2)[0])
+    field("dtype_and_rank", 2)
+    rank = buf[offset - 1]
+    field("dims", 4 * rank)
+    dims = struct.unpack_from(f"<{rank}I", buf, offset - 4 * rank)
+    field("payload", 4 * math.prod(dims))  # float32 entries
+    return buf, ends
+
+
+CHECKPOINT_FIELDS = ("magic", "version", "hash_len", "hash", "n_sections", "section_tag",
+                     "section_length", "table_count", "name_len", "name", "dtype_and_rank",
+                     "dims", "payload")
+
+
+@pytest.mark.parametrize("where", ("inside", "after"))
+@pytest.mark.parametrize("field", CHECKPOINT_FIELDS)
+def test_truncated_checkpoint_is_a_mismatch(checkpoint_layout, tmp_path, field, where):
+    buf, ends = checkpoint_layout
+    cut = ends[field] - (1 if where == "inside" else 0)
+    path = tmp_path / "cut.dmrc"
+    path.write_bytes(buf[:cut])
+    with pytest.raises(CheckpointMismatch):
+        tr.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", ("half", "last_byte"))
+def test_checkpoint_cut_late_is_a_mismatch(checkpoint_layout, tmp_path, cut):
+    buf, _ = checkpoint_layout
+    path = tmp_path / "cut.dmrc"
+    path.write_bytes(buf[:len(buf) // 2 if cut == "half" else len(buf) - 1])
+    with pytest.raises(CheckpointMismatch):
+        tr.read_checkpoint(path)
+
+
+def test_checkpoint_with_unknown_dtype_tag_is_a_mismatch(checkpoint_layout, tmp_path):
+    buf, ends = checkpoint_layout
+    bad = bytearray(buf)
+    bad[ends["name"]] = 200
+    path = tmp_path / "tag.dmrc"
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CheckpointMismatch, match="dtype tag 200"):
+        tr.read_checkpoint(path)
+
+
+def test_checkpoint_with_trailing_bytes_is_a_mismatch(checkpoint_layout, tmp_path):
+    buf, _ = checkpoint_layout
+    path = tmp_path / "long.dmrc"
+    path.write_bytes(buf + b"\0")
+    with pytest.raises(CheckpointMismatch, match="stray"):
+        tr.read_checkpoint(path)
+
+
+def _container(sections) -> bytes:
+    """A checkpoint container holding the given (tag, blob) sections."""
+    parts = [tr.CHECKPOINT_MAGIC, struct.pack("<I", tr.CHECKPOINT_VERSION), struct.pack("<H", 2), b"ab",
+             struct.pack("<I", len(sections))]
+    for tag, blob in sections:
+        parts += [tag, struct.pack("<Q", len(blob)), blob]
+    return b"".join(parts)
+
+
+def test_checkpoint_section_with_stray_bytes_is_a_mismatch(tmp_path):
+    path = tmp_path / "stray.dmrc"
+    path.write_bytes(_container([(b"PARM", nc.pack_array_table({"w": np.zeros(2)}) + b"\0")]))
+    with pytest.raises(CheckpointMismatch, match="section PARM has 1 stray byte"):
+        tr.read_checkpoint(path)
+
+
+def test_checkpoint_without_parameters_is_a_mismatch(tmp_path):
+    path = tmp_path / "empty.dmrc"
+    path.write_bytes(_container([(b"QUEU", nc.pack_array_table({}))]))
+    assert tr.read_checkpoint(path)["config_hash"] == "ab"
+    with pytest.raises(CheckpointMismatch, match="no parameter section"):
+        tr.load_model_from_checkpoint(path, TINY_MODEL)
