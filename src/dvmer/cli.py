@@ -21,6 +21,7 @@ from . import data as datakit
 from . import features as feats
 from . import training
 from .errors import (
+    BadFeatureCache,
     BadSampleRate,
     CheckpointMismatch,
     ConfigError,
@@ -318,6 +319,8 @@ def main(argv=None) -> int:
     as_json = getattr(args, "json", False)
     try:
         result = args.func(args)
+    except BadFeatureCache as exc:
+        return _emit(CommandResult(EXIT_DATA, f"data error: {exc}"), as_json)
     except ConfigError as exc:
         return _emit(CommandResult(EXIT_CONFIG, f"config error: {exc}"), as_json)
     except NonFiniteLoss as exc:

@@ -88,15 +88,34 @@ def curriculum_state(epoch: int, total_epochs: int, tau_max=TAU_MAX_DEFAULT, tau
     )
 
 
-def _validate_distribution(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise NotADistribution(f"{name} must be a vector, got shape {p.shape}")
-    if np.any(p < 0):
-        raise NotADistribution(f"{name} has negative entries")
-    if abs(float(p.sum()) - 1.0) > 1e-6:
-        raise NotADistribution(f"{name} sums to {p.sum()!r}, not 1")
-    return p
+def _validate_pair(p, q, names, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as float64 arrays of one shape with `ndim` axes, whose every
+    vector along the last axis is a distribution."""
+    out = []
+    for arr, name in zip((p, q), names):
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim != ndim:
+            raise NotADistribution(f"{name} must have {ndim} axis(es), got shape {arr.shape}")
+        if np.any(arr < 0):
+            raise NotADistribution(f"{name} has negative entries")
+        sums = arr.sum(axis=-1)
+        if np.any(np.abs(sums - 1.0) > 1e-6):
+            raise NotADistribution(f"{name} sums to {sums!r}, not 1")
+        out.append(arr)
+    if out[0].shape != out[1].shape:
+        raise NotADistribution(f"shape mismatch {out[0].shape} vs {out[1].shape}")
+    return out[0], out[1]
+
+
+def _js(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """JS divergence in nats over the last axis, with 0*log(0/x) := 0."""
+    m = 0.5 * (p + q)
+
+    def kl(a):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a > 0, a * np.log(a / m), 0.0).sum(axis=-1)
+
+    return 0.5 * kl(p) + 0.5 * kl(q)
 
 
 def js_divergence(p, q) -> float:
@@ -104,17 +123,7 @@ def js_divergence(p, q) -> float:
 
     Symmetric and bounded by ln 2.
     """
-    p = _validate_distribution(p, "p")
-    q = _validate_distribution(q, "q")
-    if p.shape != q.shape:
-        raise NotADistribution(f"shape mismatch {p.shape} vs {q.shape}")
-    m = 0.5 * (p + q)
-
-    def kl(a):
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / m[mask])))
-
-    return 0.5 * kl(p) + 0.5 * kl(q)
+    return float(_js(*_validate_pair(p, q, ("p", "q"), ndim=1)))
 
 
 def reliability(p_mel, p_coch) -> float:
@@ -128,32 +137,34 @@ def confidence_and_pseudo_label(p_mel, p_coch, theta: float | None = None) -> Sa
     Argmax ties break toward the lowest class index. When theta is given
     the selected flag is set from c >= theta.
     """
-    p_mel = _validate_distribution(p_mel, "p_mel")
-    p_coch = _validate_distribution(p_coch, "p_coch")
-    js = js_divergence(p_mel, p_coch)
-    r = float(np.exp(-js))
-    p_fuse = 0.5 * (p_mel + p_coch)
-    pseudo_label = int(np.argmax(p_fuse))  # np.argmax takes the first maximum
-    c = r * float(np.max(p_fuse))
-    sc = SampleConfidence(
-        p_mel=p_mel, p_coch=p_coch, p_fuse=p_fuse,
-        js=js, r=r, c=c, pseudo_label=pseudo_label,
+    p_mel, p_coch = _validate_pair(p_mel, p_coch, ("p_mel", "p_coch"), ndim=1)
+    row = batch_confidences(p_mel[None], p_coch[None], np.inf if theta is None else theta)[0]
+    return SampleConfidence(
+        p_mel=p_mel, p_coch=p_coch, p_fuse=0.5 * (p_mel + p_coch),
+        js=float(row.js), r=float(row.r), c=float(row.c),
+        pseudo_label=int(row.pseudo_label), selected=bool(row.selected),
     )
-    if theta is not None:
-        sc.selected = sc.c >= theta
-    return sc
 
 
-def batch_confidences(p_mel_batch, p_coch_batch, theta: float) -> list[SampleConfidence]:
-    p_mel_batch = np.asarray(p_mel_batch, dtype=np.float64)
-    p_coch_batch = np.asarray(p_coch_batch, dtype=np.float64)
-    return [
-        confidence_and_pseudo_label(p_mel_batch[i], p_coch_batch[i], theta)
-        for i in range(p_mel_batch.shape[0])
-    ]
+def batch_confidences(p_mel_batch, p_coch_batch, theta: float) -> np.recarray:
+    """Score a batch of [B, C] branch distributions at once.
+
+    Returns a record array of B rows with fields js, r = exp(-js),
+    c = r * max(p_fuse), pseudo_label = argmax(p_fuse) (ties to the lowest
+    class), selected = c >= theta, and p_max = max(p_fuse). Any row that is
+    not a distribution raises NotADistribution.
+    """
+    p_mel, p_coch = _validate_pair(p_mel_batch, p_coch_batch, ("p_mel", "p_coch"), ndim=2)
+    js = _js(p_mel, p_coch)
+    r = np.exp(-js)
+    p_fuse = 0.5 * (p_mel + p_coch)
+    p_max = p_fuse.max(axis=1)
+    c = r * p_max
+    return np.rec.fromarrays([js, r, c, np.argmax(p_fuse, axis=1), c >= theta, p_max],
+                             names="js,r,c,pseudo_label,selected,p_max")
 
 
-def pseudo_label_loss(confidences: list[SampleConfidence], fused_logits: Tensor, eligible=None) -> Tensor:
+def pseudo_label_loss(confidences: np.recarray, fused_logits: Tensor, eligible=None) -> Tensor:
     """Reliability-weighted cross-entropy over the selected samples.
 
     Labels, reliabilities and the selection mask are all detached from the
@@ -161,20 +172,12 @@ def pseudo_label_loss(confidences: list[SampleConfidence], fused_logits: Tensor,
     is selected. The optional eligible mask restricts which samples may
     contribute (the unlabeled partition in semi mode).
     """
-    idx = [
-        i for i, sc in enumerate(confidences)
-        if sc.selected and (eligible is None or eligible[i])
-    ]
-    if not idx:
+    keep = confidences.selected if eligible is None else confidences.selected & eligible
+    idx = np.flatnonzero(keep)
+    if not idx.size:
         return Tensor(np.zeros((), dtype=fused_logits.dtype))
-    labels = np.array([confidences[i].pseudo_label for i in idx], dtype=np.int64)
-    weights = np.array([confidences[i].r for i in idx], dtype=fused_logits.dtype)
-
-    rows = np.zeros((len(idx), fused_logits.shape[0]), dtype=fused_logits.dtype)
-    for row, i in enumerate(idx):
-        rows[row, i] = 1.0
-    picked = nc.matmul(Tensor(rows), fused_logits)
-    per_sample = nc.cross_entropy(picked, labels)
+    weights = confidences.r[idx].astype(fused_logits.dtype)
+    per_sample = nc.cross_entropy(nc.take_rows(fused_logits, idx), confidences.pseudo_label[idx])
     return nc.tmean(nc.mul(per_sample, Tensor(weights)))
 
 
@@ -195,32 +198,26 @@ def js_divergence_tensor(p: Tensor, q: Tensor) -> Tensor:
 class EpochCurriculumStats:
     """Per-batch accumulator feeding the epoch diagnostics."""
 
-    confidence: list = field(default_factory=list)
-    reliab: list = field(default_factory=list)
-    selected: list = field(default_factory=list)
-    strength: list = field(default_factory=list)  # max(p_fuse) of selected samples
+    batches: list = field(default_factory=list)  # batch_confidences results
 
-    def record(self, confidences: list[SampleConfidence]):
-        for sc in confidences:
-            self.confidence.append(sc.c)
-            self.reliab.append(sc.r)
-            self.selected.append(sc.selected)
-            if sc.selected:
-                self.strength.append(float(np.max(sc.p_fuse)))
+    def record(self, confidences: np.recarray):
+        self.batches.append(confidences)
 
 
 def curriculum_diagnostics(stats: EpochCurriculumStats, tau: float, theta: float) -> dict:
-    """Epoch summary of pseudo-label behaviour."""
-    if not stats.confidence:
+    """Epoch summary of pseudo-label behaviour; the strength is the mean
+    max(p_fuse) of the selected samples."""
+    if not stats.batches:
         raise BadEpoch("diagnostics require at least one recorded batch")
-    selected = np.asarray(stats.selected, dtype=bool)
+    epoch = np.concatenate(stats.batches)
+    strength = epoch["p_max"][epoch["selected"]]
     return {
-        "mean_confidence": float(np.mean(stats.confidence)),
-        "std_confidence": float(np.std(stats.confidence)),
-        "mean_reliability": float(np.mean(stats.reliab)),
-        "std_reliability": float(np.std(stats.reliab)),
-        "mask_ratio": float(selected.mean()),
-        "pseudo_label_strength": float(np.mean(stats.strength)) if stats.strength else 0.0,
+        "mean_confidence": float(np.mean(epoch["c"])),
+        "std_confidence": float(np.std(epoch["c"])),
+        "mean_reliability": float(np.mean(epoch["r"])),
+        "std_reliability": float(np.std(epoch["r"])),
+        "mask_ratio": float(epoch["selected"].mean()),
+        "pseudo_label_strength": float(np.mean(strength)) if strength.size else 0.0,
         "tau": tau,
         "theta": theta,
     }

@@ -29,7 +29,6 @@ class TrackRecord:
     valence: float
     arousal: float
     audio_path: str = ""
-    cache_ref: str = ""
 
     def label(self, dimension: str) -> int:
         return binarize_label(getattr(self, _check_dimension(dimension)))

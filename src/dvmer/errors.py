@@ -9,6 +9,10 @@ class ConfigError(DvmerError):
     """Invalid or inconsistent configuration."""
 
 
+class BadFeatureCache(ConfigError):
+    """Malformed feature cache file; the CLI reports it as a data error."""
+
+
 class BadSampleRate(DvmerError):
     """Audio input is not at the required sample rate."""
 

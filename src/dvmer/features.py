@@ -28,7 +28,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort
+from . import nncore as nc
+from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort
 
 CACHE_MAGIC = b"DMRF"
 CACHE_VERSION = 1
@@ -298,11 +299,7 @@ def write_feature_cache(path, pair: FeaturePair, track_id: str, cfg: FeatureConf
     from .ioutil import atomic_write_bytes
 
     parts = [CACHE_MAGIC, struct.pack("<I", CACHE_VERSION)]
-    for gram in (pair.mel, pair.coch):
-        arr = np.ascontiguousarray(gram, dtype=np.float32)
-        parts.append(struct.pack("<BB", 0, arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype("<f4", copy=False).tobytes())
+    parts += [nc.pack_array(np.asarray(gram, dtype=np.float32)) for gram in (pair.mel, pair.coch)]
     atomic_write_bytes(path, b"".join(parts))
 
     sidecar = {
@@ -317,24 +314,21 @@ def write_feature_cache(path, pair: FeaturePair, track_id: str, cfg: FeatureConf
 
 
 def read_feature_cache(path) -> FeaturePair:
+    """Parse a cache file; a bad magic or version, a cut field, an unknown
+    dtype tag, a short payload, a gram that is not 2-d or stray bytes raise
+    BadFeatureCache."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != CACHE_MAGIC:
-        raise ConfigError(f"{path}: not a feature cache (bad magic)")
-    (version,) = struct.unpack_from("<I", buf, 4)
+        raise BadFeatureCache(f"{path}: not a feature cache (bad magic)")
+    reader = nc.BinaryReader(buf, str(path), offset=4, error=BadFeatureCache)
+    (version,) = reader.unpack("<I")
     if version != CACHE_VERSION:
-        raise ConfigError(f"{path}: unsupported cache version {version}")
-    offset = 8
-    grams = []
-    while offset < len(buf):
-        tag, rank = struct.unpack_from("<BB", buf, offset)
-        offset += 2
-        dims = struct.unpack_from(f"<{rank}I", buf, offset)
-        offset += 4 * rank
-        dtype = np.dtype(_CACHE_DTYPES[tag]).newbyteorder("<")
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        grams.append(np.frombuffer(buf[offset:offset + n_bytes], dtype=dtype).reshape(dims).astype(np.float32))
-        offset += n_bytes
-    if len(grams) != 2:
-        raise ConfigError(f"{path}: expected 2 grams, found {len(grams)}")
-    return FeaturePair(mel=grams[0], coch=grams[1])
+        raise BadFeatureCache(f"{path}: unsupported cache version {version}")
+    mel, coch = (reader.array(_CACHE_DTYPES, gram) for gram in ("mel", "coch"))
+    if reader.offset != len(buf):
+        raise BadFeatureCache(f"{path}: {len(buf) - reader.offset} stray byte(s) after the second gram")
+    try:
+        return FeaturePair(mel=mel, coch=coch)
+    except ShapeMismatch as exc:
+        raise BadFeatureCache(f"{path}: {exc}") from exc

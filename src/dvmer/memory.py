@@ -58,22 +58,22 @@ class MemoryQueue:
         if not np.all(np.isfinite(features)):
             raise NonFiniteValue("queue features must be finite")
 
+        pos = (self.write_index + np.arange(batch)) % self.capacity
         norms = np.linalg.norm(features, axis=1)
-        for row in range(batch):
-            pos = (self.write_index + row) % self.capacity
-            if norms[row] == 0.0:
-                self.keys[pos] = 0.0
-                self.labels[pos] = labels[row]
-                self.valid[pos] = False
-                continue
-            new_key = features[row] / norms[row]
-            if self.momentum is not None and self.valid[pos]:
-                blended = self.momentum * self.keys[pos] + (1.0 - self.momentum) * new_key
-                blended_norm = np.linalg.norm(blended)
-                new_key = blended / blended_norm if blended_norm > 0 else new_key
-            self.keys[pos] = new_key
-            self.labels[pos] = labels[row]
-            self.valid[pos] = True
+        nonzero = norms != 0.0
+        new_keys = np.zeros_like(features)
+        new_keys[nonzero] = features[nonzero] / norms[nonzero, None]
+        if self.momentum is not None:
+            blend = np.flatnonzero(nonzero & self.valid[pos])
+            blended = self.momentum * self.keys[pos[blend]] + (1.0 - self.momentum) * new_keys[blend]
+            # row-wise dot products: a vector's np.linalg.norm is sqrt(dot), and
+            # these sum in the same order, where norm(axis=1) would not
+            blended_norms = np.sqrt((blended[:, None, :] @ blended[:, :, None]).reshape(-1))
+            ok = blended_norms > 0
+            new_keys[blend[ok]] = blended[ok] / blended_norms[ok, None]
+        self.keys[pos] = new_keys
+        self.labels[pos] = labels
+        self.valid[pos] = nonzero
         self.write_index = (self.write_index + batch) % self.capacity
         return self
 

@@ -456,6 +456,20 @@ def select_classes(t: Tensor, idx) -> Tensor:
     return _node(data, (t,), backward, "select_classes")
 
 
+def take_rows(t: Tensor, idx) -> Tensor:
+    """Gather t[idx] along the first axis; repeated indices sum their
+    gradients."""
+    idx = np.asarray(idx, dtype=np.int64)
+    data = t.data[idx]
+
+    def backward(g):
+        full = np.zeros_like(t.data)
+        np.add.at(full, idx, g)
+        _accum(t, full)
+
+    return _node(data, (t,), backward, "take_rows")
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Per-sample negative log likelihood at temperature 1; returns shape [B]."""
     return neg(select_classes(log_softmax(logits), labels))
@@ -614,37 +628,42 @@ _DTYPE_TAGS = {0: np.float32, 1: np.float64, 2: np.int64, 3: np.uint8}
 _TAG_FOR_DTYPE = {np.dtype(v): k for k, v in _DTYPE_TAGS.items()}
 
 
+def pack_array(arr) -> bytes:
+    """One array as u8 dtype tag, u8 rank, u32 dims, then the row-major
+    little-endian payload; booleans are stored as uint8."""
+    arr = np.ascontiguousarray(arr)
+    if arr.dtype == np.bool_:
+        arr = arr.astype(np.uint8)
+    tag = _TAG_FOR_DTYPE.get(arr.dtype)
+    if tag is None:
+        raise ValueError(f"unsupported dtype {arr.dtype}")
+    header = struct.pack(f"<BB{arr.ndim}I", tag, arr.ndim, *arr.shape)
+    return header + arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+
+
 def pack_array_table(named: dict) -> bytes:
-    """Serialise a name -> ndarray mapping (little-endian, row-major)."""
+    """Serialise a name -> ndarray mapping, each array in the pack_array layout."""
     parts = [struct.pack("<I", len(named))]
     for name, arr in named.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype == np.bool_:
-            arr = arr.astype(np.uint8)
-        tag = _TAG_FOR_DTYPE.get(arr.dtype)
-        if tag is None:
-            raise ValueError(f"unsupported dtype {arr.dtype}")
         raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<BB", tag, arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        parts += [struct.pack("<H", len(raw)), raw, pack_array(arr)]
     return b"".join(parts)
 
 
 class BinaryReader:
-    """Bounds-checked cursor over a checkpoint buffer; a short read or
-    undecodable text raises CheckpointMismatch naming `source`."""
+    """Bounds-checked cursor over a binary buffer; a short read, undecodable
+    text or an unknown dtype tag raises `error` (CheckpointMismatch unless
+    the caller picks another class) naming `source`."""
 
-    def __init__(self, buf: bytes, source: str, offset: int = 0):
+    def __init__(self, buf: bytes, source: str, offset: int = 0, error: type[Exception] = CheckpointMismatch):
         self.buf = buf
         self.source = source
         self.offset = offset
+        self.error = error
 
     def take(self, n: int) -> bytes:
         if self.offset + n > len(self.buf):
-            raise CheckpointMismatch(
+            raise self.error(
                 f"{self.source}: truncated: needs {n} byte(s) at offset {self.offset}, has {len(self.buf) - self.offset}"
             )
         self.offset += n
@@ -658,7 +677,17 @@ class BinaryReader:
         try:
             return self.take(n).decode(encoding)
         except UnicodeDecodeError as exc:
-            raise CheckpointMismatch(f"{self.source}: undecodable text at offset {start}") from exc
+            raise self.error(f"{self.source}: undecodable text at offset {start}") from exc
+
+    def array(self, dtypes: dict, what: str) -> np.ndarray:
+        """One array in the `pack_array` layout, its tag looked up in dtypes."""
+        tag, rank = self.unpack("<BB")
+        if tag not in dtypes:
+            raise self.error(f"{self.source}: unknown dtype tag {tag} for {what}")
+        dims = self.unpack(f"<{rank}I")
+        dtype = np.dtype(dtypes[tag])
+        raw = self.take(math.prod(dims) * dtype.itemsize)
+        return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(dims).astype(dtype)
 
 
 def unpack_array_table(buf: bytes, offset: int = 0):
@@ -672,11 +701,5 @@ def unpack_array_table(buf: bytes, offset: int = 0):
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
-        tag, rank = reader.unpack("<BB")
-        if tag not in _DTYPE_TAGS:
-            raise CheckpointMismatch(f"array table: unknown dtype tag {tag} for '{name}'")
-        dims = reader.unpack(f"<{rank}I")
-        dtype = np.dtype(_DTYPE_TAGS[tag])
-        raw = reader.take(math.prod(dims) * dtype.itemsize)
-        named[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(dims).astype(dtype)
+        named[name] = reader.array(_DTYPE_TAGS, f"'{name}'")
     return named, reader.offset

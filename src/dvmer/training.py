@@ -140,9 +140,7 @@ def classification_loss(outputs: BranchOutputs, labels, mask=None) -> Tensor:
     for logits in (outputs.logits_mel, outputs.logits_coch, outputs.logits_fuse):
         per_sample = nc.cross_entropy(logits, labels)
         if mask is not None:
-            sel = np.zeros((keep.size, per_sample.shape[0]), dtype=logits.dtype)
-            sel[np.arange(keep.size), keep] = 1.0
-            per_sample = nc.matmul(Tensor(sel), nc.reshape(per_sample, (-1, 1)))
+            per_sample = nc.take_rows(per_sample, keep)
         term = nc.tmean(per_sample)
         total = term if total is None else nc.add(total, term)
     return total
@@ -351,16 +349,12 @@ def run_training(
                 loss_cons = consistency_loss(p_mel, p_coch)
 
                 if config.use_saml:
-                    queries, query_labels = _contrastive_batch(
-                        outputs, labels, labeled, confidences, config.mode
-                    )
-                    loss_cont = (
-                        memory.contrastive_loss(
-                            queries, query_labels, queue,
-                            tau_cont=config.contrast_temperature,
-                            normalized=config.contrastive_normalized,
-                        )
-                        if queries is not None else zero()
+                    kept, kept_labels = memory_rows(labels, labeled, confidences, config.mode)
+                    z_kept = outputs.z_fuse if kept is None else nc.take_rows(outputs.z_fuse, kept)
+                    loss_cont = memory.contrastive_loss(
+                        nc.l2_normalize(z_kept), kept_labels, queue,
+                        tau_cont=config.contrast_temperature,
+                        normalized=config.contrastive_normalized,
                     )
                 else:
                     loss_cont = zero()
@@ -381,9 +375,7 @@ def run_training(
                 ) from exc
 
             if config.use_saml:
-                enq_feats, enq_labels = _enqueue_batch(outputs, labels, labeled, confidences, config.mode)
-                if enq_feats is not None and enq_feats.shape[0] > 0:
-                    queue.enqueue(enq_feats, enq_labels)
+                queue.enqueue(z_kept.data, kept_labels)
 
             preds = np.argmax(outputs.logits_fuse.data, axis=1)
             score_mask = labeled if config.mode == "semi" else np.ones_like(labeled, dtype=bool)
@@ -399,7 +391,7 @@ def run_training(
                 on_step({"epoch": epoch, "batch": batch_index, "pre_clip_norm": pre_norm, "post_clip_norm": post_norm})
 
         n_batches = len(batches)
-        if config.use_pcl and cur_stats.confidence:
+        if config.use_pcl and cur_stats.batches:
             diag = curriculum.curriculum_diagnostics(cur_stats, tau, theta)
         else:
             diag = {"mask_ratio": 0.0, "mean_reliability": 0.0, "mean_confidence": 0.0}
@@ -438,44 +430,20 @@ def run_training(
     )
 
 
-def _contrastive_batch(outputs, labels, labeled, confidences, mode):
-    """Queries are the batch's normalised fused features with ground-truth
-    labels where available; in semi mode unlabeled samples join only when
-    selected, with their pseudo-labels."""
+def memory_rows(labels, labeled, confidences, mode) -> tuple[np.ndarray | None, np.ndarray]:
+    """Batch rows that join the memory, both as contrastive queries and as
+    queue keys, and the labels they carry. In full mode every row joins with
+    its ground truth and the rows come back as None, so callers add no
+    gather (one would regroup the float32 gradient sums into z_fuse). In
+    semi mode the labeled rows join with their ground truth and the
+    selected unlabeled rows with their pseudo-labels."""
     if mode == "full":
-        return nc.l2_normalize(outputs.z_fuse), labels
-    keep, pseudo = [], []
-    for i in range(labels.shape[0]):
-        if labeled[i]:
-            keep.append(i)
-            pseudo.append(labels[i])
-        elif confidences is not None and confidences[i].selected:
-            keep.append(i)
-            pseudo.append(confidences[i].pseudo_label)
-    if not keep:
-        return None, None
-    sel = np.zeros((len(keep), labels.shape[0]), dtype=outputs.z_fuse.dtype)
-    sel[np.arange(len(keep)), keep] = 1.0
-    picked = nc.matmul(Tensor(sel), outputs.z_fuse)
-    return nc.l2_normalize(picked), np.array(pseudo, dtype=np.int64)
-
-
-def _enqueue_batch(outputs, labels, labeled, confidences, mode):
-    """Detached fused features and the labels they are stored under."""
-    feats = outputs.z_fuse.data
-    if mode == "full":
-        return feats, labels
-    keep, stored = [], []
-    for i in range(labels.shape[0]):
-        if labeled[i]:
-            keep.append(i)
-            stored.append(labels[i])
-        elif confidences is not None and confidences[i].selected:
-            keep.append(i)
-            stored.append(confidences[i].pseudo_label)
-    if not keep:
-        return None, None
-    return feats[keep], np.array(stored, dtype=np.int64)
+        return None, labels
+    if confidences is None:
+        kept = np.flatnonzero(labeled)
+        return kept, labels[kept]
+    kept = np.flatnonzero(labeled | confidences.selected)
+    return kept, np.where(labeled, labels, confidences.pseudo_label)[kept]
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import wave
 
 import numpy as np
@@ -223,6 +224,27 @@ def test_truncated_checkpoint_exits_5(workspace, trained, tmp_path, capsys, comm
         argv += ["--out", str(tmp_path / "emb.csv")]
     assert main(argv) == 5
     assert "truncated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("defect", ("cut", "tag", "stray"))
+def test_malformed_cache_exits_3(workspace, trained, tmp_path, capsys, defect):
+    cache = tmp_path / "cache"
+    shutil.copytree(workspace["cache"], cache)
+    victim = sorted(cache.glob("*.dmrf"))[0]
+    data = bytearray(victim.read_bytes())
+    if defect == "cut":
+        data = data[:12]  # inside the Mel gram's dims
+    elif defect == "tag":
+        data[8] = 9
+    else:
+        data += b"\0\0"
+    victim.write_bytes(bytes(data))
+    rc = main([
+        "eval", "--checkpoint", str(trained / "checkpoint.dmrc"), "--config", str(workspace["config"]),
+        "--manifest", str(workspace["manifest"]), "--features", str(cache),
+    ])
+    assert rc == 3
+    assert f"data error: {victim}" in capsys.readouterr().out
 
 
 def test_duplicate_track_id_is_a_config_error(workspace, trained, tmp_path, capsys):

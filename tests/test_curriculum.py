@@ -83,6 +83,63 @@ def test_selection_monotone_in_threshold():
     assert strict <= lenient
 
 
+def _confidence_loop_oracle(p_mel, p_coch, theta):
+    """Plain-Python per-row scoring: (js, r, c, pseudo_label, selected, max p_fuse)."""
+    rows = []
+    for p, q in zip(p_mel.tolist(), p_coch.tolist()):
+        m = [0.5 * (a + b) for a, b in zip(p, q)]
+        js = 0.5 * sum(a * math.log(a / mi) for a, mi in zip(p, m) if a > 0) \
+            + 0.5 * sum(b * math.log(b / mi) for b, mi in zip(q, m) if b > 0)
+        r = math.exp(-js)
+        c = r * max(m)
+        rows.append((js, r, c, m.index(max(m)), c >= theta, max(m)))
+    return rows
+
+
+def test_batch_confidences_match_a_per_row_loop():
+    rng = np.random.default_rng(12)
+    for n_classes in (2, 3, 5):
+        p_mel = rng.dirichlet(np.ones(n_classes), size=30)
+        p_coch = rng.dirichlet(np.ones(n_classes), size=30)
+        p_mel[::7] = np.eye(n_classes)[0]  # hard zeros and exact agreement
+        p_coch[::7] = np.eye(n_classes)[0]
+        p_coch[3] = np.eye(n_classes)[-1]  # maximal disagreement
+        p_mel[3] = np.eye(n_classes)[0]
+        got = cur.batch_confidences(p_mel, p_coch, theta=0.55)
+        assert len(got) == 30
+        oracle = _confidence_loop_oracle(p_mel, p_coch, 0.55)
+        np.testing.assert_allclose(got.js, [o[0] for o in oracle], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.r, [o[1] for o in oracle], rtol=1e-12)
+        np.testing.assert_allclose(got.c, [o[2] for o in oracle], rtol=1e-12)
+        assert got.pseudo_label.tolist() == [o[3] for o in oracle]
+        assert got.selected.tolist() == [o[4] for o in oracle]
+        np.testing.assert_allclose(got.p_max, [o[5] for o in oracle], rtol=1e-15)
+        assert [bool(sc.selected) for sc in got] == [o[4] for o in oracle]
+
+
+def _bad_row(kind, base):
+    bad = base.copy()
+    if kind == "negative":
+        bad[3] = [-0.1, 1.1]
+    elif kind == "sum":
+        bad[3] = [0.5, 0.6]
+    elif kind == "shape":
+        bad = bad[:4]
+    else:  # a vector instead of a batch
+        bad = bad[0]
+    return bad
+
+
+@pytest.mark.parametrize("branch", ("p_mel", "p_coch"))
+@pytest.mark.parametrize("kind", ("negative", "sum", "shape", "rank"))
+def test_batch_confidences_reject_one_bad_row(kind, branch):
+    good = np.tile([0.7, 0.3], (5, 1))
+    bad = _bad_row(kind, good)
+    args = (bad, good) if branch == "p_mel" else (good, bad)
+    with pytest.raises(NotADistribution):
+        cur.batch_confidences(*args, theta=0.5)
+
+
 def test_pseudo_label_loss_detached_from_label_path():
     """Gradients must match a fixed-label weighted cross-entropy oracle:
     nothing flows through the selection, labels, or reliabilities."""

@@ -1,11 +1,13 @@
+import math
 import os
+import struct
 import wave
 
 import numpy as np
 import pytest
 
 from dvmer import features as F
-from dvmer.errors import BadSampleRate, ConfigError, TrackTooShort
+from dvmer.errors import BadFeatureCache, BadSampleRate, ConfigError, TrackTooShort
 
 import example_checks as ec
 
@@ -114,6 +116,64 @@ def test_cache_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.dmrf"
     path.write_bytes(b"WXYZ" + b"\x00" * 16)
     with pytest.raises(ConfigError):
+        F.read_feature_cache(path)
+
+
+def _cache_fields():
+    """End offset of every header field and payload in the cache `_small_cache` writes."""
+    ends, offset = {}, 0
+    for name, size in (("magic", 4), ("version", 4)):
+        offset += size
+        ends[name] = offset
+    for gram, shape in (("mel", (3, 4)), ("coch", (2, 4))):
+        for name, size in (("tag_rank", 2), ("dims", 8), ("payload", 4 * math.prod(shape))):
+            offset += size
+            ends[f"{gram}.{name}"] = offset
+    return ends
+
+
+def _small_cache(path):
+    pair = F.FeaturePair(mel=np.arange(12.0).reshape(3, 4), coch=-np.arange(8.0).reshape(2, 4))
+    F.write_feature_cache(path, pair, "small", F.FeatureConfig())
+    return path.read_bytes()
+
+
+CACHE_ENDS = _cache_fields()
+# cutting after the last field would leave the whole file
+CACHE_CUTS = [(f, w) for f in CACHE_ENDS for w in ("inside", "after") if (f, w) != ("coch.payload", "after")]
+
+
+@pytest.mark.parametrize("field,where", CACHE_CUTS)
+def test_truncated_cache_is_a_bad_cache(tmp_path, field, where):
+    buf = _small_cache(tmp_path / "full.dmrf")
+    assert len(buf) == CACHE_ENDS["coch.payload"]
+    cut = CACHE_ENDS[field] - (1 if where == "inside" else 0)
+    path = tmp_path / "cut.dmrf"
+    path.write_bytes(buf[:cut])
+    with pytest.raises(BadFeatureCache):
+        F.read_feature_cache(path)
+
+
+@pytest.mark.parametrize("defect,match", (
+    ("tag", "unknown dtype tag 7 for coch"),
+    ("version", "unsupported cache version 2"),
+    ("stray", "1 stray byte"),
+    ("rank", "2-d"),
+))
+def test_malformed_cache_is_a_bad_cache(tmp_path, defect, match):
+    buf = bytearray(_small_cache(tmp_path / "full.dmrf"))
+    if defect == "tag":
+        buf[CACHE_ENDS["mel.payload"]] = 7
+    elif defect == "version":
+        buf[4] = 2
+    elif defect == "stray":
+        buf += b"\0"
+    else:  # mel as a [12] vector: rank 1, one dim, the same payload
+        start = CACHE_ENDS["version"]
+        buf[start:start + 10] = struct.pack("<BBI", 0, 1, 12)
+    path = tmp_path / "bad.dmrf"
+    path.write_bytes(bytes(buf))
+    with pytest.raises(BadFeatureCache, match=match):
         F.read_feature_cache(path)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvmer import memory as mem
 from dvmer import nncore as nc
@@ -53,6 +55,64 @@ def test_wraparound_exhaustive_small():
                         feat, label = slot
                         np.testing.assert_allclose(queue.keys[pos], feat / np.linalg.norm(feat), rtol=1e-12)
                         assert queue.labels[pos] == label
+
+
+def queue_oracle(capacity, dim, momentum, batches):
+    """The queue's write rule one row at a time over plain lists:
+    (keys, labels, valid, write pointer). Norms are taken per batch as the
+    queue takes them, so the comparison can be exact."""
+    keys = [np.zeros(dim, dtype=np.float32) for _ in range(capacity)]
+    labels, valid, pointer = [0] * capacity, [False] * capacity, 0
+    for feats, labs in batches:
+        norms = np.linalg.norm(feats, axis=1)
+        for row in range(len(feats)):
+            pos = (pointer + row) % capacity
+            labels[pos] = int(labs[row])
+            if norms[row] == 0.0:
+                keys[pos], valid[pos] = np.zeros(dim, dtype=np.float32), False
+                continue
+            key = feats[row] / norms[row]
+            if momentum is not None and valid[pos]:
+                blended = momentum * keys[pos] + (1.0 - momentum) * key
+                if np.linalg.norm(blended) > 0:
+                    key = blended / np.linalg.norm(blended)
+            keys[pos], valid[pos] = key, True
+        pointer = (pointer + len(feats)) % capacity
+    return np.array(keys), labels, valid, pointer
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 7),
+    dim=st.integers(1, 5),
+    momentum=st.sampled_from([None, 0.5, 0.9]),
+    sizes=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_enqueue_matches_a_plain_list_oracle(capacity, dim, momentum, sizes, seed):
+    rng = np.random.default_rng(seed)
+    batches = []
+    for size in sizes:
+        feats = rng.normal(size=(min(size, capacity), dim)).astype(np.float32)
+        feats[rng.random(feats.shape[0]) < 0.25] = 0.0  # zero rows are stored but invalid
+        batches.append((feats, rng.integers(0, 3, size=feats.shape[0])))
+    queue = mem.MemoryQueue(capacity=capacity, dim=dim, n_classes=3, momentum=momentum)
+    for feats, labels in batches:
+        queue.enqueue(feats, labels)
+    keys, labels, valid, pointer = queue_oracle(capacity, dim, momentum, batches)
+    assert np.array_equal(queue.keys, keys)
+    assert queue.labels.tolist() == labels
+    assert queue.valid.tolist() == valid
+    assert queue.write_index == pointer
+
+
+def test_momentum_keeps_the_new_key_when_the_blend_cancels():
+    queue = mem.MemoryQueue(capacity=2, dim=2, momentum=0.5, dtype=np.float64)
+    queue.enqueue(np.array([[3.0, 0.0], [0.0, 2.0]]), np.array([0, 1]))
+    queue.enqueue(np.array([[-1.0, 0.0], [0.0, 0.0]]), np.array([1, 0]))
+    assert queue.keys.tolist() == [[-1.0, 0.0], [0.0, 0.0]]
+    assert queue.valid.tolist() == [True, False]
+    assert queue.labels.tolist() == [1, 0]
 
 
 def test_full_queue_holds_most_recent_items():

@@ -116,6 +116,25 @@ def test_select_classes_and_cross_entropy():
     np.testing.assert_allclose(ce.data, [expected, expected], rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", ((5,), (5, 3)))
+def test_take_rows_gathers_and_scatter_adds_repeats(shape):
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=shape), dtype=np.float64, requires_grad=True)
+    idx = np.array([3, 0, 3, 4, 3])  # row 3 three times, rows 1 and 2 never
+    weights = Tensor(rng.normal(size=(5,) + shape[1:]), dtype=np.float64)
+    assert np.array_equal(nc.take_rows(x, idx).data, x.data[idx])
+
+    def fn():
+        return nc.tsum(nc.mul(nc.take_rows(x, idx), weights))
+
+    report = nc.gradient_check(fn, {"x": x}, op_name="take_rows")
+    assert report.max_rel_error < 1e-6
+    expected = np.zeros_like(x.data)
+    np.add.at(expected, idx, weights.data)
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-12)
+    assert not x.grad[[1, 2]].any()
+
+
 def test_concat_backward_splits():
     a = Tensor(np.ones((2, 3)), dtype=np.float64, requires_grad=True)
     b = Tensor(np.ones((2, 2)), dtype=np.float64, requires_grad=True)

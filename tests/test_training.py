@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dvmer import curriculum as cur
 from dvmer import data as dk
 from dvmer import nncore as nc
 from dvmer import training as tr
@@ -158,6 +159,75 @@ def test_semi_mode_pseudo_loss_only_on_unlabeled():
     result = tr.run_training(samples, cfg, TINY_MODEL)
     # thresholds pinned near 1: nothing selected, so the pl term stays zero
     assert all(r.loss_pl == 0.0 for r in result.records)
+
+
+def _memory_rows_loop_oracle(labels, labeled, confidences):
+    """Semi-mode rule, one row at a time: labeled rows with ground truth,
+    selected unlabeled rows with their pseudo-labels."""
+    kept, stored = [], []
+    for i in range(labels.shape[0]):
+        if labeled[i]:
+            kept.append(i)
+            stored.append(labels[i])
+        elif confidences is not None and confidences[i].selected:
+            kept.append(i)
+            stored.append(confidences[i].pseudo_label)
+    return kept, stored
+
+
+@pytest.mark.parametrize("case", ("mixed", "nothing_kept", "all_labeled", "no_pcl"))
+def test_memory_rows_match_a_plain_loop(case):
+    rng = np.random.default_rng(41)
+    p_mel = rng.dirichlet(np.ones(2), size=12)
+    p_coch = rng.dirichlet(np.ones(2), size=12)
+    labels = rng.integers(0, 2, size=12)
+    labeled = rng.random(12) < 0.4
+    theta = 0.6
+    if case == "nothing_kept":
+        labeled[:] = False
+        theta = 2.0
+    elif case == "all_labeled":
+        labeled[:] = True
+    confidences = None if case == "no_pcl" else cur.batch_confidences(p_mel, p_coch, theta)
+    kept, kept_labels = tr.memory_rows(labels, labeled, confidences, "semi")
+    oracle_kept, oracle_labels = _memory_rows_loop_oracle(labels, labeled, confidences)
+    assert kept.tolist() == oracle_kept
+    assert kept_labels.tolist() == oracle_labels
+    if case == "mixed":  # the batch exercises every branch of the rule
+        unlabeled_selected = confidences.selected & ~labeled
+        assert labeled.any() and unlabeled_selected.any() and (~labeled & ~confidences.selected).any()
+        assert (kept_labels != labels[kept]).any()
+
+
+def test_memory_rows_keep_every_row_in_full_mode():
+    labels = np.array([1, 0, 1])
+    kept, kept_labels = tr.memory_rows(labels, np.zeros(3, dtype=bool), None, "full")
+    assert kept is None and kept_labels is labels
+
+
+def test_semi_batches_without_memory_rows_leave_the_memory_alone():
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=45)
+    for s in samples:
+        s.labeled = False
+    cfg = tr.TrainConfig(epochs=1, batch_size=8, seed=46, queue_size=8, mode="semi",
+                         theta_start=0.99, theta_min=0.99)
+    result = tr.run_training(samples, cfg, TINY_MODEL)
+    assert result.records[0].loss_cont == 0.0
+    assert len(result.queue) == 0 and result.queue.write_index == 0
+
+
+@pytest.mark.parametrize("mode", ("full", "semi"))
+def test_same_seed_gives_byte_identical_checkpoints(tmp_path, mode):
+    samples = dk.synth_dataset(n=24, separation=5.0, noise=0.1, seed=43)
+    if mode == "semi":
+        samples = dk.mark_unlabeled(samples, labeled_fraction=0.5, seed=43)
+    cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=44, queue_size=8, mode=mode, labeled_fraction=0.5)
+    blobs = []
+    for run in range(2):
+        path = tmp_path / f"run{run}.dmrc"
+        tr.save_checkpoint(path, tr.run_training(samples, cfg, TINY_MODEL), config_hash="h")
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_cosine_disabled_keeps_constant_lr():
