@@ -73,27 +73,15 @@ def _load_samples(manifest_path, features_dir, dimension) -> tuple[list, list]:
 
 
 def _overrides_from_args(args) -> dict:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "dimension", None) is not None:
-        overrides["dimension"] = args.dimension
-    if getattr(args, "no_dsaf", False):
-        overrides["use_dsaf"] = False
-    if getattr(args, "no_pcl", False):
-        overrides["use_pcl"] = False
-    if getattr(args, "no_saml", False):
-        overrides["use_saml"] = False
-    if getattr(args, "ensemble", False):
-        overrides["ensemble_eval"] = True
-    return overrides
+    """The run-config fields that flags set; each flag's dest is its field."""
+    return {k: v for k, v in vars(args).items() if k in cfgmod.RUN_CONFIG_KEYS and v is not None}
 
 
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_extract_features(args) -> CommandResult:
-    cfg = cfgmod.load_feature_config(args.config) if args.config else feats.FeatureConfig()
+    cfg = cfgmod.load_feature_config(args.config)
     in_dir, out_dir = args.in_dir, args.out
     if not os.path.isdir(in_dir):
         raise FileNotFoundError(f"input directory not found: {in_dir}")
@@ -256,59 +244,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dvmer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract-features", help="turn WAV tracks into feature caches")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+
+    # the run flags: --seed, --dimension and --no-* each set the run-config
+    # field named by their dest; their None default keeps the file's value
+    run = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    run.add_argument("--config", required=True, help="run config file (requires epochs, batch_size)")
+    run.add_argument("--manifest", required=True, help="tab-separated track manifest")
+    run.add_argument("--features", required=True, help="feature cache directory")
+    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--dimension", choices=("arousal", "valence"), default=None)
+    run.add_argument("--no-dsaf", dest="use_dsaf", action="store_const", const=False, default=None,
+                     help="encode views independently")
+    run.add_argument("--no-pcl", dest="use_pcl", action="store_const", const=False, default=None,
+                     help="disable pseudo-label learning")
+    run.add_argument("--no-saml", dest="use_saml", action="store_const", const=False, default=None,
+                     help="disable the contrastive memory")
+
+    trained = argparse.ArgumentParser(add_help=False, parents=[run])
+    trained.add_argument("--checkpoint", required=True)
+
+    p = sub.add_parser("extract-features", parents=[json_flag], help="turn WAV tracks into feature caches")
     p.add_argument("--in", dest="in_dir", required=True, help="directory of 44.1 kHz 16-bit WAV files")
     p.add_argument("--out", required=True, help="cache output directory")
     p.add_argument("--config", default=None, help="feature config file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_extract_features)
 
-    p = sub.add_parser("train", help="train a model from cached features")
-    p.add_argument("--config", required=True, help="run config file (requires epochs, batch_size)")
-    p.add_argument("--manifest", required=True, help="tab-separated track manifest")
-    p.add_argument("--features", required=True, help="feature cache directory")
+    p = sub.add_parser("train", parents=[run], help="train a model from cached features")
     p.add_argument("--out", required=True, help="output directory for checkpoint and logs")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dimension", choices=("arousal", "valence"), default=None)
-    p.add_argument("--no-dsaf", action="store_true", help="encode views independently")
-    p.add_argument("--no-pcl", action="store_true", help="disable pseudo-label learning")
-    p.add_argument("--no-saml", action="store_true", help="disable the contrastive memory")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True)
+    p = sub.add_parser("eval", parents=[trained], help="evaluate a checkpoint on a split")
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dimension", choices=("arousal", "valence"), default=None)
-    p.add_argument("--ensemble", action="store_true", help="average the three heads' probabilities")
-    p.add_argument("--no-dsaf", action="store_true")
-    p.add_argument("--no-pcl", action="store_true")
-    p.add_argument("--no-saml", action="store_true")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--ensemble", dest="ensemble_eval", action="store_const", const=True, default=None,
+                   help="average the three heads' probabilities")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("diagnose", help="convert an epoch log into a plotting CSV")
+    p = sub.add_parser("diagnose", parents=[json_flag], help="convert an epoch log into a plotting CSV")
     p.add_argument("--log", required=True, help="epoch log from a training run")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("export-embeddings", help="dump fused features per track as CSV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--features", required=True)
+    p = sub.add_parser("export-embeddings", parents=[trained], help="dump fused features per track as CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dimension", choices=("arousal", "valence"), default=None)
-    p.add_argument("--no-dsaf", action="store_true")
-    p.add_argument("--no-pcl", action="store_true")
-    p.add_argument("--no-saml", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_export_embeddings)
 
     return parser

@@ -1,21 +1,23 @@
 """Flat key-value run configuration files.
 
 Format: one `key = value` pair per line; blank lines and lines starting
-with '#' are ignored. Booleans accept true/false/1/0/yes/no. Unknown keys
-are rejected so typos fail loudly. The training CLI requires `epochs` and
-`batch_size` to be stated explicitly; every other key falls back to its
-documented default.
+with '#' are ignored. Values take the type of their field's resolved
+hint; booleans accept true/false/1/0/yes/no, and `none` is accepted only
+where the hint admits None. Unknown keys are rejected so typos fail
+loudly. The training CLI requires `epochs` and `batch_size` to be stated
+explicitly; every other key falls back to its documented default.
 """
 
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import fields
 
 from .errors import ConfigError
 from .features import FeatureConfig
 from .model import ModelConfig
-from .training import TrainConfig
+from .training import TrainConfig, model_config_for
 
 TRAIN_REQUIRED_KEYS = ("epochs", "batch_size")
 
@@ -43,7 +45,14 @@ def parse_kv_file(path) -> dict[str, str]:
     return values
 
 
-def _convert(key: str, raw: str, target_type):
+def _convert(key: str, raw: str, hint):
+    """raw as the field's resolved type hint; `none` only where it admits None."""
+    types = typing.get_args(hint) or (hint,)
+    if raw.lower() == "none":
+        if type(None) not in types:
+            raise ConfigError(f"key {key!r}: 'none' is only allowed for optional keys")
+        return None
+    target_type = next(t for t in types if t is not type(None))
     if target_type is bool:
         low = raw.lower()
         if low in _BOOL_TRUE:
@@ -64,31 +73,17 @@ def _convert(key: str, raw: str, target_type):
     return raw
 
 
-def _field_types(cls) -> dict:
-    out = {}
-    for f in fields(cls):
-        ann = str(f.type)
-        if ann.startswith("bool"):
-            out[f.name] = bool
-        elif ann.startswith("int"):
-            out[f.name] = int
-        elif ann.startswith("float"):
-            out[f.name] = float
-        else:
-            out[f.name] = str
-    return out
+# every settable run-config key; cross_attention follows use_dsaf
+# (training.model_config_for)
+RUN_CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, ModelConfig) for f in fields(cls)) - {"cross_attention"}
 
 
-def _build(cls, values: dict, consumed: set):
-    types = _field_types(cls)
-    kwargs = {}
-    for key, raw in values.items():
-        if key in types:
-            if raw.lower() == "none":
-                kwargs[key] = None
-            else:
-                kwargs[key] = _convert(key, raw, types[key])
-            consumed.add(key)
+def _build(cls, values: dict, overrides: dict):
+    """cls from the file values that name its fields, typed by the resolved
+    field hints, with the already-typed overrides replacing them."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {k: _convert(k, raw, hints[k]) for k, raw in values.items() if k in hints}
+    kwargs.update((k, v) for k, v in overrides.items() if k in hints)
     return cls(**kwargs)
 
 
@@ -99,45 +94,27 @@ def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig
     values. Missing required keys and unknown keys raise ConfigError.
     """
     values = parse_kv_file(path)
+    overrides = overrides or {}
     for key in TRAIN_REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required config key: {key}")
-
-    consumed: set[str] = set()
-    train_cfg = _build(TrainConfig, values, consumed)
-    model_cfg = _build(ModelConfig, values, consumed)
-    unknown = set(values) - consumed
+    unknown = set(values) - RUN_CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    bad = set(overrides) - RUN_CONFIG_KEYS
+    if bad:
+        raise ConfigError(f"unknown override(s): {', '.join(sorted(bad))}")
 
-    if overrides:
-        train_fields = {f.name for f in fields(TrainConfig)}
-        model_fields = {f.name for f in fields(ModelConfig)}
-        train_over = {k: v for k, v in overrides.items() if k in train_fields}
-        model_over = {k: v for k, v in overrides.items() if k in model_fields}
-        bad = set(overrides) - train_fields - model_fields
-        if bad:
-            raise ConfigError(f"unknown override(s): {', '.join(sorted(bad))}")
-        if train_over:
-            train_cfg = TrainConfig(**{**_as_dict(train_cfg), **train_over})
-        if model_over:
-            model_cfg = ModelConfig(**{**_as_dict(model_cfg), **model_over})
-
-    if model_cfg.cross_attention != train_cfg.use_dsaf:
-        model_cfg = ModelConfig(**{**_as_dict(model_cfg), "cross_attention": train_cfg.use_dsaf})
-    return train_cfg, model_cfg
+    train_cfg = _build(TrainConfig, values, overrides)
+    return train_cfg, model_config_for(train_cfg, _build(ModelConfig, values, overrides))
 
 
-def load_feature_config(path=None, overrides: dict | None = None) -> FeatureConfig:
+def load_feature_config(path=None) -> FeatureConfig:
     values = parse_kv_file(path) if path else {}
-    consumed: set[str] = set()
-    cfg = _build(FeatureConfig, values, consumed)
-    unknown = set(values) - consumed
+    unknown = set(values) - {f.name for f in fields(FeatureConfig)}
     if unknown:
         raise ConfigError(f"unknown feature config key(s): {', '.join(sorted(unknown))}")
-    if overrides:
-        cfg = FeatureConfig(**{**_as_dict(cfg), **overrides})
-    return cfg
+    return _build(FeatureConfig, values, {})
 
 
 def _as_dict(cfg) -> dict:

@@ -96,8 +96,8 @@ def _validate_pair(p, q, names, ndim: int) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != ndim:
             raise NotADistribution(f"{name} must have {ndim} axis(es), got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise NotADistribution(f"{name} has negative entries")
+        if not np.all(arr >= 0):  # also false for NaN
+            raise NotADistribution(f"{name} has negative or NaN entries")
         sums = arr.sum(axis=-1)
         if np.any(np.abs(sums - 1.0) > 1e-6):
             raise NotADistribution(f"{name} sums to {sums!r}, not 1")

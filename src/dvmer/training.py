@@ -8,8 +8,8 @@ loss against the memory queue. Default weights are 1.0 / 0.8 / 0.2 / 0.1.
 
 Optimisation is adaptive moment estimation with bias correction and
 decoupled weight decay, cosine-annealed learning rate over the run, and
-global gradient-norm clipping. Runs are seed-deterministic in
-single-threaded mode.
+global gradient-norm clipping. Two runs with one seed in one process, at
+the default BLAS thread count, write byte-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ class TrainConfig:
             consistency=self.lambda_cons,
             contrast=self.lambda_cont,
         )
+
+
+def model_config_for(config: TrainConfig, model_config: ModelConfig | None = None) -> ModelConfig:
+    """The model a run trains: DSAF (`use_dsaf`) decides `cross_attention`."""
+    return replace(model_config or ModelConfig(), cross_attention=config.use_dsaf)
 
 
 @dataclass
@@ -282,9 +287,7 @@ def run_training(
     """
     if not train_samples:
         raise EmptySplit("training requires a nonempty sample list")
-    model_config = model_config or ModelConfig()
-    if model_config.cross_attention != config.use_dsaf:
-        model_config = replace(model_config, cross_attention=config.use_dsaf)
+    model_config = model_config_for(config, model_config)
 
     init_rng, loop_rng = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)]
     model = DualViewModel(model_config, init_rng)

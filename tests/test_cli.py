@@ -273,6 +273,35 @@ def test_ablation_flags_reach_the_log(workspace, tmp_path):
         assert rec["mask_ratio"] == 0.0
 
 
+@pytest.mark.parametrize("line", ("epochs = none", "batch_size = none", "seed = none", "cross_attention = false"))
+def test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    kept = [row for row in RUN_CFG.splitlines() if not row.startswith(key + " ")]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(kept + [line]) + "\n")
+    rc = main([
+        "train", "--config", str(bad), "--manifest", str(workspace["manifest"]),
+        "--features", str(workspace["cache"]), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 2
+    assert key in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
+def test_ablated_checkpoint_needs_the_same_flags_at_eval(workspace, tmp_path, capsys):
+    ablate = ["--no-dsaf", "--no-pcl", "--no-saml"]
+    out = tmp_path / "ablate"
+    common = [
+        "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
+        "--features", str(workspace["cache"]),
+    ]
+    assert main(["train", *common, "--out", str(out), *ablate]) == 0
+    evaluate = ["eval", "--checkpoint", str(out / "checkpoint.dmrc"), *common]
+    assert main(evaluate + ablate) == 0
+    capsys.readouterr()
+    assert main(evaluate) == 5
+    assert "mismatch" in capsys.readouterr().out
+
 def _write_wav(path, seconds, freq, rng):
     t = np.arange(int(seconds * SR)) / SR
     x = 0.4 * np.sin(2 * np.pi * freq * t) + 0.02 * rng.normal(size=t.shape)

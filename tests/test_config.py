@@ -90,3 +90,51 @@ def test_feature_config_overrides(tmp_path):
     assert cfg.hop_len == 1024
     with pytest.raises(ConfigError):
         cfgmod.load_feature_config(write(tmp_path, "bands = 12\n", name="bad.cfg"))
+
+
+@pytest.mark.parametrize("key", ("epochs", "batch_size", "seed", "learning_rate", "use_pcl", "mode",
+                                 "dimension", "embed_dim", "dropout"))
+def test_none_is_rejected_for_a_required_value(tmp_path, key):
+    values = {"epochs": "4", "batch_size": "8", key: "none"}
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    with pytest.raises(ConfigError, match=key):
+        cfgmod.load_train_configs(write(tmp_path, text))
+
+
+def test_feature_frame_geometry_accepts_none(tmp_path):
+    cfg = cfgmod.load_feature_config(write(tmp_path, "frame_len = none\nhop = None\n", name="feat.cfg"))
+    assert cfg.frame_len is None and cfg.hop is None
+    with pytest.raises(ConfigError, match="mel_bands"):
+        cfgmod.load_feature_config(write(tmp_path, "mel_bands = none\n", name="bad.cfg"))
+
+
+def test_cross_attention_is_not_a_config_key(tmp_path):
+    with pytest.raises(ConfigError, match="cross_attention"):
+        cfgmod.load_train_configs(write(tmp_path, BASE + "cross_attention = false\n"))
+    with pytest.raises(ConfigError, match="cross_attention"):
+        cfgmod.load_train_configs(write(tmp_path, BASE, name="o.cfg"), overrides={"cross_attention": False})
+
+
+def test_unknown_override_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="not_a_key"):
+        cfgmod.load_train_configs(write(tmp_path, BASE), overrides={"not_a_key": 1})
+
+
+def test_overrides_replace_file_values(tmp_path):
+    path = write(tmp_path, BASE + "seed = 4\nuse_pcl = true\n")
+    train_cfg, _ = cfgmod.load_train_configs(path, overrides={"seed": 9, "use_pcl": False})
+    assert (train_cfg.seed, train_cfg.use_pcl) == (9, False)
+
+
+# Digests written by earlier releases; checkpoints carry them, so a change
+# here rejects every existing checkpoint.
+@pytest.mark.parametrize("override, digest", (
+    (None, "e6ac02fa8588f582"),
+    ("use_dsaf", "97ad270a1f7e9a99"),
+    ("use_pcl", "75456860df886e81"),
+    ("use_saml", "70652b81d9c961c9"),
+))
+def test_run_config_hash_is_stable(tmp_path, override, digest):
+    path = write(tmp_path, "epochs = 80\nbatch_size = 16\n")
+    overrides = {override: False} if override else None
+    assert cfgmod.run_config_hash(*cfgmod.load_train_configs(path, overrides=overrides)) == digest

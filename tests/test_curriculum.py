@@ -51,6 +51,14 @@ def test_js_validates_inputs():
         cur.js_divergence([0.5, 0.5], [1.0])
 
 
+@pytest.mark.parametrize("row", ([np.nan, 1.0], [np.nan, np.nan], [0.5, np.nan]))
+def test_js_rejects_nan_in_either_argument(row):
+    with pytest.raises(NotADistribution, match="NaN"):
+        cur.js_divergence(row, [0.5, 0.5])
+    with pytest.raises(NotADistribution, match="NaN"):
+        cur.js_divergence([0.5, 0.5], row)
+
+
 def test_js_properties_random_pairs():
     rng = np.random.default_rng(0)
     ln2 = math.log(2.0)
@@ -123,6 +131,8 @@ def _bad_row(kind, base):
         bad[3] = [-0.1, 1.1]
     elif kind == "sum":
         bad[3] = [0.5, 0.6]
+    elif kind == "nan":
+        bad[3] = [np.nan, 1.0]
     elif kind == "shape":
         bad = bad[:4]
     else:  # a vector instead of a batch
@@ -131,7 +141,7 @@ def _bad_row(kind, base):
 
 
 @pytest.mark.parametrize("branch", ("p_mel", "p_coch"))
-@pytest.mark.parametrize("kind", ("negative", "sum", "shape", "rank"))
+@pytest.mark.parametrize("kind", ("negative", "sum", "nan", "shape", "rank"))
 def test_batch_confidences_reject_one_bad_row(kind, branch):
     good = np.tile([0.7, 0.3], (5, 1))
     bad = _bad_row(kind, good)
