@@ -191,6 +191,20 @@ DIAGNOSE_COLUMNS = (
 )
 
 
+def _diagnose_row(rec) -> list:
+    """One CSV row from an epoch record; a malformed record raises ValueError."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+    keys = DIAGNOSE_COLUMNS[:-2]
+    missing = [k for k in keys if k not in rec]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    coverage = rec.get("queue_coverage", [0.0, 0.0])
+    if not isinstance(coverage, list):
+        raise ValueError(f"queue_coverage must be a list, got {coverage!r}")
+    return [rec[k] for k in keys] + [coverage[c] if c < len(coverage) else 0.0 for c in (0, 1)]
+
+
 def cmd_diagnose(args) -> CommandResult:
     if not os.path.exists(args.log):
         raise FileNotFoundError(f"epoch log not found: {args.log}")
@@ -201,16 +215,9 @@ def cmd_diagnose(args) -> CommandResult:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rows.append(_diagnose_row(json.loads(line)))
+            except ValueError as exc:  # json.JSONDecodeError is one too
                 raise ValueError(f"{args.log}:{lineno}: bad record: {exc}") from exc
-            coverage = rec.get("queue_coverage", [0.0, 0.0])
-            rows.append([
-                rec["epoch"], rec["tau"], rec["theta"], rec["mask_ratio"],
-                rec["mean_confidence"], rec["mean_reliability"], rec["queue_entropy"],
-                coverage[0] if len(coverage) > 0 else 0.0,
-                coverage[1] if len(coverage) > 1 else 0.0,
-            ])
     lines = [",".join(DIAGNOSE_COLUMNS)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))

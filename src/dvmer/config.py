@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import typing
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .errors import ConfigError
 from .features import FeatureConfig
@@ -117,10 +117,6 @@ def load_feature_config(path=None) -> FeatureConfig:
     return _build(FeatureConfig, values, {})
 
 
-def _as_dict(cfg) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-
-
 # inference-time choices that do not alter what was trained
 _HASH_EXEMPT = {"ensemble_eval"}
 
@@ -130,7 +126,7 @@ def run_config_hash(train_cfg: TrainConfig, model_cfg: ModelConfig) -> str:
     checkpoints and verified at evaluation time."""
     items = []
     for prefix, cfg in (("train", train_cfg), ("model", model_cfg)):
-        for name, value in sorted(_as_dict(cfg).items()):
+        for name, value in sorted(asdict(cfg).items()):
             if name in _HASH_EXEMPT:
                 continue
             items.append(f"{prefix}.{name}={value!r}")

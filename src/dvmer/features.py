@@ -238,11 +238,13 @@ def mel_energies_from_spectra(power: np.ndarray, cfg: FeatureConfig) -> np.ndarr
     return mel_filterbank(cfg) @ power.T
 
 
+def _mel_view(power: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    return np.log(np.maximum(mel_energies_from_spectra(power, cfg), cfg.log_floor))
+
+
 def mel_spectrogram(seg: AudioSegment, cfg: FeatureConfig | None = None) -> MelGram:
     cfg = cfg or FeatureConfig()
-    power = windowed_power_spectra(seg, cfg)
-    energies = mel_energies_from_spectra(power, cfg)
-    values = np.log(np.maximum(energies, cfg.log_floor))
+    values = _mel_view(windowed_power_spectra(seg, cfg), cfg)
     return MelGram(values=values, frame_len=cfg.frame_size, hop=cfg.hop_len)
 
 
@@ -250,12 +252,13 @@ def coch_energies_from_spectra(power: np.ndarray, cfg: FeatureConfig) -> np.ndar
     return gammatone_filterbank(cfg) @ power.T
 
 
+def _coch_view(power: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    return np.log10(np.maximum(coch_energies_from_spectra(power, cfg), cfg.log_floor) ** cfg.compression)
+
+
 def cochleagram(seg: AudioSegment, cfg: FeatureConfig | None = None) -> CochGram:
     cfg = cfg or FeatureConfig()
-    power = windowed_power_spectra(seg, cfg)
-    energies = coch_energies_from_spectra(power, cfg)
-    compressed = np.maximum(energies, cfg.log_floor) ** cfg.compression
-    return CochGram(values=np.log10(compressed))
+    return CochGram(values=_coch_view(windowed_power_spectra(seg, cfg), cfg))
 
 
 def extract_pair(seg: AudioSegment, cfg: FeatureConfig | None = None) -> FeaturePair:
@@ -263,10 +266,7 @@ def extract_pair(seg: AudioSegment, cfg: FeatureConfig | None = None) -> Feature
     windowed spectra."""
     cfg = cfg or FeatureConfig()
     power = windowed_power_spectra(seg, cfg)
-    mel = np.log(np.maximum(mel_energies_from_spectra(power, cfg), cfg.log_floor))
-    coch_energy = np.maximum(coch_energies_from_spectra(power, cfg), cfg.log_floor)
-    coch = np.log10(coch_energy ** cfg.compression)
-    return FeaturePair(mel=mel, coch=coch)
+    return FeaturePair(mel=_mel_view(power, cfg), coch=_coch_view(power, cfg))
 
 
 # -- WAV ingestion ---------------------------------------------------------

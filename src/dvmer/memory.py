@@ -77,21 +77,6 @@ class MemoryQueue:
         self.write_index = (self.write_index + batch) % self.capacity
         return self
 
-    def snapshot(self) -> dict:
-        return {
-            "keys": self.keys.copy(),
-            "labels": self.labels.copy(),
-            "valid": self.valid.copy(),
-            "write_index": np.array([self.write_index], dtype=np.int64),
-        }
-
-    def restore(self, state: dict):
-        self.keys = np.array(state["keys"], dtype=self.keys.dtype).reshape(self.capacity, self.dim)
-        self.labels = np.array(state["labels"], dtype=np.int64).reshape(self.capacity)
-        self.valid = np.array(state["valid"], dtype=bool).reshape(self.capacity)
-        self.write_index = int(np.asarray(state["write_index"]).reshape(-1)[0])
-        return self
-
 
 def contrastive_loss(
     queries: Tensor,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nc
-from .errors import ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .nncore import Tensor
 
 
@@ -35,6 +35,18 @@ class ModelConfig:
     n_classes: int = 2
     ffn_expand: int = 4
     cross_attention: bool = True   # off: views are encoded independently
+
+    def __post_init__(self):
+        for name in ("embed_dim", "fusion_dim", "heads", "mel_bands", "coch_channels", "frame_count",
+                     "n_classes", "ffn_expand"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.layers < 0:
+            raise ConfigError(f"layers must not be negative, got {self.layers}")
+        if self.embed_dim % self.heads != 0:
+            raise ConfigError(f"embed_dim {self.embed_dim} is not divisible by heads {self.heads}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -152,10 +164,6 @@ class DualViewModel:
             "head_fuse.w": self.head_fuse_w, "head_fuse.b": self.head_fuse_b,
         })
         return params
-
-    def zero_grad(self):
-        for p in self.parameters().values():
-            p.zero_grad()
 
     # -- forward pieces ---------------------------------------------------
 

@@ -15,7 +15,7 @@ the default BLAS thread count, write byte-identical checkpoints.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -72,8 +72,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.grad_clip <= 0:
-            raise ConfigError("learning_rate and grad_clip must be positive")
+        for name in ("learning_rate", "grad_clip", "contrast_temperature", "tau_min", "tau_max"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.queue_size < 1:
+            raise ConfigError(f"queue_size must be at least 1, got {self.queue_size}")
         if self.mode not in ("full", "semi"):
             raise ConfigError(f"mode must be 'full' or 'semi', got {self.mode!r}")
 
@@ -117,14 +120,7 @@ class EpochRecord:
     train_acc: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch, "lr": self.lr, "tau": self.tau, "theta": self.theta,
-            "loss_total": self.loss_total, "loss_cls": self.loss_cls, "loss_pl": self.loss_pl,
-            "loss_cons": self.loss_cons, "loss_cont": self.loss_cont,
-            "mask_ratio": self.mask_ratio, "mean_reliability": self.mean_reliability,
-            "mean_confidence": self.mean_confidence, "queue_entropy": self.queue_entropy,
-            "queue_coverage": self.queue_coverage, "train_acc": self.train_acc,
-        }
+        return asdict(self)
 
 
 # -- loss pieces -----------------------------------------------------------
@@ -212,20 +208,6 @@ class AdamW:
             update = m_hat / (np.sqrt(v_hat) + self.eps)
             p.data = p.data - lr * (update + self.weight_decay * p.data)
 
-    def state_arrays(self) -> dict:
-        state = {"step": np.array([self.step_count], dtype=np.int64)}
-        for name, arr in self.m.items():
-            state[f"m.{name}"] = arr
-        for name, arr in self.v.items():
-            state[f"v.{name}"] = arr
-        return state
-
-    def load_state_arrays(self, state: dict):
-        self.step_count = int(np.asarray(state["step"]).reshape(-1)[0])
-        for name in self.params:
-            self.m[name] = np.array(state[f"m.{name}"], dtype=self.m[name].dtype).reshape(self.m[name].shape)
-            self.v[name] = np.array(state[f"v.{name}"], dtype=self.v[name].dtype).reshape(self.v[name].shape)
-
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     """Half-cosine decay over the full run, floored at zero, no restarts."""
@@ -257,7 +239,6 @@ class TrainResult:
     model: DualViewModel
     queue: memory.MemoryQueue
     records: list
-    optimizer: AdamW
     config: TrainConfig
     model_config: ModelConfig
 
@@ -428,8 +409,7 @@ def run_training(
             on_epoch(record)
 
     return TrainResult(
-        model=model, queue=queue, records=records,
-        optimizer=optimizer, config=config, model_config=model_config,
+        model=model, queue=queue, records=records, config=config, model_config=model_config,
     )
 
 
@@ -552,27 +532,17 @@ def evaluate(model: DualViewModel, samples: list[Sample], ensemble: bool = False
 
 
 def save_checkpoint(path, result: TrainResult, config_hash: str):
-    """Container with named parameters, optimiser state, and the queue
-    snapshot, stamped with the run config hash."""
+    """Container with one section, the named parameters (`PARM`), stamped
+    with the run config hash."""
     from .ioutil import atomic_write_bytes
 
-    sections = []
-    params_blob = nc.pack_array_table({n: p.data for n, p in result.model.parameters().items()})
-    sections.append((b"PARM", params_blob))
-    opt_blob = nc.pack_array_table(result.optimizer.state_arrays())
-    sections.append((b"ADAM", opt_blob))
-    queue_blob = nc.pack_array_table(result.queue.snapshot())
-    sections.append((b"QUEU", queue_blob))
-
+    params = nc.pack_array_table({n: p.data for n, p in result.model.parameters().items()})
     hash_raw = config_hash.encode("utf-8")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-             struct.pack("<H", len(hash_raw)), hash_raw,
-             struct.pack("<I", len(sections))]
-    for tag, blob in sections:
-        parts.append(tag)
-        parts.append(struct.pack("<Q", len(blob)))
-        parts.append(blob)
-    atomic_write_bytes(path, b"".join(parts))
+    atomic_write_bytes(path, b"".join([
+        CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+        struct.pack("<H", len(hash_raw)), hash_raw,
+        struct.pack("<I", 1), b"PARM", struct.pack("<Q", len(params)), params,
+    ]))
 
 
 def read_checkpoint(path) -> dict:
@@ -603,8 +573,10 @@ def read_checkpoint(path) -> dict:
 
 
 def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: str | None = None) -> tuple[DualViewModel, dict]:
-    """Rebuild a model from a checkpoint; raises CheckpointMismatch when the
-    stored config hash differs from expected_hash."""
+    """Rebuild a model from a checkpoint's `PARM` section; raises
+    CheckpointMismatch when the stored config hash differs from
+    expected_hash. Other sections, such as the `ADAM` and `QUEU` sections
+    of older checkpoints, are ignored."""
     payload = read_checkpoint(path)
     if expected_hash is not None and payload["config_hash"] != expected_hash:
         raise CheckpointMismatch(

@@ -154,6 +154,25 @@ def test_diagnose_bad_log_is_data_error(tmp_path):
     assert rc == 3
 
 
+GOOD_RECORD = {"epoch": 0, "tau": 1.5, "theta": 0.65, "mask_ratio": 0.0, "mean_confidence": 0.5,
+               "mean_reliability": 0.5, "queue_entropy": 0.0, "queue_coverage": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("record,reason", (
+    ('{"epoch": 0}', "missing key(s) tau, theta"),
+    ("[1, 2]", "expected a JSON object"),
+    (json.dumps({**GOOD_RECORD, "queue_coverage": 5}), "queue_coverage must be a list"),
+), ids=("missing_key", "not_an_object", "coverage_not_a_list"))
+def test_diagnose_malformed_record_is_a_data_error(tmp_path, capsys, record, reason):
+    log = tmp_path / "epochs.log"
+    log.write_text(json.dumps(GOOD_RECORD) + "\n" + record + "\n")
+    rc = main(["diagnose", "--log", str(log), "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    out = capsys.readouterr().out
+    assert f"{log}:2: bad record: {reason}" in out
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_export_embeddings_shape_and_training_effect(workspace, trained, tmp_path):
     emb = tmp_path / "emb.csv"
     rc = main([
@@ -286,6 +305,14 @@ def test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys
     assert rc == 2
     assert key in capsys.readouterr().out
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", (
+    "embed_dim = 0", "dropout = 1.5", "heads = 3", "learning_rate = nan", "queue_size = 0",
+    "contrast_temperature = 0", "tau_min = 0",
+))
+def test_out_of_range_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line):
+    test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line)
 
 
 def test_ablated_checkpoint_needs_the_same_flags_at_eval(workspace, tmp_path, capsys):

@@ -246,14 +246,3 @@ def test_diagnostics_centroid_distances():
     # centroid (0.5, 0.5); both members at distance sqrt(0.5)
     np.testing.assert_allclose(diag["centroid_distances"][0], [math.sqrt(0.5)] * 2, rtol=1e-12)
     assert diag["centroid_distances"][1] == []
-
-
-def test_snapshot_restore_round_trip():
-    queue = mem.MemoryQueue(capacity=3, dim=2, dtype=np.float64)
-    queue.enqueue(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]))
-    state = queue.snapshot()
-    other = mem.MemoryQueue(capacity=3, dim=2, dtype=np.float64).restore(state)
-    assert np.array_equal(other.keys, queue.keys)
-    assert np.array_equal(other.labels, queue.labels)
-    assert np.array_equal(other.valid, queue.valid)
-    assert other.write_index == queue.write_index

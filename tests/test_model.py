@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dvmer import nncore as nc
-from dvmer.errors import ShapeMismatch
+from dvmer.errors import ConfigError, ShapeMismatch
 from dvmer.model import DualViewModel, ModelConfig, TokenSet
 from dvmer.nncore import Tensor
 
@@ -95,3 +95,18 @@ def test_end_to_end_gradient_check():
 
     report = nc.gradient_check(fn, model.parameters(), step=1e-4, op_name="encode+classify")
     assert report.max_rel_error < 1e-4
+
+
+@pytest.mark.parametrize("field,value", (
+    ("embed_dim", 0), ("fusion_dim", -1), ("heads", 0), ("mel_bands", 0), ("coch_channels", 0),
+    ("frame_count", 0), ("n_classes", 0), ("ffn_expand", 0), ("layers", -1),
+    ("heads", 3), ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.1), ("dropout", float("nan")),
+))
+def test_model_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})
+
+
+def test_model_config_accepts_the_range_edges():
+    cfg = ModelConfig(embed_dim=3, heads=3, layers=0, dropout=0.0, n_classes=1, ffn_expand=1)
+    assert DualViewModel(cfg, np.random.default_rng(0)).cross_layers == []

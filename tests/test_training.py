@@ -9,7 +9,7 @@ from dvmer import curriculum as cur
 from dvmer import data as dk
 from dvmer import nncore as nc
 from dvmer import training as tr
-from dvmer.errors import CheckpointMismatch, EmptySplit, NonFiniteLoss
+from dvmer.errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss
 from dvmer.model import DualViewModel, ModelConfig
 from dvmer.nncore import Tensor
 
@@ -248,29 +248,10 @@ def test_checkpoint_round_trip_and_hash_guard(tmp_path):
     for name, p in result.model.parameters().items():
         assert np.array_equal(model.parameters()[name].data, p.data)
     assert payload["config_hash"] == "cafe0123"
-    assert "ADAM" in payload["sections"] and "QUEU" in payload["sections"]
+    assert set(payload["sections"]) == {"PARM"}
 
     with pytest.raises(CheckpointMismatch):
         tr.load_model_from_checkpoint(path, result.model_config, expected_hash="deadbeef")
-
-
-def test_checkpoint_restores_queue_and_optimizer(tmp_path):
-    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=15)
-    cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=16, queue_size=8)
-    result = tr.run_training(samples, cfg, TINY_MODEL)
-    path = tmp_path / "model.dmrc"
-    tr.save_checkpoint(path, result, config_hash="00ff")
-    payload = tr.read_checkpoint(path)
-
-    from dvmer import memory as mem
-    queue = mem.MemoryQueue(capacity=cfg.queue_size, dim=result.model_config.fusion_dim)
-    queue.restore(payload["sections"]["QUEU"])
-    assert np.allclose(queue.keys, result.queue.keys)
-    assert queue.write_index == result.queue.write_index
-
-    opt = tr.AdamW(result.model.parameters())
-    opt.load_state_arrays(payload["sections"]["ADAM"])
-    assert opt.step_count == result.optimizer.step_count
 
 
 def test_predict_scores_and_embed_match_a_graph_building_forward():
@@ -420,3 +401,48 @@ def test_checkpoint_without_parameters_is_a_mismatch(tmp_path):
     assert tr.read_checkpoint(path)["config_hash"] == "ab"
     with pytest.raises(CheckpointMismatch, match="no parameter section"):
         tr.load_model_from_checkpoint(path, TINY_MODEL)
+
+
+def test_checkpoint_in_the_older_layout_still_loads(tmp_path):
+    """Checkpoints that also carry the optimiser (`ADAM`) and queue (`QUEU`)
+    sections load into the same parameters; those sections are ignored."""
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=15)
+    result = tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=8, seed=16, queue_size=8), TINY_MODEL)
+    params = {n: p.data for n, p in result.model.parameters().items()}
+    adam = {"step": np.array([2], dtype=np.int64)}
+    adam.update({f"m.{n}": np.full_like(a, 0.5) for n, a in params.items()})
+    adam.update({f"v.{n}": np.full_like(a, 0.25) for n, a in params.items()})
+    queue = result.queue
+    queu = {"keys": queue.keys, "labels": queue.labels, "valid": queue.valid,
+            "write_index": np.array([queue.write_index], dtype=np.int64)}
+    path = tmp_path / "older.dmrc"
+    path.write_bytes(_container([(b"PARM", nc.pack_array_table(params)), (b"ADAM", nc.pack_array_table(adam)),
+                                 (b"QUEU", nc.pack_array_table(queu))]))
+
+    model, payload = tr.load_model_from_checkpoint(path, result.model_config, expected_hash="ab")
+    assert set(payload["sections"]) == {"PARM", "ADAM", "QUEU"}
+    loaded = model.parameters()
+    assert set(loaded) == set(params)
+    for name, arr in params.items():
+        assert np.array_equal(loaded[name].data, arr)
+
+
+def test_saved_checkpoint_is_the_header_and_one_parameter_section(tmp_path):
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=17)
+    result = tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=8, seed=18, queue_size=8), TINY_MODEL)
+    path = tmp_path / "model.dmrc"
+    tr.save_checkpoint(path, result, config_hash="ab")
+    table = nc.pack_array_table({n: p.data for n, p in result.model.parameters().items()})
+    buf = path.read_bytes()
+    assert len(buf) == (4 + 4 + 2 + len("ab") + 4) + (4 + 8 + len(table))
+    assert buf == _container([(b"PARM", table)])
+
+
+@pytest.mark.parametrize("field,value", (
+    ("learning_rate", 0.0), ("learning_rate", math.nan), ("grad_clip", -1.0), ("grad_clip", math.nan),
+    ("contrast_temperature", 0.0), ("contrast_temperature", math.nan), ("tau_min", 0.0),
+    ("tau_max", -0.5), ("tau_max", math.nan), ("queue_size", 0), ("queue_size", -3),
+))
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tr.TrainConfig(**{field: value})
