@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import config as cfgmod
 from . import data as datakit
@@ -146,8 +146,8 @@ def cmd_train(args) -> CommandResult:
         "dimension": train_cfg.dimension,
         "config_hash": config_hash,
         "epochs": train_cfg.epochs,
-        "train": {"acc": train_metrics.acc, "f1": train_metrics.f1, "auc": train_metrics.auc},
-        "test": {"acc": test_metrics.acc, "f1": test_metrics.f1, "auc": test_metrics.auc},
+        "train": asdict(train_metrics),
+        "test": asdict(test_metrics),
     }
     atomic_write_text(os.path.join(args.out, "result.json"), json.dumps(summary, indent=1) + "\n")
 
@@ -174,9 +174,7 @@ def cmd_eval(args) -> CommandResult:
     payload = {
         "dimension": train_cfg.dimension,
         "split": args.split,
-        "acc": metrics.acc,
-        "f1": metrics.f1,
-        "auc": metrics.auc,
+        **asdict(metrics),
     }
     return CommandResult(
         EXIT_OK,
@@ -185,40 +183,50 @@ def cmd_eval(args) -> CommandResult:
     )
 
 
-DIAGNOSE_COLUMNS = (
-    "epoch", "tau", "theta", "mask_ratio", "mean_confidence",
-    "mean_reliability", "queue_entropy", "coverage_0", "coverage_1",
-)
-
-
-def _diagnose_row(rec) -> list:
-    """One CSV row from an epoch record; a malformed record raises ValueError."""
+def _diagnose_cells(rec, columns: list | None) -> dict:
+    """One epoch record as CSV cells, column to value: the EpochRecord
+    fields in order, with queue_coverage spread over coverage_0 ..
+    coverage_{C-1}. columns, the first record's cells, fixes C for the rest;
+    a malformed record raises ValueError."""
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
-    keys = DIAGNOSE_COLUMNS[:-2]
-    missing = [k for k in keys if k not in rec]
+    names = [f.name for f in fields(training.EpochRecord)]
+    missing = [k for k in names if k not in rec]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
-    coverage = rec.get("queue_coverage", [0.0, 0.0])
+    coverage = rec["queue_coverage"]
     if not isinstance(coverage, list):
         raise ValueError(f"queue_coverage must be a list, got {coverage!r}")
-    return [rec[k] for k in keys] + [coverage[c] if c < len(coverage) else 0.0 for c in (0, 1)]
+    cells = {}
+    for name in names:
+        if name == "queue_coverage":
+            cells.update((f"coverage_{c}", value) for c, value in enumerate(coverage))
+        else:
+            cells[name] = rec[name]
+    if columns is not None and list(cells) != columns:
+        expected = sum(c.startswith("coverage_") for c in columns)
+        raise ValueError(f"queue_coverage has {len(coverage)} entries, the first record's {expected}")
+    return cells
 
 
 def cmd_diagnose(args) -> CommandResult:
     if not os.path.exists(args.log):
         raise FileNotFoundError(f"epoch log not found: {args.log}")
-    rows = []
+    columns, rows = None, []
     with open(args.log, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append(_diagnose_row(json.loads(line)))
+                cells = _diagnose_cells(json.loads(line), columns)
             except ValueError as exc:  # json.JSONDecodeError is one too
                 raise ValueError(f"{args.log}:{lineno}: bad record: {exc}") from exc
-    lines = [",".join(DIAGNOSE_COLUMNS)]
+            columns = columns or list(cells)
+            rows.append(cells.values())
+    if not rows:
+        raise ValueError(f"{args.log}: no epoch records")
+    lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     atomic_write_text(args.out, "\n".join(lines) + "\n")

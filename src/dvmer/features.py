@@ -58,6 +58,29 @@ class FeatureConfig:
     frame_len: int | None = None
     hop: int | None = None
 
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if self.sample_rate != REQUIRED_SAMPLE_RATE:
+            raise ConfigError(f"sample_rate must be {REQUIRED_SAMPLE_RATE}, got {self.sample_rate}")
+        for name in ("segment_duration", "frame_count", "mel_bands", "coch_channels", "gammatone_order",
+                     "compression", "log_floor"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.segment_start >= 0:
+            raise ConfigError(f"segment_start must not be negative, got {self.segment_start}")
+        nyquist = self.sample_rate / 2
+        if not 0 <= self.mel_fmin < self.mel_fmax <= nyquist:
+            raise ConfigError(f"mel_fmin and mel_fmax must satisfy 0 <= mel_fmin < mel_fmax <= {nyquist}, "
+                              f"got {self.mel_fmin} and {self.mel_fmax}")
+        if not 0 < self.gt_fmin < self.gt_fmax <= nyquist:
+            raise ConfigError(f"gt_fmin and gt_fmax must satisfy 0 < gt_fmin < gt_fmax <= {nyquist}, "
+                              f"got {self.gt_fmin} and {self.gt_fmax}")
+        if not 0 <= self.preemphasis < 1:
+            raise ConfigError(f"preemphasis must lie in [0, 1), got {self.preemphasis}")
+        for name in ("frame_len", "hop"):
+            if getattr(self, name) is not None and not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be at least 1 when set, got {getattr(self, name)}")
+
     @property
     def segment_len(self) -> int:
         return int(round(self.segment_duration * self.sample_rate))

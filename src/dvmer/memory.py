@@ -116,13 +116,11 @@ def contrastive_loss(
 
 
 def queue_diagnostics(queue: MemoryQueue) -> dict:
-    """Label entropy (nats), per-class coverage, and per-class L2 distances
-    of valid keys to their class centroid (centroids not re-normalised)."""
+    """Label entropy (nats) and per-class coverage of the valid keys."""
     valid_idx = np.flatnonzero(queue.valid)
     if valid_idx.size == 0:
         raise EmptyQueue("queue has no valid entries")
     labels = queue.labels[valid_idx]
-    keys = queue.keys[valid_idx]
 
     coverage = np.zeros(queue.n_classes)
     for cls in range(queue.n_classes):
@@ -130,17 +128,7 @@ def queue_diagnostics(queue: MemoryQueue) -> dict:
     probs = coverage[coverage > 0]
     entropy = float(-np.sum(probs * np.log(probs)))
 
-    centroid_distances = {}
-    for cls in range(queue.n_classes):
-        members = keys[labels == cls]
-        if members.shape[0] == 0:
-            centroid_distances[cls] = []
-            continue
-        centroid = members.mean(axis=0)
-        centroid_distances[cls] = np.linalg.norm(members - centroid, axis=1).tolist()
-
     return {
         "label_entropy": entropy,
         "class_coverage": tuple(float(c) for c in coverage),
-        "centroid_distances": centroid_distances,
     }

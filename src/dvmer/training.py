@@ -8,8 +8,9 @@ loss against the memory queue. Default weights are 1.0 / 0.8 / 0.2 / 0.1.
 
 Optimisation is adaptive moment estimation with bias correction and
 decoupled weight decay, cosine-annealed learning rate over the run, and
-global gradient-norm clipping. Two runs with one seed in one process, at
-the default BLAS thread count, write byte-identical checkpoints.
+global gradient-norm clipping. Two runs with one seed at the same BLAS
+thread count, in one process or two, write byte-identical checkpoints; the
+thread count changes the bits.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.queue_size < 1:
             raise ConfigError(f"queue_size must be at least 1, got {self.queue_size}")
+        if self.use_saml and self.queue_size < self.batch_size:
+            raise ConfigError(f"queue_size {self.queue_size} must be at least batch_size {self.batch_size} "
+                              "when use_saml is on")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must not be negative, got {self.weight_decay}")
+        if not 0 <= self.theta_min <= self.theta_start <= 1:
+            raise ConfigError(f"theta_min and theta_start must satisfy 0 <= theta_min <= theta_start <= 1, "
+                              f"got {self.theta_min} and {self.theta_start}")
+        if not self.tau_min <= self.tau_max:
+            raise ConfigError(f"tau_min {self.tau_min} must not exceed tau_max {self.tau_max}")
         if self.mode not in ("full", "semi"):
             raise ConfigError(f"mode must be 'full' or 'semi', got {self.mode!r}")
 
@@ -305,7 +316,7 @@ def run_training(
         order = loop_rng.permutation(n)
         batches = [order[i:i + config.batch_size] for i in range(0, n, config.batch_size)]
 
-        sums = {"total": 0.0, "cls": 0.0, "pl": 0.0, "cons": 0.0, "cont": 0.0}
+        sums = {}
         cur_stats = curriculum.EpochCurriculumStats()
         correct = 0
         counted = 0
@@ -319,34 +330,31 @@ def run_training(
                 p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
 
                 cls_mask = None if config.mode == "full" else labeled
-                loss_cls = classification_loss(outputs, labels, mask=cls_mask)
+                terms = {"cls": classification_loss(outputs, labels, mask=cls_mask)}
 
                 if config.use_pcl:
                     confidences = curriculum.batch_confidences(p_mel.data, p_coch.data, theta)
                     cur_stats.record(confidences)
                     eligible = None if config.mode == "full" else ~labeled
-                    loss_pl = curriculum.pseudo_label_loss(confidences, outputs.logits_fuse, eligible=eligible)
+                    terms["pl"] = curriculum.pseudo_label_loss(confidences, outputs.logits_fuse, eligible=eligible)
                 else:
                     confidences = None
-                    loss_pl = zero()
+                    terms["pl"] = zero()
 
-                loss_cons = consistency_loss(p_mel, p_coch)
+                terms["cons"] = consistency_loss(p_mel, p_coch)
 
                 if config.use_saml:
                     kept, kept_labels = memory_rows(labels, labeled, confidences, config.mode)
                     z_kept = outputs.z_fuse if kept is None else nc.take_rows(outputs.z_fuse, kept)
-                    loss_cont = memory.contrastive_loss(
+                    terms["cont"] = memory.contrastive_loss(
                         nc.l2_normalize(z_kept), kept_labels, queue,
                         tau_cont=config.contrast_temperature,
                         normalized=config.contrastive_normalized,
                     )
                 else:
-                    loss_cont = zero()
+                    terms["cont"] = zero()
 
-                loss = total_loss(
-                    {"cls": loss_cls, "pl": loss_pl, "cons": loss_cons, "cont": loss_cont},
-                    weights,
-                )
+                loss = total_loss(terms, weights)
 
                 optimizer.zero_grad()
                 loss.backward()
@@ -366,11 +374,8 @@ def run_training(
             correct += int(np.sum((preds == labels) & score_mask))
             counted += int(score_mask.sum())
 
-            sums["total"] += float(loss.data)
-            sums["cls"] += float(loss_cls.data)
-            sums["pl"] += float(loss_pl.data)
-            sums["cons"] += float(loss_cons.data)
-            sums["cont"] += float(loss_cont.data)
+            # a comprehension, so no loop variable keeps this batch's graph alive into the next
+            sums = {name: sums.get(name, 0.0) + float(t.data) for name, t in {"total": loss, **terms}.items()}
             if on_step is not None:
                 on_step({"epoch": epoch, "batch": batch_index, "pre_clip_norm": pre_norm, "post_clip_norm": post_norm})
 
@@ -392,11 +397,7 @@ def run_training(
             lr=lr,
             tau=tau,
             theta=theta if theta is not None else 0.0,
-            loss_total=sums["total"] / n_batches,
-            loss_cls=sums["cls"] / n_batches,
-            loss_pl=sums["pl"] / n_batches,
-            loss_cons=sums["cons"] / n_batches,
-            loss_cont=sums["cont"] / n_batches,
+            **{f"loss_{name}": total / n_batches for name, total in sums.items()},
             mask_ratio=diag["mask_ratio"],
             mean_reliability=diag["mean_reliability"],
             mean_confidence=diag["mean_confidence"],

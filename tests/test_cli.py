@@ -1,16 +1,22 @@
+import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dvmer import data as dk
 from dvmer import features as F
+from dvmer import training as tr
 from dvmer.cli import main
 
 SR = 44100
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 RUN_CFG = """\
 epochs = 3
@@ -132,19 +138,48 @@ def test_missing_cache_is_data_error(workspace, tmp_path, capsys):
     assert rc == 3
 
 
-def test_diagnose_csv_layout(workspace, trained, tmp_path):
-    out_csv = tmp_path / "diag.csv"
-    rc = main(["diagnose", "--log", str(trained / "epochs.log"), "--out", str(out_csv)])
-    assert rc == 0
+DIAGNOSE_HEADER = (
+    "epoch,lr,tau,theta,loss_total,loss_cls,loss_pl,loss_cons,loss_cont,mask_ratio,"
+    "mean_reliability,mean_confidence,queue_entropy,coverage_0,coverage_1,train_acc"
+)
+
+
+def _diagnose_csv(log, out_csv):
+    """The CSV that `diagnose` writes for log, as dicts keyed by column, after its header."""
+    assert main(["diagnose", "--log", str(log), "--out", str(out_csv)]) == 0
     lines = out_csv.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    assert header == ["epoch", "tau", "theta", "mask_ratio", "mean_confidence",
-                      "mean_reliability", "queue_entropy", "coverage_0", "coverage_1"]
-    assert len(lines) == 1 + 3
-    taus = [float(line.split(",")[1]) for line in lines[1:]]
-    thetas = [float(line.split(",")[2]) for line in lines[1:]]
+    return lines[0], list(csv.DictReader(lines))
+
+
+def _cells(record):
+    """An epoch record's values by CSV column."""
+    coverage = {f"coverage_{c}": v for c, v in enumerate(record["queue_coverage"])}
+    return {**{k: v for k, v in record.items() if k != "queue_coverage"}, **coverage}
+
+
+def test_diagnose_csv_layout(workspace, trained, tmp_path):
+    header, rows = _diagnose_csv(trained / "epochs.log", tmp_path / "diag.csv")
+    assert header == DIAGNOSE_HEADER
+    assert len(rows) == 3
+    taus = [float(row["tau"]) for row in rows]
+    thetas = [float(row["theta"]) for row in rows]
     assert taus[0] == 1.5 and taus[-1] == 0.7
     assert thetas[0] == 0.65 and thetas[-1] == 0.35
+    records = [json.loads(line) for line in (trained / "epochs.log").read_text().splitlines()]
+    for row, record in zip(rows, records):
+        assert {k: float(v) for k, v in row.items()} == _cells(record)
+
+
+def test_diagnose_spreads_every_class_of_a_three_class_run(tmp_path):
+    from dvmer.model import ModelConfig
+    samples = dk.synth_dataset(n=16, separation=6.0, noise=0.05, seed=3)
+    model_cfg = ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=1, n_classes=3)
+    result = tr.run_training(samples, tr.TrainConfig(epochs=2, batch_size=8, seed=3, queue_size=16), model_cfg)
+    log = tmp_path / "epochs.log"
+    log.write_text("\n".join(json.dumps(r.to_dict()) for r in result.records) + "\n")
+    header, rows = _diagnose_csv(log, tmp_path / "diag.csv")
+    assert header == DIAGNOSE_HEADER.replace("coverage_1,", "coverage_1,coverage_2,")
+    assert [{k: float(v) for k, v in row.items()} for row in rows] == [_cells(r.to_dict()) for r in result.records]
 
 
 def test_diagnose_bad_log_is_data_error(tmp_path):
@@ -154,15 +189,21 @@ def test_diagnose_bad_log_is_data_error(tmp_path):
     assert rc == 3
 
 
-GOOD_RECORD = {"epoch": 0, "tau": 1.5, "theta": 0.65, "mask_ratio": 0.0, "mean_confidence": 0.5,
-               "mean_reliability": 0.5, "queue_entropy": 0.0, "queue_coverage": [0.5, 0.5]}
+GOOD_RECORD = tr.EpochRecord(
+    epoch=0, lr=1e-3, tau=1.5, theta=0.65, loss_total=1.0, loss_cls=0.5, loss_pl=0.25, loss_cons=0.125,
+    loss_cont=0.0625, mask_ratio=0.0, mean_reliability=0.5, mean_confidence=0.5, queue_entropy=0.0,
+    queue_coverage=[0.5, 0.5], train_acc=0.5,
+).to_dict()
 
 
 @pytest.mark.parametrize("record,reason", (
-    ('{"epoch": 0}', "missing key(s) tau, theta"),
+    ('{"epoch": 0}', "missing key(s) lr, tau, theta"),
     ("[1, 2]", "expected a JSON object"),
     (json.dumps({**GOOD_RECORD, "queue_coverage": 5}), "queue_coverage must be a list"),
-), ids=("missing_key", "not_an_object", "coverage_not_a_list"))
+    (json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "lr"}), "missing key(s) lr\n"),
+    (json.dumps({**GOOD_RECORD, "queue_coverage": [0.5, 0.25, 0.25]}),
+     "queue_coverage has 3 entries, the first record's 2"),
+), ids=("missing_key", "not_an_object", "coverage_not_a_list", "missing_lr", "ragged_coverage"))
 def test_diagnose_malformed_record_is_a_data_error(tmp_path, capsys, record, reason):
     log = tmp_path / "epochs.log"
     log.write_text(json.dumps(GOOD_RECORD) + "\n" + record + "\n")
@@ -170,6 +211,16 @@ def test_diagnose_malformed_record_is_a_data_error(tmp_path, capsys, record, rea
     assert rc == 3
     out = capsys.readouterr().out
     assert f"{log}:2: bad record: {reason}" in out
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text", ("", "\n\n"), ids=("empty", "blank_lines"))
+def test_diagnose_log_without_records_is_a_data_error(tmp_path, capsys, text):
+    log = tmp_path / "epochs.log"
+    log.write_text(text)
+    rc = main(["diagnose", "--log", str(log), "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert f"{log}: no epoch records" in capsys.readouterr().out
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -309,7 +360,9 @@ def test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys
 
 @pytest.mark.parametrize("line", (
     "embed_dim = 0", "dropout = 1.5", "heads = 3", "learning_rate = nan", "queue_size = 0",
-    "contrast_temperature = 0", "tau_min = 0",
+    "contrast_temperature = 0", "tau_min = 0", "queue_size = 4", "weight_decay = nan",
+    "weight_decay = -0.1", "theta_start = nan", "theta_start = 1.5", "theta_min = -0.1", "theta_min = 0.9",
+    "tau_min = 2.0",
 ))
 def test_out_of_range_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line):
     test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line)
@@ -367,3 +420,36 @@ def test_extract_features_reports_bad_tracks(tmp_path, capsys):
     assert rc == 3
     assert (tmp_path / "cache" / "ok.dmrf").exists()
     assert not (tmp_path / "cache" / "short.dmrf").exists()
+
+
+@pytest.mark.parametrize("line", (
+    "sample_rate = 48000", "mel_bands = 0", "segment_duration = nan", "segment_start = -1",
+    "frame_count = 0", "coch_channels = 0", "gammatone_order = 0", "compression = 0", "log_floor = nan",
+    "mel_fmin = 22050", "mel_fmax = 30000", "gt_fmin = 0", "gt_fmax = nan", "preemphasis = 1",
+    "frame_len = 0", "hop = 0",
+))
+def test_bad_feature_config_value_exits_2_naming_the_key(tmp_path, capsys, line):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    _write_wav(wav_dir / "ok.wav", 36, 440.0, np.random.default_rng(2))
+    bad = tmp_path / "features.cfg"
+    bad.write_text(line + "\n")
+    rc = main(["extract-features", "--in", str(wav_dir), "--out", str(tmp_path / "cache"), "--config", str(bad)])
+    assert rc == 2
+    assert line.split(" = ")[0] in capsys.readouterr().out
+    assert not (tmp_path / "cache").exists()
+
+
+def test_train_is_byte_identical_across_processes_at_one_blas_thread(workspace, tmp_path):
+    # the BLAS thread count changes the bits, so both children pin it
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        subprocess.run(
+            [sys.executable, "-m", "dvmer.cli", "train", "--config", str(workspace["config"]),
+             "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+    for name in ("checkpoint.dmrc", "epochs.log"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dvmer import data as dk
 from dvmer.errors import ClassTooSmall, ConfigError, NoPairs
@@ -135,3 +137,27 @@ def test_mark_unlabeled_deterministic_and_stratified():
         members = [s for s in a if s.label == cls]
         labeled = sum(1 for s in members if s.labeled)
         assert labeled == round(0.5 * len(members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 999), st.booleans()), min_size=4, max_size=40,
+             unique_by=lambda row: row[0]),
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_split_invariants(rows, seed, shuffler):
+    records = [dk.TrackRecord(f"t{i:03d}", valence=0.0, arousal=0.5 if pos else -0.5) for i, pos in rows]
+    by_class = {c: {r.track_id for r in records if r.label("arousal") == c} for c in (0, 1)}
+    assume(all(len(ids) >= 2 for ids in by_class.values()))
+    split = dk.stratified_split(records, "arousal", seed=seed)
+    train, test = set(split.train_ids), set(split.test_ids)
+    assert not train & test
+    assert train | test == {r.track_id for r in records}
+    for ids in by_class.values():
+        assert ids & train and ids & test
+    assert split.train_ids == sorted(split.train_ids) and split.test_ids == sorted(split.test_ids)
+    # the split depends only on the seed, not on the order of the records
+    shuffled = list(records)
+    shuffler.shuffle(shuffled)
+    assert dk.stratified_split(shuffled, "arousal", seed=seed) == split

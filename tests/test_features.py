@@ -203,3 +203,26 @@ def test_read_wav_mono_and_stereo(tmp_path):
     data, rate = F.read_wav(stereo)
     assert data.shape == x.shape
     assert np.max(np.abs(data)) < 1e-3  # channels average to silence
+
+
+@pytest.mark.parametrize("field,value", (
+    ("sample_rate", 48000), ("sample_rate", 22050),
+    ("segment_duration", 0.0), ("segment_duration", math.nan), ("frame_count", 0), ("mel_bands", 0),
+    ("coch_channels", 0), ("gammatone_order", 0), ("compression", 0.0), ("compression", math.nan),
+    ("log_floor", 0.0), ("log_floor", math.nan), ("segment_start", -1.0), ("segment_start", math.nan),
+    ("mel_fmin", -1.0), ("mel_fmin", 22050.0), ("mel_fmin", math.nan), ("mel_fmax", 30000.0),
+    ("mel_fmax", math.nan), ("gt_fmin", 0.0), ("gt_fmin", 18000.0), ("gt_fmin", math.nan),
+    ("gt_fmax", 22051.0), ("gt_fmax", math.nan), ("preemphasis", 1.0), ("preemphasis", -0.1),
+    ("preemphasis", math.nan), ("frame_len", 0), ("hop", 0), ("hop", math.nan),
+))
+def test_feature_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        F.FeatureConfig(**{field: value})
+
+
+def test_feature_config_accepts_the_range_edges_and_keeps_its_hash():
+    edges = F.FeatureConfig(segment_start=0.0, mel_fmin=0.0, mel_fmax=22050.0, gt_fmax=22050.0,
+                            preemphasis=0.0, frame_len=1, hop=1)
+    assert edges.hop_len == 1
+    # the checks add no field, so the default hash stays the same
+    assert F.FeatureConfig().config_hash() == "7fac088bdb27b53b"

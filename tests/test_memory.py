@@ -239,10 +239,11 @@ def test_diagnostics_empty_queue_raises():
         mem.queue_diagnostics(mem.MemoryQueue(capacity=3, dim=2))
 
 
-def test_diagnostics_centroid_distances():
-    queue = mem.MemoryQueue(capacity=4, dim=2, dtype=np.float64)
-    queue.enqueue(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
+
+def test_diagnostics_report_entropy_and_coverage_only():
+    queue = mem.MemoryQueue(capacity=4, dim=2, n_classes=3, dtype=np.float64)
+    queue.enqueue(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0, 0, 2]))
     diag = mem.queue_diagnostics(queue)
-    # centroid (0.5, 0.5); both members at distance sqrt(0.5)
-    np.testing.assert_allclose(diag["centroid_distances"][0], [math.sqrt(0.5)] * 2, rtol=1e-12)
-    assert diag["centroid_distances"][1] == []
+    assert list(diag) == ["label_entropy", "class_coverage"]
+    assert diag["class_coverage"] == (2 / 3, 0.0, 1 / 3)
+    assert diag["label_entropy"] == pytest.approx(-(2 / 3) * math.log(2 / 3) - (1 / 3) * math.log(1 / 3))

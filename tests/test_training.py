@@ -1,9 +1,12 @@
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvmer import curriculum as cur
 from dvmer import data as dk
@@ -143,7 +146,7 @@ def test_run_training_clip_invariant_every_step():
 def test_run_training_nonfinite_abort_carries_batch_index():
     samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=7)
     samples[3].pair.mel[0, 0] = np.inf
-    cfg = tr.TrainConfig(epochs=1, batch_size=16, seed=8, queue_size=8)
+    cfg = tr.TrainConfig(epochs=1, batch_size=16, seed=8, queue_size=16)
     with pytest.raises(NonFiniteLoss) as info:
         tr.run_training(samples, cfg, TINY_MODEL)
     assert info.value.epoch == 0
@@ -442,7 +445,51 @@ def test_saved_checkpoint_is_the_header_and_one_parameter_section(tmp_path):
     ("learning_rate", 0.0), ("learning_rate", math.nan), ("grad_clip", -1.0), ("grad_clip", math.nan),
     ("contrast_temperature", 0.0), ("contrast_temperature", math.nan), ("tau_min", 0.0),
     ("tau_max", -0.5), ("tau_max", math.nan), ("queue_size", 0), ("queue_size", -3),
+    ("queue_size", 15), ("weight_decay", -1e-4), ("weight_decay", math.nan), ("theta_min", -0.1),
+    ("theta_min", 0.7), ("theta_min", math.nan), ("theta_start", 1.5), ("theta_start", math.nan),
+    ("tau_min", 1.6),
 ))
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
         tr.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_the_range_edges():
+    tr.TrainConfig(queue_size=1, use_saml=False)  # no queue to fill
+    tr.TrainConfig(queue_size=16, weight_decay=0.0, theta_min=0.0, theta_start=1.0)
+    tr.TrainConfig(theta_min=0.5, theta_start=0.5, tau_min=1.0, tau_max=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+                min_size=2, max_size=40))
+def test_auc_matches_the_pairwise_oracle_with_ties(rows):
+    labels = np.array([y for y, _ in rows])
+    scores = np.array([s for _, s in rows])
+    if labels.min() == labels.max():
+        assert tr.auc_score(labels, scores) == 0.5
+    else:
+        # both sides count the same halves over n_pos * n_neg, so they agree exactly
+        assert tr.auc_score(labels, scores) == ec.auc_bruteforce(labels, scores)
+
+
+def test_run_training_frees_each_batch_graph_before_the_next_backward(monkeypatch):
+    # a graph still alive at the next backward adds a whole graph to the peak memory
+    fused = []  # weak references to each training batch's fused features
+    alive = []  # at each backward, which earlier batches' features are still alive
+    forward, backward = DualViewModel.forward, Tensor.backward
+
+    def recording_forward(self, *args, **kwargs):
+        outputs = forward(self, *args, **kwargs)
+        fused.append(weakref.ref(outputs.z_fuse.data))
+        return outputs
+
+    def checking_backward(self, *args, **kwargs):
+        alive.append([ref() is not None for ref in fused[:-1]])
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualViewModel, "forward", recording_forward)
+    monkeypatch.setattr(Tensor, "backward", checking_backward)
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=5)
+    tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=4, seed=5, queue_size=8), TINY_MODEL)
+    assert alive == [[False] * k for k in range(4)]
