@@ -98,7 +98,13 @@ def parse_manifest(path) -> list[TrackRecord]:
             parts = line.split("\t")
             if len(parts) < 3:
                 raise ConfigError(f"{path}:{lineno}: expected id, valence, arousal[, audio_path]")
-            track_id, valence, arousal = parts[0], float(parts[1]), float(parts[2])
+            track_id = parts[0]
+            try:
+                valence, arousal = float(parts[1]), float(parts[2])
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: valence and arousal must be numbers, got {parts[1]!r}, {parts[2]!r}"
+                ) from None
             if track_id in first_line:
                 raise ConfigError(
                     f"{path}:{lineno}: duplicate track_id {track_id!r}, first on line {first_line[track_id]}"

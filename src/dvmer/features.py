@@ -297,13 +297,19 @@ def extract_pair(seg: AudioSegment, cfg: FeatureConfig | None = None) -> Feature
 
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read 16-bit PCM WAV; stereo is averaged to mono. Returns float
-    samples in [-1, 1] and the sample rate."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getsampwidth() != 2:
-            raise ConfigError(f"{path}: only 16-bit PCM WAV is supported")
-        rate = wf.getframerate()
-        channels = wf.getnchannels()
-        raw = wf.readframes(wf.getnframes())
+    samples in [-1, 1] and the sample rate. A file that is not RIFF/WAVE,
+    has a cut header or ends inside a frame raises ConfigError naming it."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getsampwidth() != 2:
+                raise ConfigError(f"{path}: only 16-bit PCM WAV is supported")
+            rate = wf.getframerate()
+            channels = wf.getnchannels()
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past its chunk
+        raise ConfigError(f"{path}: malformed WAV: {str(exc) or 'cut or inconsistent header'}") from exc
+    if len(raw) % (2 * channels):
+        raise ConfigError(f"{path}: malformed WAV: audio data ends inside a {2 * channels}-byte frame")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)

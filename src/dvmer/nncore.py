@@ -640,7 +640,10 @@ class BinaryReader:
         dims = self.unpack(f"<{rank}I")
         dtype = np.dtype(dtypes[tag])
         raw = self.take(math.prod(dims) * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(dims).astype(dtype)
+        try:
+            return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(dims).astype(dtype)
+        except ValueError as exc:  # a rank above numpy's limit, or a zero-size shape too big to index
+            raise self.error(f"{self.source}: unusable rank-{rank} shape for {what}: {exc}") from exc
 
 
 def unpack_array_table(buf: bytes, offset: int = 0):

@@ -250,7 +250,6 @@ class TrainResult:
     model: DualViewModel
     queue: memory.MemoryQueue
     records: list
-    config: TrainConfig
     model_config: ModelConfig
 
 
@@ -262,6 +261,49 @@ def _stack_batch(samples: list[Sample], idx) -> tuple[np.ndarray, np.ndarray, np
     return mel, coch, labels, labeled
 
 
+def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueue, config: TrainConfig,
+                batch: tuple, tau: float, theta: float, lr: float, rng: np.random.Generator):
+    """One optimiser step on one batch, then the memory enqueue. Returns
+    plain values only, so the batch's graph dies on return: the loss floats
+    by name, the fused-head argmax, the `batch_confidences` records (None
+    without PCL) and the (pre-clip, post-clip) gradient norms."""
+    mel, coch, labels, labeled = batch
+    semi = config.mode == "semi"
+    outputs = model.forward(mel, coch, rng=rng, training=True)
+    p_mel = nc.softmax(outputs.logits_mel, temperature=tau)
+    p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
+
+    terms = {"cls": classification_loss(outputs, labels, mask=labeled if semi else None)}
+    if config.use_pcl:
+        confidences = curriculum.batch_confidences(p_mel.data, p_coch.data, theta)
+        terms["pl"] = curriculum.pseudo_label_loss(confidences, outputs.logits_fuse,
+                                                   eligible=~labeled if semi else None)
+    else:
+        confidences = None
+        terms["pl"] = Tensor(0.0, dtype=np.float32)
+    terms["cons"] = consistency_loss(p_mel, p_coch)
+    if config.use_saml:
+        kept, kept_labels = memory_rows(labels, labeled, confidences, config.mode)
+        z_kept = outputs.z_fuse if kept is None else nc.take_rows(outputs.z_fuse, kept)
+        terms["cont"] = memory.contrastive_loss(
+            nc.l2_normalize(z_kept), kept_labels, queue,
+            tau_cont=config.contrast_temperature,
+            normalized=config.contrastive_normalized,
+        )
+    else:
+        terms["cont"] = Tensor(0.0, dtype=np.float32)
+    loss = total_loss(terms, config.weights())
+
+    optimizer.zero_grad()
+    loss.backward()
+    norms = clip_grad_norm(optimizer.params, config.grad_clip)
+    optimizer.step(lr=lr)
+    if config.use_saml:
+        queue.enqueue(z_kept.data, kept_labels)
+    losses = {name: float(t.data) for name, t in {"total": loss, **terms}.items()}
+    return losses, np.argmax(outputs.logits_fuse.data, axis=1), confidences, norms
+
+
 def run_training(
     train_samples: list[Sample],
     config: TrainConfig,
@@ -271,11 +313,13 @@ def run_training(
 ) -> TrainResult:
     """Train on the given samples per the curriculum loop.
 
-    Per epoch: fix the temperature and threshold from the linear schedules;
-    per batch: encode both views, score cross-view agreement, select
-    pseudo-labels, build the weighted objective, backprop with gradient
-    clipping, update parameters, then enqueue the detached fused features.
-    Emits one EpochRecord per epoch; deterministic given the seed.
+    Per epoch: fix the temperature and threshold from the linear schedules
+    and the learning rate from the cosine schedule, draw the batch order,
+    run one `_train_step` per batch and sum what it returns into one
+    EpochRecord. A step returns no tensor, so at most one batch's autodiff
+    graph is alive at a time. A non-finite loss or tensor raises
+    NonFiniteLoss carrying the epoch and batch index. Deterministic given
+    the seed.
     """
     if not train_samples:
         raise EmptySplit("training requires a nonempty sample list")
@@ -283,20 +327,13 @@ def run_training(
 
     init_rng, loop_rng = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)]
     model = DualViewModel(model_config, init_rng)
-    params = model.parameters()
-    optimizer = AdamW(
-        params,
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-    )
+    optimizer = AdamW(model.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
     queue = memory.MemoryQueue(
         capacity=config.queue_size,
         dim=model_config.fusion_dim,
         n_classes=model_config.n_classes,
         momentum=config.queue_momentum,
     )
-    weights = config.weights()
-    zero = lambda: Tensor(np.zeros((), dtype=np.float32))
 
     n = len(train_samples)
     records: list[EpochRecord] = []
@@ -309,7 +346,7 @@ def run_training(
             )
             tau, theta = state.tau, state.theta
         else:
-            tau, theta = 1.0, None
+            tau, theta = 1.0, 0.0
 
         lr = cosine_lr(epoch, config.epochs, config.learning_rate) if config.cosine_annealing else config.learning_rate
 
@@ -322,82 +359,43 @@ def run_training(
         counted = 0
 
         for batch_index, idx in enumerate(batches):
+            batch = _stack_batch(train_samples, idx)
             try:
-                mel, coch, labels, labeled = _stack_batch(train_samples, idx)
-                outputs = model.forward(mel, coch, rng=loop_rng, training=True)
-
-                p_mel = nc.softmax(outputs.logits_mel, temperature=tau)
-                p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
-
-                cls_mask = None if config.mode == "full" else labeled
-                terms = {"cls": classification_loss(outputs, labels, mask=cls_mask)}
-
-                if config.use_pcl:
-                    confidences = curriculum.batch_confidences(p_mel.data, p_coch.data, theta)
-                    cur_stats.record(confidences)
-                    eligible = None if config.mode == "full" else ~labeled
-                    terms["pl"] = curriculum.pseudo_label_loss(confidences, outputs.logits_fuse, eligible=eligible)
-                else:
-                    confidences = None
-                    terms["pl"] = zero()
-
-                terms["cons"] = consistency_loss(p_mel, p_coch)
-
-                if config.use_saml:
-                    kept, kept_labels = memory_rows(labels, labeled, confidences, config.mode)
-                    z_kept = outputs.z_fuse if kept is None else nc.take_rows(outputs.z_fuse, kept)
-                    terms["cont"] = memory.contrastive_loss(
-                        nc.l2_normalize(z_kept), kept_labels, queue,
-                        tau_cont=config.contrast_temperature,
-                        normalized=config.contrastive_normalized,
-                    )
-                else:
-                    terms["cont"] = zero()
-
-                loss = total_loss(terms, weights)
-
-                optimizer.zero_grad()
-                loss.backward()
-                pre_norm, post_norm = clip_grad_norm(params, config.grad_clip)
-                optimizer.step(lr=lr)
+                losses, preds, confidences, (pre_norm, post_norm) = _train_step(
+                    model, optimizer, queue, config, batch, tau, theta, lr, loop_rng)
             except (NonFiniteValue, NonFiniteLoss) as exc:
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: {exc}",
                     epoch=epoch, batch_index=batch_index,
                 ) from exc
 
-            if config.use_saml:
-                queue.enqueue(z_kept.data, kept_labels)
-
-            preds = np.argmax(outputs.logits_fuse.data, axis=1)
-            score_mask = labeled if config.mode == "semi" else np.ones_like(labeled, dtype=bool)
-            correct += int(np.sum((preds == labels) & score_mask))
-            counted += int(score_mask.sum())
-
-            # a comprehension, so no loop variable keeps this batch's graph alive into the next
-            sums = {name: sums.get(name, 0.0) + float(t.data) for name, t in {"total": loss, **terms}.items()}
+            sums = {name: sums.get(name, 0.0) + value for name, value in losses.items()}
+            if confidences is not None:
+                cur_stats.record(confidences)
+            _, _, labels, labeled = batch
+            scored = labeled if config.mode == "semi" else np.ones_like(labeled)
+            correct += int(np.sum((preds == labels) & scored))
+            counted += int(scored.sum())
             if on_step is not None:
                 on_step({"epoch": epoch, "batch": batch_index, "pre_clip_norm": pre_norm, "post_clip_norm": post_norm})
 
-        n_batches = len(batches)
-        if config.use_pcl and cur_stats.batches:
+        if cur_stats.batches:
             diag = curriculum.curriculum_diagnostics(cur_stats, tau, theta)
         else:
             diag = {"mask_ratio": 0.0, "mean_reliability": 0.0, "mean_confidence": 0.0}
 
         try:
-            qdiag = memory.queue_diagnostics(queue) if config.use_saml else None
+            qdiag = memory.queue_diagnostics(queue)
+            queue_entropy, queue_coverage = qdiag["label_entropy"], list(qdiag["class_coverage"])
         except EmptyQueue:
-            qdiag = None
-        queue_entropy = qdiag["label_entropy"] if qdiag else 0.0
-        queue_coverage = list(qdiag["class_coverage"]) if qdiag else [0.0] * (model_config.n_classes)
+            queue_entropy, queue_coverage = 0.0, [0.0] * model_config.n_classes
 
         record = EpochRecord(
             epoch=epoch,
             lr=lr,
             tau=tau,
-            theta=theta if theta is not None else 0.0,
-            **{f"loss_{name}": total / n_batches for name, total in sums.items()},
+            theta=theta,
+            **{f"loss_{name}": total / len(batches) for name, total in sums.items()},
             mask_ratio=diag["mask_ratio"],
             mean_reliability=diag["mean_reliability"],
             mean_confidence=diag["mean_confidence"],
@@ -409,9 +407,7 @@ def run_training(
         if on_epoch is not None:
             on_epoch(record)
 
-    return TrainResult(
-        model=model, queue=queue, records=records, config=config, model_config=model_config,
-    )
+    return TrainResult(model=model, queue=queue, records=records, model_config=model_config)
 
 
 def memory_rows(labels, labeled, confidences, mode) -> tuple[np.ndarray | None, np.ndarray]:

@@ -2,18 +2,24 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import wave
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvmer import data as dk
 from dvmer import features as F
 from dvmer import training as tr
 from dvmer.cli import main
+from dvmer.errors import BadFeatureCache, CheckpointMismatch
+from dvmer.nncore import Tensor
 
 SR = 44100
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -420,6 +426,116 @@ def test_extract_features_reports_bad_tracks(tmp_path, capsys):
     assert rc == 3
     assert (tmp_path / "cache" / "ok.dmrf").exists()
     assert not (tmp_path / "cache" / "short.dmrf").exists()
+
+
+def test_extract_features_skips_malformed_wavs_like_short_tracks(tmp_path, capsys):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    rng = np.random.default_rng(3)
+    _write_wav(wav_dir / "ok.wav", 36, 440.0, rng)
+    _write_wav(wav_dir / "tiny.wav", 0.01, 440.0, rng)
+    whole = (wav_dir / "tiny.wav").read_bytes()
+    (wav_dir / "text.wav").write_bytes(b"this is not a RIFF/WAVE file\n")
+    (wav_dir / "header.wav").write_bytes(whole[:20])
+    (wav_dir / "frame.wav").write_bytes(whole[:-1])
+    (wav_dir / "tiny.wav").unlink()
+    rc = main(["extract-features", "--in", str(wav_dir), "--out", str(tmp_path / "cache"), "--json"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    payload = json.loads(out.strip())
+    assert payload["extracted"] == ["ok"]
+    assert sorted(payload["failed"]) == ["frame", "header", "text"]
+    for name in ("frame", "header", "text"):
+        assert f"skipped {name}: {wav_dir / name}.wav: malformed WAV" in err
+
+
+def test_non_numeric_manifest_value_is_a_config_error(workspace, trained, tmp_path, capsys):
+    lines = workspace["manifest"].read_text().splitlines()
+    manifest = tmp_path / "text.tsv"
+    manifest.write_text("\n".join(lines + ["t-extra\tabc\t0.5"]) + "\n")
+    rc = main([
+        "eval", "--checkpoint", str(trained / "checkpoint.dmrc"), "--config", str(workspace["config"]),
+        "--manifest", str(manifest), "--features", str(workspace["cache"]),
+    ])
+    assert rc == 2
+    assert f"{manifest}:{len(lines) + 1}: valence and arousal must be numbers" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def tiny_files(workspace):
+    """A tiny valid feature cache and checkpoint, and a copy of the cache
+    directory whose first manifest track a test may overwrite."""
+    root = workspace["root"] / "tiny"
+    root.mkdir()
+    pair = F.FeaturePair(mel=np.ones((3, 2), np.float32), coch=np.full((2, 2), 0.5, np.float32))
+    F.write_feature_cache(root / "tiny.dmrf", pair, "tiny", F.FeatureConfig())
+    params = {"w": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)), "b": Tensor(np.zeros(4, np.float32))}
+    tr.save_checkpoint(root / "tiny.dmrc", SimpleNamespace(model=SimpleNamespace(parameters=lambda: params)), "cafe")
+    cache = root / "cache"
+    shutil.copytree(workspace["cache"], cache)
+    first = dk.parse_manifest(workspace["manifest"])[0].track_id
+    return {"dmrf": (root / "tiny.dmrf").read_bytes(), "dmrc": (root / "tiny.dmrc").read_bytes(),
+            "root": root, "cache": cache, "victim": cache / f"{first}.dmrf"}
+
+
+def _damage(data, buf):
+    """buf with up to three bits flipped, then cut at any offset."""
+    out = bytearray(buf)
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(buf) - 1), max_size=3), label="flipped bits"):
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out[:data.draw(st.integers(0, len(buf)), label="cut")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_feature_cache_parses_or_exits_3(workspace, trained, tiny_files, data):
+    victim = tiny_files["victim"]
+    victim.write_bytes(_damage(data, tiny_files["dmrf"]))
+    try:
+        F.read_feature_cache(victim)
+    except BadFeatureCache:
+        rc = main([
+            "eval", "--checkpoint", str(trained / "checkpoint.dmrc"), "--config", str(workspace["config"]),
+            "--manifest", str(workspace["manifest"]), "--features", str(tiny_files["cache"]),
+        ])
+        assert rc == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_parses_or_exits_5(workspace, tiny_files, data):
+    path = tiny_files["root"] / "damaged.dmrc"
+    path.write_bytes(_damage(data, tiny_files["dmrc"]))
+    try:
+        tr.read_checkpoint(path)
+    except CheckpointMismatch:
+        rc = main([
+            "eval", "--checkpoint", str(path), "--config", str(workspace["config"]),
+            "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]),
+        ])
+        assert rc == 5
+
+
+@pytest.mark.parametrize("dims", ((0,) * 65, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)), ids=("rank_65", "overflow"))
+@pytest.mark.parametrize("kind,code", (("dmrf", 3), ("dmrc", 5)))
+def test_unbuildable_array_shape_keeps_the_documented_exit(workspace, trained, tiny_files, tmp_path, capsys,
+                                                           dims, kind, code):
+    array = struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims)
+    checkpoint, features = trained / "checkpoint.dmrc", workspace["cache"]
+    if kind == "dmrf":
+        tiny_files["victim"].write_bytes(b"DMRF" + struct.pack("<I", 1) + array + array)
+        features = tiny_files["cache"]
+    else:
+        table = struct.pack("<IH", 1, 1) + b"w" + array
+        checkpoint = tmp_path / "bad.dmrc"
+        checkpoint.write_bytes(b"DMRC" + struct.pack("<IH", 1, 4) + b"cafe" + struct.pack("<I", 1) + b"PARM"
+                               + struct.pack("<Q", len(table)) + table)
+    rc = main([
+        "eval", "--checkpoint", str(checkpoint), "--config", str(workspace["config"]),
+        "--manifest", str(workspace["manifest"]), "--features", str(features),
+    ])
+    assert rc == code
+    assert f"unusable rank-{len(dims)} shape" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", (

@@ -108,6 +108,14 @@ def test_manifest_rejects_out_of_range_labels(tmp_path):
         dk.parse_manifest(path)
 
 
+@pytest.mark.parametrize("line", ("t1\tabc\t0.5", "t1\t0.5\t", "t1\t0.5\t1e"))
+def test_manifest_rejects_non_numeric_labels_with_its_line(tmp_path, line):
+    path = tmp_path / "text.tsv"
+    path.write_text(f"t0\t0.5\t0.5\t\n{line}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: valence and arousal must be numbers"):
+        dk.parse_manifest(path)
+
+
 def test_manifest_rejects_duplicate_track_id(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("# header\nt0\t0.5\t0.5\t\nt1\t-0.5\t0.5\t\nt0\t-0.5\t-0.5\t\n")

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import wave
 
@@ -203,6 +204,33 @@ def test_read_wav_mono_and_stereo(tmp_path):
     data, rate = F.read_wav(stereo)
     assert data.shape == x.shape
     assert np.max(np.abs(data)) < 1e-3  # channels average to silence
+
+
+def _malformed_wav(path, defect):
+    """A WAV with one defect: not RIFF/WAVE, a header cut short, a fmt
+    chunk size past its chunk, or audio data that ends inside a frame."""
+    _write_wav(path, np.zeros(64), channels=2)
+    buf = bytearray(path.read_bytes())
+    if defect == "not_riff":
+        buf[:4] = b"RIFX"
+    elif defect == "cut_header":
+        buf = buf[:20]
+    elif defect == "chunk_size":
+        buf[16:20] = struct.pack("<I", 0xFFFF)
+    else:
+        buf = buf[:-1]
+    path.write_bytes(bytes(buf))
+
+
+WAV_DEFECTS = ("not_riff", "cut_header", "chunk_size", "mid_frame")
+
+
+@pytest.mark.parametrize("defect", WAV_DEFECTS)
+def test_read_wav_malformed_file_is_a_config_error_naming_it(tmp_path, defect):
+    path = tmp_path / "bad.wav"
+    _malformed_wav(path, defect)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed WAV"):
+        F.read_wav(path)
 
 
 @pytest.mark.parametrize("field,value", (

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from dvmer import nncore as nc
-from dvmer.errors import BadTemperature, CheckpointMismatch, HeadDivisibility, NonFiniteValue, ShapeMismatch
+from dvmer.errors import BadFeatureCache, BadTemperature, CheckpointMismatch, HeadDivisibility, NonFiniteValue, ShapeMismatch
 from dvmer.nncore import Tensor
 
 import example_checks as ec
@@ -191,6 +193,22 @@ def test_unpack_table_rejects_every_truncation():
     for cut in range(len(blob)):
         with pytest.raises(CheckpointMismatch):
             nc.unpack_array_table(blob[:cut])
+
+
+# shapes whose byte count is zero, so every dim is read, but that numpy cannot build
+UNBUILDABLE_DIMS = {
+    "rank_65": (0,) * 65,
+    "zero_size_overflow": (0, 2**32 - 1, 2**32 - 1, 2**32 - 1),
+    "zero_last": (2**32 - 1,) * 3 + (0,),
+}
+
+
+@pytest.mark.parametrize("dims", UNBUILDABLE_DIMS.values(), ids=UNBUILDABLE_DIMS)
+@pytest.mark.parametrize("error", (CheckpointMismatch, BadFeatureCache))
+def test_reader_raises_its_own_error_for_a_shape_numpy_cannot_build(dims, error):
+    buf = struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims)
+    with pytest.raises(error, match=f"unusable rank-{len(dims)} shape for 'w'"):
+        nc.BinaryReader(buf, "blob", error=error).array({0: np.float32}, "'w'")
 
 
 def _parameter_and_input():

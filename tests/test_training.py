@@ -493,3 +493,25 @@ def test_run_training_frees_each_batch_graph_before_the_next_backward(monkeypatc
     samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=5)
     tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=4, seed=5, queue_size=8), TINY_MODEL)
     assert alive == [[False] * k for k in range(4)]
+
+
+@pytest.mark.parametrize("mode", ("full", "semi"))
+def test_run_training_holds_one_batch_graph_at_each_forward(monkeypatch, mode):
+    # a batch's graph must die when its step returns, not when the next step rebinds a name
+    fused = []  # weak references to each training batch's fused features
+    alive = []  # at each training forward, which earlier batches' features are still alive
+    forward = DualViewModel.forward
+
+    def checking_forward(self, *args, **kwargs):
+        alive.append([ref() is not None for ref in fused])
+        outputs = forward(self, *args, **kwargs)
+        fused.append(weakref.ref(outputs.z_fuse.data))
+        return outputs
+
+    monkeypatch.setattr(DualViewModel, "forward", checking_forward)
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=5)
+    if mode == "semi":
+        samples = dk.mark_unlabeled(samples, labeled_fraction=0.5, seed=5)
+    cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=5, queue_size=8, mode=mode, labeled_fraction=0.5)
+    tr.run_training(samples, cfg, TINY_MODEL)
+    assert alive == [[False] * k for k in range(8)]
