@@ -19,11 +19,14 @@ the last frame.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import os
 import struct
 import wave
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -36,6 +39,13 @@ CACHE_VERSION = 1
 
 REQUIRED_SAMPLE_RATE = 44100
 MIN_TRACK_SECONDS = 30.0
+
+# np.fft releases the GIL, so frame blocks transform in parallel on threads;
+# each row's bits do not depend on the block or thread that computed it
+FFT_WORKERS = min(len(os.sched_getaffinity(0)), 4)
+# complex spectrum bytes per block: one frame at the default geometry, many
+# rows for small frames so that no geometry pays one task per frame
+FFT_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -181,27 +191,42 @@ def pre_emphasis(x, coeff: float = 0.97) -> np.ndarray:
 
 
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    """Slice into overlapping frames starting at i*hop, zero-padding the tail."""
+    """Overlapping frames starting at i*hop, the tail zero-padded to cover
+    the last one. Returns a read-only strided view [n_frames, frame_len]
+    of the (padded) signal; no frame is copied."""
     n_frames = math.ceil(x.shape[0] / hop)
     needed = (n_frames - 1) * hop + frame_len
     if needed > x.shape[0]:
         x = np.concatenate([x, np.zeros(needed - x.shape[0])])
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:n_frames]
 
 
 def windowed_power_spectra(seg: AudioSegment, cfg: FeatureConfig) -> np.ndarray:
     """Shared front half of both views: pre-emphasis, framing, Hamming
-    window, double-length FFT. Returns power spectra [n_frames, n_bins]."""
+    window, double-length FFT. Returns power spectra [n_frames, n_bins].
+
+    Row blocks of about FFT_BLOCK_BYTES of spectrum are windowed,
+    transformed and squared on FFT_WORKERS threads straight into the one
+    output array; every row equals np.abs(np.fft.rfft(...)) ** 2 of the
+    whole frame array, whatever the worker count."""
     if cfg.frame_size > seg.samples.shape[0]:
         raise ConfigError(f"frame_len {cfg.frame_size} exceeds segment length {seg.samples.shape[0]}")
     if cfg.frame_size % 2 != 0:
         raise ConfigError(f"frame_len must be even, got {cfg.frame_size}")
-    emphasised = pre_emphasis(seg.samples, cfg.preemphasis)
-    frames = frame_signal(emphasised, cfg.frame_size, cfg.hop_len)
+    frames = frame_signal(pre_emphasis(seg.samples, cfg.preemphasis), cfg.frame_size, cfg.hop_len)
     window = np.hamming(cfg.frame_size)
-    spectra = np.fft.rfft(frames * window, n=cfg.n_fft, axis=1)
-    return np.abs(spectra) ** 2
+    n_bins = cfg.n_fft // 2 + 1
+    power = np.empty((frames.shape[0], n_bins))
+    rows = max(1, FFT_BLOCK_BYTES // (16 * n_bins))
+
+    def transform(start: int):
+        block = power[start:start + rows]
+        np.abs(np.fft.rfft(frames[start:start + rows] * window, n=cfg.n_fft, axis=1), out=block)
+        np.square(block, out=block)
+
+    with ThreadPoolExecutor(max_workers=FFT_WORKERS) as pool:
+        list(pool.map(transform, range(0, frames.shape[0], rows)))  # re-raises a worker's error
+    return power
 
 
 def fft_bin_frequencies(cfg: FeatureConfig) -> np.ndarray:
@@ -255,10 +280,20 @@ def gammatone_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=4)
+def _banks(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Mel and gammatone banks of cfg, built once per config
+    (about 103 MB at the default one; the bound caps what stays resident)."""
+    banks = (mel_filterbank(cfg), gammatone_filterbank(cfg))
+    for bank in banks:
+        bank.setflags(write=False)
+    return banks
+
+
 def mel_energies_from_spectra(power: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Band energies [bands, frames] before the log: filter-weighted sums of
     squared magnitudes."""
-    return mel_filterbank(cfg) @ power.T
+    return _banks(cfg)[0] @ power.T
 
 
 def _mel_view(power: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
@@ -272,7 +307,7 @@ def mel_spectrogram(seg: AudioSegment, cfg: FeatureConfig | None = None) -> MelG
 
 
 def coch_energies_from_spectra(power: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    return gammatone_filterbank(cfg) @ power.T
+    return _banks(cfg)[1] @ power.T
 
 
 def _coch_view(power: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
@@ -297,8 +332,9 @@ def extract_pair(seg: AudioSegment, cfg: FeatureConfig | None = None) -> Feature
 
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read 16-bit PCM WAV; stereo is averaged to mono. Returns float
-    samples in [-1, 1] and the sample rate. A file that is not RIFF/WAVE,
-    has a cut header or ends inside a frame raises ConfigError naming it."""
+    samples in [-1, 1] and the sample rate. A file that cannot be opened
+    (a directory, say), is not RIFF/WAVE, has a cut header or ends inside a
+    frame raises ConfigError naming it."""
     try:
         with wave.open(str(path), "rb") as wf:
             if wf.getsampwidth() != 2:
@@ -306,11 +342,15 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             rate = wf.getframerate()
             channels = wf.getnchannels()
             raw = wf.readframes(wf.getnframes())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past its chunk
         raise ConfigError(f"{path}: malformed WAV: {str(exc) or 'cut or inconsistent header'}") from exc
     if len(raw) % (2 * channels):
         raise ConfigError(f"{path}: malformed WAV: audio data ends inside a {2 * channels}-byte frame")
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    del raw
+    data /= 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
     return data, rate

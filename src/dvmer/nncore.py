@@ -583,8 +583,9 @@ _TAG_FOR_DTYPE = {np.dtype(v): k for k, v in _DTYPE_TAGS.items()}
 
 def pack_array(arr) -> bytes:
     """One array as u8 dtype tag, u8 rank, u32 dims, then the row-major
-    little-endian payload; booleans are stored as uint8."""
-    arr = np.ascontiguousarray(arr)
+    little-endian payload; booleans are stored as uint8. A 0-d array keeps
+    rank 0."""
+    arr = np.asarray(arr)
     if arr.dtype == np.bool_:
         arr = arr.astype(np.uint8)
     tag = _TAG_FOR_DTYPE.get(arr.dtype)
@@ -646,12 +647,13 @@ class BinaryReader:
             raise self.error(f"{self.source}: unusable rank-{rank} shape for {what}: {exc}") from exc
 
 
-def unpack_array_table(buf: bytes, offset: int = 0):
+def unpack_array_table(buf: bytes, offset: int = 0, source: str = "array table"):
     """Inverse of pack_array_table; returns (mapping, new_offset).
 
-    Raises CheckpointMismatch when the table is short or malformed.
+    Raises CheckpointMismatch naming `source` when the table is short or
+    malformed.
     """
-    reader = BinaryReader(buf, "array table", offset)
+    reader = BinaryReader(buf, source, offset)
     (count,) = reader.unpack("<I")
     named = {}
     for _ in range(count):

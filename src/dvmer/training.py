@@ -560,7 +560,7 @@ def read_checkpoint(path) -> dict:
     for _ in range(n_sections):
         tag = reader.text(4, "ascii")
         (length,) = reader.unpack("<Q")
-        table, used = nc.unpack_array_table(reader.take(length))
+        table, used = nc.unpack_array_table(reader.take(length), source=f"{path}: section {tag}")
         if used != length:
             raise CheckpointMismatch(f"{path}: section {tag} has {length - used} stray byte(s)")
         sections[tag] = table

@@ -439,14 +439,16 @@ def test_extract_features_skips_malformed_wavs_like_short_tracks(tmp_path, capsy
     (wav_dir / "header.wav").write_bytes(whole[:20])
     (wav_dir / "frame.wav").write_bytes(whole[:-1])
     (wav_dir / "tiny.wav").unlink()
+    (wav_dir / "folder.wav").mkdir()
     rc = main(["extract-features", "--in", str(wav_dir), "--out", str(tmp_path / "cache"), "--json"])
     assert rc == 3
     out, err = capsys.readouterr()
     payload = json.loads(out.strip())
     assert payload["extracted"] == ["ok"]
-    assert sorted(payload["failed"]) == ["frame", "header", "text"]
+    assert sorted(payload["failed"]) == ["folder", "frame", "header", "text"]
     for name in ("frame", "header", "text"):
         assert f"skipped {name}: {wav_dir / name}.wav: malformed WAV" in err
+    assert f"skipped folder: {wav_dir / 'folder'}.wav: cannot read" in err
 
 
 def test_non_numeric_manifest_value_is_a_config_error(workspace, trained, tmp_path, capsys):
@@ -508,7 +510,8 @@ def test_damaged_checkpoint_parses_or_exits_5(workspace, tiny_files, data):
     path.write_bytes(_damage(data, tiny_files["dmrc"]))
     try:
         tr.read_checkpoint(path)
-    except CheckpointMismatch:
+    except CheckpointMismatch as exc:
+        assert str(exc).startswith(f"{path}: ")
         rc = main([
             "eval", "--checkpoint", str(path), "--config", str(workspace["config"]),
             "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]),
@@ -535,7 +538,8 @@ def test_unbuildable_array_shape_keeps_the_documented_exit(workspace, trained, t
         "--manifest", str(workspace["manifest"]), "--features", str(features),
     ])
     assert rc == code
-    assert f"unusable rank-{len(dims)} shape" in capsys.readouterr().out
+    where = f"{checkpoint}: section PARM: " if kind == "dmrc" else ""
+    assert f"{where}unusable rank-{len(dims)} shape" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", (

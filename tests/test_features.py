@@ -1,11 +1,18 @@
+import json
 import math
 import os
 import re
 import struct
+import tempfile
+import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dvmer import features as F
 from dvmer.errors import BadFeatureCache, BadSampleRate, ConfigError, TrackTooShort
@@ -46,6 +53,69 @@ def test_default_frame_geometry_contract():
     assert cfg.frame_size == 2 * cfg.hop_len
     assert cfg.n_frames(cfg.segment_len) == 87
     assert cfg.n_fft == 2 * cfg.frame_size
+
+
+def _gather_frames(x, frame_len, hop):
+    """The frame copy by an index gather that frame_signal's view replaced."""
+    n = math.ceil(x.shape[0] / hop)
+    needed = (n - 1) * hop + frame_len
+    padded = np.concatenate([x, np.zeros(max(0, needed - x.shape[0]))])
+    return padded[np.arange(frame_len)[None, :] + hop * np.arange(n)[:, None]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(length=st.integers(1, 400), frame_len=st.integers(1, 64), hop=st.integers(1, 64))
+def test_frame_signal_equals_the_index_gather_and_is_read_only(length, frame_len, hop):
+    x = np.arange(1.0, length + 1.0)
+    frames = F.frame_signal(x, frame_len, hop)
+    assert np.array_equal(frames, _gather_frames(x, frame_len, hop))
+    assert not frames.flags.writeable
+
+
+def _reference_power(seg, cfg):
+    """One-shot power spectra of the whole gathered frame array."""
+    frames = _gather_frames(F.pre_emphasis(seg.samples, cfg.preemphasis), cfg.frame_size, cfg.hop_len)
+    return np.abs(np.fft.rfft(frames * np.hamming(cfg.frame_size), n=cfg.n_fft, axis=1)) ** 2
+
+
+@pytest.mark.parametrize("geometry", ({}, {"frame_len": 1000, "hop": 500}, {"frame_count": 13}, {"frame_count": 200}),
+                         ids=("default", "len1000_hop500", "count13", "count200"))
+def test_power_spectra_equal_the_one_shot_transform_at_any_worker_count(monkeypatch, geometry):
+    cfg = F.FeatureConfig(**geometry)
+    seg = F.AudioSegment(np.random.default_rng(4).normal(size=cfg.segment_len) * 0.1, SR, 15.0)
+    reference = _reference_power(seg, cfg)
+    for workers in (1, 4):
+        monkeypatch.setattr(F, "FFT_WORKERS", workers)
+        assert np.array_equal(F.windowed_power_spectra(seg, cfg), reference)
+
+
+def test_banks_are_built_once_per_config_and_read_only(monkeypatch):
+    real = {name: getattr(F, name) for name in ("mel_filterbank", "gammatone_filterbank")}
+    builds = []
+    for name, build in real.items():
+        monkeypatch.setattr(F, name, lambda cfg, name=name, build=build: builds.append(name) or build(cfg))
+    F._banks.cache_clear()
+    configs = (F.FeatureConfig(frame_len=2048, hop=1024), F.FeatureConfig(frame_len=1024, hop=512))
+    for cfg in configs + configs:
+        power = np.random.default_rng(6).random((3, cfg.n_fft // 2 + 1))
+        assert np.array_equal(F.mel_energies_from_spectra(power, cfg), real["mel_filterbank"](cfg) @ power.T)
+        assert np.array_equal(F.coch_energies_from_spectra(power, cfg), real["gammatone_filterbank"](cfg) @ power.T)
+    assert sorted(builds) == ["gammatone_filterbank"] * 2 + ["mel_filterbank"] * 2
+    for bank in F._banks(configs[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0, 0] = 1.0
+
+
+def test_power_spectra_allocation_peak_stays_below_twice_the_result():
+    cfg = F.FeatureConfig()
+    seg = F.AudioSegment(np.random.default_rng(5).normal(size=cfg.segment_len) * 0.1, SR, 15.0)
+    tracemalloc.start()
+    try:
+        power = F.windowed_power_spectra(seg, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * power.nbytes, f"peak {peak / 1e6:.1f} MB for a {power.nbytes / 1e6:.1f} MB result"
 
 
 def test_extraction_deterministic():
@@ -111,6 +181,24 @@ def test_cache_round_trip(tmp_path):
     sidecar = (tmp_path / "track.dmrf.json").read_text()
     assert '"track_id": "track"' in sidecar
     assert '"config_hash"' in sidecar
+
+
+GRAMS = hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mel=GRAMS, coch=GRAMS, track_id=st.text(max_size=12))
+def test_cache_round_trips_exactly(mel, coch, track_id):
+    cfg = F.FeatureConfig()
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "track.dmrf"
+        F.write_feature_cache(path, F.FeaturePair(mel=mel, coch=coch), track_id, cfg)
+        back = F.read_feature_cache(path)
+        sidecar = json.loads((Path(root) / "track.dmrf.json").read_text())
+    for stored, gram in ((back.mel, mel), (back.coch, coch)):
+        assert stored.shape == gram.shape and stored.tobytes() == gram.tobytes()
+    assert sidecar == {"track_id": track_id, "config_hash": cfg.config_hash(),
+                       "grams": [{"name": "mel", "dims": list(mel.shape)}, {"name": "coch", "dims": list(coch.shape)}]}
 
 
 def test_cache_rejects_bad_magic(tmp_path):
@@ -223,6 +311,13 @@ def _malformed_wav(path, defect):
 
 
 WAV_DEFECTS = ("not_riff", "cut_header", "chunk_size", "mid_frame")
+
+
+def test_read_wav_unopenable_path_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "folder.wav"
+    path.mkdir()
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: cannot read"):
+        F.read_wav(path)
 
 
 @pytest.mark.parametrize("defect", WAV_DEFECTS)

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dvmer import nncore as nc
 from dvmer.errors import BadFeatureCache, BadTemperature, CheckpointMismatch, HeadDivisibility, NonFiniteValue, ShapeMismatch
@@ -179,6 +182,25 @@ def test_pack_unpack_table_round_trip():
     assert np.array_equal(back["labels"], table["labels"])
     assert np.array_equal(back["flags"], table["flags"].astype(np.uint8))
     assert back["scalar"] == 7.5
+
+
+TABLE_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float32, np.float64, np.int64, np.uint8, np.bool_]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.dictionaries(st.text(max_size=12), TABLE_ARRAYS, max_size=5), prefix=st.binary(max_size=8))
+def test_array_table_round_trips_exactly(table, prefix):
+    blob = nc.pack_array_table(table)
+    back, consumed = nc.unpack_array_table(prefix + blob, offset=len(prefix))
+    assert consumed == len(prefix) + len(blob)
+    assert list(back) == list(table)
+    for name, arr in table.items():
+        stored = arr.astype(np.uint8) if arr.dtype == np.bool_ else arr
+        assert back[name].dtype == stored.dtype and back[name].shape == stored.shape
+        assert back[name].tobytes() == stored.tobytes()  # bit-exact, NaN payloads included
 
 
 def test_unpack_table_rejects_unknown_dtype_tag():
