@@ -146,16 +146,18 @@ def confidence_and_pseudo_label(p_mel, p_coch, theta: float | None = None) -> Sa
     )
 
 
-def batch_confidences(p_mel_batch, p_coch_batch, theta: float) -> np.recarray:
+def batch_confidences(p_mel_batch, p_coch_batch, theta: float, js=None) -> np.recarray:
     """Score a batch of [B, C] branch distributions at once.
 
     Returns a record array of B rows with fields js, r = exp(-js),
     c = r * max(p_fuse), pseudo_label = argmax(p_fuse) (ties to the lowest
     class), selected = c >= theta, and p_max = max(p_fuse). Any row that is
-    not a distribution raises NotADistribution.
+    not a distribution raises NotADistribution. js is the per-row JS the
+    caller already has (the training step passes the detached values of its
+    js_divergence_tensor); without it, JS is computed here in float64.
     """
     p_mel, p_coch = _validate_pair(p_mel_batch, p_coch_batch, ("p_mel", "p_coch"), ndim=2)
-    js = _js(p_mel, p_coch)
+    js = _js(p_mel, p_coch) if js is None else np.asarray(js, dtype=np.float64)
     r = np.exp(-js)
     p_fuse = 0.5 * (p_mel + p_coch)
     p_max = p_fuse.max(axis=1)

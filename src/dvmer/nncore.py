@@ -1,11 +1,13 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Implements exactly the tensor operations the dual-view architecture needs:
-linear maps, temperature softmax, layer norm, exact GELU, multi-head
-attention, dropout, and the reductions that glue them together. Gradients
-are verified against central finite differences via gradient_check.
+linear maps, temperature softmax, layer norm, GELU, multi-head attention,
+dropout, and the reductions that glue them together. Gradients are verified
+against central finite differences via gradient_check.
 
-Training runs in float32; gradient checking runs in float64. Inside
+Training runs in float32; gradient checking runs in float64. GELU is exact
+in float64 (scipy's erf); in float32 it uses the Abramowitz & Stegun 7.1.26
+erf, whose largest error against the float64 erf is about 6e-7. Inside
 `with no_grad():` ops still compute and check their outputs but record no
 graph, so forward-only passes free each intermediate as soon as it is dead.
 """
@@ -30,6 +32,11 @@ from .errors import (
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# Abramowitz & Stegun 7.1.26: erf(z) ~ 1 - (a1 t + ... + a5 t^5) exp(-z^2), t = 1 / (1 + p z)
+_ERF_P = 0.3275911
+_ERF_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+# elements per gelu block: its float32 scratch arrays stay cache-sized
+GELU_BLOCK = 1 << 15
 
 _grad_enabled = True
 
@@ -49,7 +56,8 @@ def no_grad():
 
 
 def _check_finite(data, op_name):
-    if not np.all(np.isfinite(data)):
+    # min and max propagate NaN and show +-inf without a mask the size of data
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise NonFiniteValue(f"non-finite value produced by op '{op_name}'")
 
 
@@ -336,11 +344,51 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(data, (a,), backward, "log_softmax")
 
 
+def _erf32(z: np.ndarray, out: np.ndarray, t: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """float32 erf(z) into out by Abramowitz & Stegun 7.1.26; t and poly are
+    scratch arrays of z's shape. The largest error against the float64 erf
+    is about 6e-7 (5 float32 ulp near 1). |z| is clipped at 4, where erf is
+    1 in float32, so that exp(-z^2) never goes subnormal (which is slow)."""
+    np.abs(z, out=t)
+    np.minimum(t, 4.0, out=t)
+    np.multiply(t, t, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    t *= _ERF_P
+    t += 1.0
+    np.reciprocal(t, out=t)
+    np.multiply(t, _ERF_A[-1], out=poly)
+    for coeff in _ERF_A[-2::-1]:
+        poly += coeff
+        poly *= t
+    out *= poly
+    np.subtract(1.0, out, out=out)
+    return np.copysign(out, z, out=out)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU, x * Phi(x)."""
+    """GELU, x * Phi(x) with Phi(x) = (1 + erf(x / sqrt 2)) / 2, in blocks of
+    GELU_BLOCK elements. float64 uses scipy's erf, so it is exact; float32
+    uses _erf32, whose largest error is about 6e-7. Phi is kept for the
+    backward only when a gradient will flow."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x / _SQRT2))
-    data = x * phi
+    keep_phi = _grad_enabled and a.requires_grad
+    data = np.empty(x.shape, x.dtype)
+    phi = np.empty(x.shape, x.dtype) if keep_phi else None
+    flat_x, flat_out = x.reshape(-1), data.reshape(-1)
+    z, t, poly, phi_scratch = np.empty((4, min(x.size, GELU_BLOCK)), x.dtype)
+    for start in range(0, x.size, GELU_BLOCK):
+        xb = flat_x[start:start + GELU_BLOCK]
+        n = xb.size
+        p = phi.reshape(-1)[start:start + n] if keep_phi else phi_scratch[:n]
+        np.divide(xb, _SQRT2, out=z[:n])
+        if x.dtype == np.float32:
+            _erf32(z[:n], p, t[:n], poly[:n])
+        else:
+            erf(z[:n], out=p)
+        p += 1.0
+        p *= 0.5
+        np.multiply(xb, p, out=flat_out[start:start + n])
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
@@ -363,21 +411,23 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x W^T + b over the last axis; w is [d_out, d_in]."""
+    """y = x W^T + b over the last axis; w is [d_out, d_in]. Any leading axes
+    are flattened into one 2-D GEMM."""
     if x.data.shape[-1] != w.data.shape[-1]:
         raise ShapeMismatch(f"linear: input dim {x.data.shape[-1]} vs weight {w.data.shape}")
     if b is not None and b.data.shape != (w.data.shape[0],):
         raise ShapeMismatch(f"linear: bias shape {b.data.shape} vs weight {w.data.shape}")
-    data = x.data @ w.data.T
+    d_out, d_in = w.data.shape
+    data = (x.data.reshape(-1, d_in) @ w.data.T).reshape(x.data.shape[:-1] + (d_out,))
     if b is not None:
-        data = data + b.data
+        data += b.data
 
     def backward(g):
-        _accum(x, g @ w.data)
-        d_out, d_in = w.data.shape
-        _accum(w, g.reshape(-1, d_out).T @ x.data.reshape(-1, d_in))
+        g = g.reshape(-1, d_out)
+        _accum(x, (g @ w.data).reshape(x.data.shape))
+        _accum(w, g.T @ x.data.reshape(-1, d_in))
         if b is not None:
-            _accum(b, g.reshape(-1, d_out).sum(axis=0))
+            _accum(b, g.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(data, parents, backward, "linear")

@@ -160,7 +160,8 @@ def classification_loss(outputs: BranchOutputs, labels, mask=None) -> Tensor:
 
 def consistency_loss(p_mel: Tensor, p_coch: Tensor) -> Tensor:
     """Batch mean of the cross-view JS divergence; differentiable through
-    both branch distributions."""
+    both branch distributions. The training step takes the same mean of the
+    JS tensor whose values it also scores confidences with."""
     return nc.tmean(curriculum.js_divergence_tensor(p_mel, p_coch))
 
 
@@ -272,16 +273,17 @@ def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueu
     outputs = model.forward(mel, coch, rng=rng, training=True)
     p_mel = nc.softmax(outputs.logits_mel, temperature=tau)
     p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
+    js = curriculum.js_divergence_tensor(p_mel, p_coch)  # feeds both the consistency loss and the confidences
 
     terms = {"cls": classification_loss(outputs, labels, mask=labeled if semi else None)}
     if config.use_pcl:
-        confidences = curriculum.batch_confidences(p_mel.data, p_coch.data, theta)
+        confidences = curriculum.batch_confidences(p_mel.data, p_coch.data, theta, js=js.data)
         terms["pl"] = curriculum.pseudo_label_loss(confidences, outputs.logits_fuse,
                                                    eligible=~labeled if semi else None)
     else:
         confidences = None
         terms["pl"] = Tensor(0.0, dtype=np.float32)
-    terms["cons"] = consistency_loss(p_mel, p_coch)
+    terms["cons"] = nc.tmean(js)
     if config.use_saml:
         kept, kept_labels = memory_rows(labels, labeled, confidences, config.mode)
         z_kept = outputs.z_fuse if kept is None else nc.take_rows(outputs.z_fuse, kept)

@@ -125,6 +125,21 @@ def test_batch_confidences_match_a_per_row_loop():
         assert [bool(sc.selected) for sc in got] == [o[4] for o in oracle]
 
 
+def test_batch_confidences_score_with_the_js_they_are_given():
+    rng = np.random.default_rng(13)
+    p_mel = rng.dirichlet(np.ones(3), size=8)
+    p_coch = rng.dirichlet(np.ones(3), size=8)
+    js = rng.uniform(0.0, np.log(2.0), size=8).astype(np.float32)
+    got = cur.batch_confidences(p_mel, p_coch, theta=0.5, js=js)
+    own = cur.batch_confidences(p_mel, p_coch, theta=0.5)
+    assert got.js.dtype == own.js.dtype == np.float64
+    assert np.array_equal(got.js, js.astype(np.float64))
+    assert np.array_equal(got.r, np.exp(-js.astype(np.float64)))
+    assert np.array_equal(got.c, got.r * own.p_max)
+    assert np.array_equal(got.selected, got.c >= 0.5)
+    assert np.array_equal(got.pseudo_label, own.pseudo_label) and np.array_equal(got.p_max, own.p_max)
+
+
 def _bad_row(kind, base):
     bad = base.copy()
     if kind == "negative":

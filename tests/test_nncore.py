@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from dvmer import nncore as nc
 from dvmer.errors import BadFeatureCache, BadTemperature, CheckpointMismatch, HeadDivisibility, NonFiniteValue, ShapeMismatch
@@ -87,6 +89,23 @@ def test_non_finite_trips():
     big = Tensor(np.array([1e30], dtype=np.float32))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteValue):
         nc.mul(big, big)  # overflows float32 to inf
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("where", (0, 57, 99))
+def test_every_non_finite_entry_trips(bad, where):
+    a = np.ones(100, dtype=np.float32)
+    a[where] = bad
+    with pytest.raises(NonFiniteValue):
+        nc.add(Tensor(a), 0.0)
+    with pytest.raises(NonFiniteValue):
+        nc.tsum(Tensor(a))  # a 0-d result
+    with pytest.raises(NonFiniteValue):
+        nc.transpose(Tensor(a.reshape(10, 10)), (1, 0))  # a non-contiguous view
+
+
+def test_an_empty_output_is_finite():
+    assert nc.add(Tensor(np.zeros((0, 3), dtype=np.float32)), 1.0).data.shape == (0, 3)
 
 
 def test_gradient_accumulates_through_shared_subexpressions():
@@ -272,3 +291,104 @@ def test_no_grad_nests():
             pass
         assert nc.linear(x, w)._backward is None
     assert nc.linear(x, w)._backward is not None
+
+
+# -- linear as one GEMM, blocked GELU -------------------------------------
+
+
+def _batched_linear(x, w, b, g):
+    """Forward, dx, dw and db as linear computed them with a batched matmul
+    over the leading axes."""
+    d_out, d_in = w.shape
+    g2 = g.reshape(-1, d_out)
+    return x @ w.T + b, g @ w, g2.T @ x.reshape(-1, d_in), g2.sum(axis=0)
+
+
+@pytest.mark.parametrize("layout", ("contiguous", "token_view"))
+@pytest.mark.parametrize("d_in,d_out", ((128, 512), (512, 128), (128, 128)))
+def test_linear_matches_the_batched_form_bit_for_bit(layout, d_in, d_out):
+    rng = np.random.default_rng(60)
+    if layout == "contiguous":
+        x_np = rng.normal(size=(16, 87, d_in)).astype(np.float32)
+    else:  # tokenize_views passes the [B, frames, bands] view of a [B, bands, frames] batch
+        x_np = np.swapaxes(rng.normal(size=(16, d_in, 87)).astype(np.float32), 1, 2)
+    w_np = (rng.normal(size=(d_out, d_in)) / np.sqrt(d_in)).astype(np.float32)
+    b_np = rng.normal(size=d_out).astype(np.float32)
+    g = rng.normal(size=(16, 87, d_out)).astype(np.float32)
+    x, w, b = (Tensor(a, requires_grad=True) for a in (x_np, w_np, b_np))
+    out = nc.linear(x, w, b)
+    out.backward(g)
+    for got, want in zip((out.data, x.grad, w.grad, b.grad), _batched_linear(x_np, w_np, b_np, g)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def _erf32(z):
+    return nc._erf32(z, np.empty_like(z), np.empty_like(z), np.empty_like(z))
+
+
+FLOAT32_EDGES = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-39, -1e-39, 1.1754942e-38, 3.9999998, 4.0,
+                          4.0000005, -4.5, 9.0, -1e30, 3.4e38], dtype=np.float32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=hnp.arrays(np.float32, st.integers(1, 64), elements=st.one_of(
+    st.floats(-6.0, 6.0, width=32), st.floats(width=32, allow_nan=False, allow_infinity=False))))
+@example(z=FLOAT32_EDGES)
+def test_erf32_is_close_to_erf_odd_and_bounded(z):
+    got = _erf32(z)
+    assert got.dtype == np.float32
+    assert np.all(np.abs(got.astype(np.float64) - erf(z.astype(np.float64))) <= 1e-6)
+    assert np.array_equal(_erf32(-z), -got)
+    assert np.all(np.abs(got) <= 1.0)
+
+
+def test_float64_gelu_is_the_bytes_of_the_erf_formula():
+    rng = np.random.default_rng(61)
+    x = np.concatenate([rng.normal(scale=3.0, size=2 * nc.GELU_BLOCK + 7), [0.0, -0.0, 40.0, -40.0, 1e-310]])
+    want = x * 0.5 * (1 + erf(x / np.sqrt(2)))
+    assert nc.gelu(Tensor(x, dtype=np.float64)).data.tobytes() == want.tobytes()
+
+
+def test_float32_gelu_is_close_to_the_exact_one():
+    x = np.linspace(-12.0, 12.0, 3 * nc.GELU_BLOCK + 11, dtype=np.float32)
+    exact = x * 0.5 * (1 + erf(x.astype(np.float64) / np.sqrt(2)))
+    got = nc.gelu(Tensor(x)).data
+    assert got.dtype == np.float32
+    assert np.all(np.abs(got - exact) <= 1e-6 * np.maximum(1.0, np.abs(x)))
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_gelu_gives_the_same_bytes_with_and_without_a_graph(dtype):
+    x = Tensor(np.random.default_rng(62).normal(scale=3.0, size=(3, nc.GELU_BLOCK // 4 + 5, 9)).astype(dtype),
+               requires_grad=True)
+    with_graph = nc.gelu(x)
+    with nc.no_grad():
+        without = nc.gelu(x)
+    assert with_graph._backward is not None and without._backward is None
+    assert with_graph.data.tobytes() == without.data.tobytes()
+
+
+def test_gelu_of_a_transposed_input():
+    x_np = np.random.default_rng(63).normal(scale=3.0, size=(300, 200)).astype(np.float32)
+    x_t, x_c = Tensor(x_np.T, requires_grad=True), Tensor(np.ascontiguousarray(x_np.T), requires_grad=True)
+    out_t, out_c = nc.gelu(x_t), nc.gelu(x_c)
+    assert out_t.data.shape == (200, 300)
+    assert np.array_equal(out_t.data, out_c.data)
+    exact = x_np.T * 0.5 * (1 + erf(x_np.T.astype(np.float64) / np.sqrt(2)))
+    assert np.all(np.abs(out_t.data - exact) <= 1e-6 * np.maximum(1.0, np.abs(x_np.T)))
+    nc.tsum(out_t).backward()
+    nc.tsum(out_c).backward()
+    assert np.array_equal(x_t.grad, x_c.grad)
+
+
+def test_forward_only_gelu_peaks_near_its_output():
+    x = Tensor(np.random.default_rng(64).normal(size=(64, 87, 512)).astype(np.float32))
+    with nc.no_grad():
+        tracemalloc.start()
+        try:
+            out = nc.gelu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.25 * out.data.nbytes, f"peak {peak / 1e6:.2f} MB for a {out.data.nbytes / 1e6:.2f} MB output"

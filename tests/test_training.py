@@ -516,3 +516,30 @@ def test_run_training_holds_one_batch_graph_at_each_forward(monkeypatch, mode):
     cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=5, queue_size=8, mode=mode, labeled_fraction=0.5)
     tr.run_training(samples, cfg, TINY_MODEL)
     assert alive == [[False] * k for k in range(8)]
+
+
+def test_training_step_scores_confidences_with_its_consistency_js(monkeypatch):
+    # one JS per batch: the float32 tensor behind the consistency loss, detached
+    calls = []
+    js_tensor, batch_confidences = cur.js_divergence_tensor, cur.batch_confidences
+
+    def recording_js(p, q):
+        out = js_tensor(p, q)
+        calls.append(("js", out.data.copy()))
+        return out
+
+    def recording_confidences(*args, **kwargs):
+        out = batch_confidences(*args, **kwargs)
+        calls.append(("confidences", out))
+        return out
+
+    monkeypatch.setattr(cur, "js_divergence_tensor", recording_js)
+    monkeypatch.setattr(cur, "batch_confidences", recording_confidences)
+    monkeypatch.setattr(cur, "_js", lambda p, q: pytest.fail("a second, float64 JS in the training step"))
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=5)
+    tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=4, seed=5, queue_size=8), TINY_MODEL)
+    assert [kind for kind, _ in calls] == ["js", "confidences"] * 4
+    for (_, js), (_, confidences) in zip(calls[::2], calls[1::2]):
+        assert js.dtype == np.float32
+        assert np.array_equal(confidences.js, js.astype(np.float64))
+        assert np.array_equal(confidences.r, np.exp(-js.astype(np.float64)))
