@@ -57,19 +57,23 @@ def _emit(result: CommandResult, as_json: bool) -> int:
     return result.exit_code
 
 
-def _load_samples(manifest_path, features_dir, dimension) -> tuple[list, list]:
-    """Manifest records plus in-memory samples with cached features."""
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    records = datakit.parse_manifest(manifest_path)
-    samples = []
+def _load_run(args) -> tuple:
+    """The run flags' configs, manifest records and cached samples by track id. Every track needs the
+    first one's nonempty (mel, coch) gram shapes, with one frame count; they resolve the ModelConfig."""
+    train_cfg, model_cfg = cfgmod.load_train_configs(args.config, overrides=_overrides_from_args(args))
+    records = datakit.parse_manifest(args.manifest)
+    samples, first = {}, None
     for rec in records:
-        cache = os.path.join(features_dir, f"{rec.track_id}.dmrf")
-        if not os.path.exists(cache):
-            raise FileNotFoundError(f"feature cache missing for track {rec.track_id}: {cache}")
-        pair = feats.read_feature_cache(cache)
-        samples.append(datakit.Sample(track_id=rec.track_id, label=rec.label(dimension), pair=pair))
-    return records, samples
+        pair = feats.read_feature_cache(os.path.join(args.features, f"{rec.track_id}.dmrf"))
+        first = first or pair
+        mel, coch = pair.mel.shape, pair.coch.shape
+        if (mel, coch) != (first.mel.shape, first.coch.shape) or mel[1] != coch[1] or 0 in mel + coch:
+            raise ValueError(f"track {rec.track_id}: Mel gram {mel} and cochleagram {coch}; every track needs "
+                             "nonempty grams with one frame count, shaped like the first track's")
+        samples[rec.track_id] = datakit.Sample(track_id=rec.track_id, label=rec.label(train_cfg.dimension), pair=pair)
+    if first is None:
+        raise EmptySplit(f"manifest has no tracks: {args.manifest}")
+    return train_cfg, training.model_config_for(train_cfg, first, model_cfg), records, samples
 
 
 def _overrides_from_args(args) -> dict:
@@ -110,13 +114,10 @@ def cmd_extract_features(args) -> CommandResult:
 
 
 def cmd_train(args) -> CommandResult:
-    train_cfg, model_cfg = cfgmod.load_train_configs(args.config, overrides=_overrides_from_args(args))
-    records, samples = _load_samples(args.manifest, args.features, train_cfg.dimension)
-
+    train_cfg, model_cfg, records, samples = _load_run(args)
     split = datakit.stratified_split(records, train_cfg.dimension, seed=train_cfg.seed)
-    by_id = {s.track_id: s for s in samples}
-    train_samples = [by_id[i] for i in split.train_ids]
-    test_samples = [by_id[i] for i in split.test_ids]
+    train_samples = [samples[i] for i in split.train_ids]
+    test_samples = [samples[i] for i in split.test_ids]
     if train_cfg.mode == "semi":
         train_samples = datakit.mark_unlabeled(train_samples, train_cfg.labeled_fraction, train_cfg.seed)
 
@@ -160,15 +161,12 @@ def cmd_train(args) -> CommandResult:
 
 
 def cmd_eval(args) -> CommandResult:
-    train_cfg, model_cfg = cfgmod.load_train_configs(args.config, overrides=_overrides_from_args(args))
+    train_cfg, model_cfg, records, samples = _load_run(args)
     expected_hash = cfgmod.run_config_hash(train_cfg, model_cfg)
     model, _ = training.load_model_from_checkpoint(args.checkpoint, model_cfg, expected_hash=expected_hash)
-
-    records, samples = _load_samples(args.manifest, args.features, train_cfg.dimension)
     split = datakit.stratified_split(records, train_cfg.dimension, seed=train_cfg.seed)
     ids = split.train_ids if args.split == "train" else split.test_ids
-    by_id = {s.track_id: s for s in samples}
-    subset = [by_id[i] for i in ids]
+    subset = [samples[i] for i in ids]
     metrics = training.evaluate(model, subset, ensemble=train_cfg.ensemble_eval)
 
     payload = {
@@ -234,15 +232,14 @@ def cmd_diagnose(args) -> CommandResult:
 
 
 def cmd_export_embeddings(args) -> CommandResult:
-    train_cfg, model_cfg = cfgmod.load_train_configs(args.config, overrides=_overrides_from_args(args))
+    train_cfg, model_cfg, _, samples = _load_run(args)
     expected_hash = cfgmod.run_config_hash(train_cfg, model_cfg)
     model, _ = training.load_model_from_checkpoint(args.checkpoint, model_cfg, expected_hash=expected_hash)
-    _, samples = _load_samples(args.manifest, args.features, train_cfg.dimension)
-    z_fuse = training.embed(model, samples).z_fuse
+    z_fuse = training.embed(model, list(samples.values())).z_fuse
 
     header = ["track_id", "label"] + [f"f_{i}" for i in range(model_cfg.fusion_dim)]
     lines = [",".join(header)]
-    for s, vec in zip(samples, z_fuse):
+    for s, vec in zip(samples.values(), z_fuse):
         lines.append(",".join([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]))
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     return CommandResult(

@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 from .errors import ConfigError
 from .features import FeatureConfig
 from .model import ModelConfig
-from .training import TrainConfig, model_config_for
+from .training import TrainConfig
 
 TRAIN_REQUIRED_KEYS = ("epochs", "batch_size")
 
@@ -73,9 +73,10 @@ def _convert(key: str, raw: str, hint):
     return raw
 
 
-# every settable run-config key; cross_attention follows use_dsaf
-# (training.model_config_for)
-RUN_CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, ModelConfig) for f in fields(cls)) - {"cross_attention"}
+# every settable run-config key; not keys: n_classes (2, binary labels) and the
+# fields training.model_config_for resolves from use_dsaf and the data
+RUN_CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, ModelConfig) for f in fields(cls)) - {
+    "cross_attention", "mel_bands", "coch_channels", "frame_count", "n_classes"}
 
 
 def _build(cls, values: dict, overrides: dict):
@@ -88,7 +89,7 @@ def _build(cls, values: dict, overrides: dict):
 
 
 def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig, ModelConfig]:
-    """Parse a run config file into the trainer and model configs.
+    """Parse a run config file into the trainer and model configs; `model_config_for` completes the latter.
 
     overrides (already-typed values, e.g. from CLI flags) replace file
     values. Missing required keys and unknown keys raise ConfigError.
@@ -105,8 +106,7 @@ def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig
     if bad:
         raise ConfigError(f"unknown override(s): {', '.join(sorted(bad))}")
 
-    train_cfg = _build(TrainConfig, values, overrides)
-    return train_cfg, model_config_for(train_cfg, _build(ModelConfig, values, overrides))
+    return _build(TrainConfig, values, overrides), _build(ModelConfig, values, overrides)
 
 
 def load_feature_config(path=None) -> FeatureConfig:

@@ -25,6 +25,7 @@ from . import memory
 from . import nncore as nc
 from .data import Sample
 from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue
+from .features import FeaturePair
 from .model import BranchOutputs, DualViewModel, ModelConfig
 from .nncore import Tensor
 
@@ -55,15 +56,15 @@ class TrainConfig:
     use_dsaf: bool = True
     use_pcl: bool = True
     use_saml: bool = True
-    lambda_cls: float = 1.0
-    lambda_pl: float = 0.8
-    lambda_cons: float = 0.2
-    lambda_cont: float = 0.1
-    tau_max: float = 1.5
-    tau_min: float = 0.7
-    theta_start: float = 0.65
-    theta_min: float = 0.35
-    contrast_temperature: float = 0.07
+    lambda_cls: float = LossWeights.classification
+    lambda_pl: float = LossWeights.pseudo
+    lambda_cons: float = LossWeights.consistency
+    lambda_cont: float = LossWeights.contrast
+    tau_max: float = curriculum.TAU_MAX_DEFAULT
+    tau_min: float = curriculum.TAU_MIN_DEFAULT
+    theta_start: float = curriculum.THETA_START_DEFAULT
+    theta_min: float = curriculum.THETA_MIN_DEFAULT
+    contrast_temperature: float = memory.CONTRAST_TEMPERATURE_DEFAULT
     queue_size: int = 512
     queue_momentum: float | None = None
     contrastive_normalized: bool = False
@@ -100,9 +101,10 @@ class TrainConfig:
         )
 
 
-def model_config_for(config: TrainConfig, model_config: ModelConfig | None = None) -> ModelConfig:
-    """The model a run trains: DSAF (`use_dsaf`) decides `cross_attention`."""
-    return replace(model_config or ModelConfig(), cross_attention=config.use_dsaf)
+def model_config_for(config: TrainConfig, pair: FeaturePair, model_config: ModelConfig | None = None) -> ModelConfig:
+    """The model for data shaped like pair (one token per gram frame), with DSAF as `use_dsaf` says."""
+    return replace(model_config or ModelConfig(), cross_attention=config.use_dsaf, mel_bands=pair.mel.shape[0],
+                   coch_channels=pair.coch.shape[0], frame_count=pair.mel.shape[1])
 
 
 @dataclass
@@ -325,7 +327,7 @@ def run_training(
     """
     if not train_samples:
         raise EmptySplit("training requires a nonempty sample list")
-    model_config = model_config_for(config, model_config)
+    model_config = model_config_for(config, train_samples[0].pair, model_config)
 
     init_rng, loop_rng = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)]
     model = DualViewModel(model_config, init_rng)
@@ -458,16 +460,8 @@ def auc_score(labels, scores) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.shape[0], dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < sorted_scores.shape[0]:
-        j = i
-        while j + 1 < sorted_scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # mid-rank, 1-based
-        i = j + 1
+    _, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inv]  # mid-rank of each tie group, 1-based
     rank_sum = float(np.sum(ranks[labels == 1]))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -594,5 +588,5 @@ def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: s
         arr = np.asarray(stored[name], dtype=p.data.dtype)
         if arr.shape != p.data.shape:
             raise CheckpointMismatch(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-        p.data = arr.copy()
+        p.data = arr  # the payload's own fresh array: a copy would only add a transient
     return model, payload

@@ -349,7 +349,8 @@ def test_ablation_flags_reach_the_log(workspace, tmp_path):
         assert rec["mask_ratio"] == 0.0
 
 
-@pytest.mark.parametrize("line", ("epochs = none", "batch_size = none", "seed = none", "cross_attention = false"))
+@pytest.mark.parametrize("line", ("epochs = none", "batch_size = none", "seed = none", "cross_attention = false",
+                                  "mel_bands = 128", "coch_channels = 84", "frame_count = 87", "n_classes = 1"))
 def test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line):
     key = line.split(" = ")[0]
     kept = [row for row in RUN_CFG.splitlines() if not row.startswith(key + " ")]
@@ -387,6 +388,72 @@ def test_ablated_checkpoint_needs_the_same_flags_at_eval(workspace, tmp_path, ca
     capsys.readouterr()
     assert main(evaluate) == 5
     assert "mismatch" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def small_grams(workspace):
+    """The workspace's tracks as 12 x 10 Mel and 9 x 10 cochleagram grams."""
+    samples = dk.synth_dataset(n=24, separation=6.0, noise=0.05, seed=1, mel_shape=(12, 10), coch_shape=(9, 10))
+    cache = workspace["root"] / "small"
+    cache.mkdir()
+    for s in samples:
+        F.write_feature_cache(cache / f"{s.track_id}.dmrf", s.pair, s.track_id, F.FeatureConfig())
+    return ["--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]), "--features", str(cache)]
+
+
+def test_caches_of_another_shape_need_no_config_keys(small_grams, tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", *small_grams, "--out", str(out)]) == 0
+    ckpt = ["--checkpoint", str(out / "checkpoint.dmrc")]
+    assert main(["eval", *ckpt, *small_grams]) == 0
+    assert main(["export-embeddings", *ckpt, *small_grams, "--out", str(tmp_path / "emb.csv")]) == 0
+    assert len((tmp_path / "emb.csv").read_text().splitlines()) == 1 + 24
+    params = tr.read_checkpoint(out / "checkpoint.dmrc")["sections"]["PARM"]
+    assert params["pos.mel"].shape[0] == params["pos.coch"].shape[0] == 10
+    assert (params["mel_proj.w"].shape, params["coch_proj.w"].shape) == ((16, 12), (16, 9))
+
+
+@pytest.mark.parametrize("command", ("eval", "export-embeddings"))
+def test_checkpoint_of_another_input_shape_exits_5(trained, small_grams, tmp_path, capsys, command):
+    argv = [command, "--checkpoint", str(trained / "checkpoint.dmrc"), *small_grams]
+    if command == "export-embeddings":
+        argv += ["--out", str(tmp_path / "emb.csv")]
+    assert main(argv) == 5
+    assert "mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ("train", "eval", "export-embeddings"))
+@pytest.mark.parametrize("row, shapes", (
+    (5, ((12, 10), (9, 10))),
+    (0, ((128, 87), (84, 86))),
+    (0, ((128, 0), (84, 0))),
+), ids=("other_shape", "first_frames_differ", "first_empty"))
+def test_manifest_of_two_gram_shapes_exits_3_naming_the_track(workspace, trained, tmp_path, capsys, command, row,
+                                                                shapes):
+    cache = tmp_path / "cache"
+    shutil.copytree(workspace["cache"], cache)
+    victim = dk.parse_manifest(workspace["manifest"])[row].track_id
+    pair = F.FeaturePair(*(np.zeros(shape) for shape in shapes))
+    F.write_feature_cache(cache / f"{victim}.dmrf", pair, victim, F.FeatureConfig())
+    argv = [command, "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
+            "--features", str(cache)]
+    argv += ["--checkpoint", str(trained / "checkpoint.dmrc")] if command != "train" else []
+    argv += ["--out", str(tmp_path / "o")] if command != "eval" else []
+    assert main(argv) == 3
+    assert f"data error: track {victim}:" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ("train", "eval"))
+def test_empty_manifest_exits_3(workspace, trained, tmp_path, capsys, command):
+    manifest = tmp_path / "empty.tsv"
+    manifest.write_text("# no tracks\n")
+    argv = [command, "--config", str(workspace["config"]), "--manifest", str(manifest),
+            "--features", str(workspace["cache"])]
+    argv += ["--out", str(tmp_path / "o")] if command == "train" else ["--checkpoint", str(trained / "checkpoint.dmrc")]
+    assert main(argv) == 3
+    assert "no tracks" in capsys.readouterr().out
+
 
 def _write_wav(path, seconds, freq, rng):
     t = np.arange(int(seconds * SR)) / SR

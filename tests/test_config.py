@@ -1,7 +1,18 @@
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from dvmer import config as cfgmod
+from dvmer import training as tr
 from dvmer.errors import ConfigError
+from dvmer.features import FeaturePair
+from dvmer.model import ModelConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the grams of a track extracted at the default FeatureConfig
+DEFAULT_PAIR = FeaturePair(mel=np.zeros((128, 87)), coch=np.zeros((84, 87)))
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -56,7 +67,7 @@ def test_overrides_apply_and_sync_cross_attention(tmp_path):
     train_cfg, model_cfg = cfgmod.load_train_configs(path, overrides={"use_dsaf": False, "seed": 9})
     assert train_cfg.seed == 9
     assert train_cfg.use_dsaf is False
-    assert model_cfg.cross_attention is False
+    assert tr.model_config_for(train_cfg, DEFAULT_PAIR, model_cfg).cross_attention is False
 
 
 def test_optional_none_value(tmp_path):
@@ -109,10 +120,31 @@ def test_feature_frame_geometry_accepts_none(tmp_path):
 
 
 def test_cross_attention_is_not_a_config_key(tmp_path):
-    with pytest.raises(ConfigError, match="cross_attention"):
-        cfgmod.load_train_configs(write(tmp_path, BASE + "cross_attention = false\n"))
-    with pytest.raises(ConfigError, match="cross_attention"):
-        cfgmod.load_train_configs(write(tmp_path, BASE, name="o.cfg"), overrides={"cross_attention": False})
+    test_resolved_model_fields_are_not_config_keys(tmp_path, "cross_attention", False)
+
+
+@pytest.mark.parametrize("key, value", (("mel_bands", 128), ("coch_channels", 84), ("frame_count", 87),
+                                        ("n_classes", 2)))
+def test_resolved_model_fields_are_not_config_keys(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        cfgmod.load_train_configs(write(tmp_path, BASE + f"{key} = {value}\n"))
+    with pytest.raises(ConfigError, match=key):
+        cfgmod.load_train_configs(write(tmp_path, BASE, name="o.cfg"), overrides={key: value})
+
+
+def test_model_config_for_takes_the_input_shape_from_the_grams():
+    pair = FeaturePair(mel=np.zeros((6, 4)), coch=np.zeros((5, 4)))
+    model_cfg = tr.model_config_for(tr.TrainConfig(use_dsaf=False), pair, ModelConfig(layers=3))
+    assert model_cfg == ModelConfig(layers=3, mel_bands=6, coch_channels=5, frame_count=4, cross_attention=False)
+    assert tr.model_config_for(tr.TrainConfig(), DEFAULT_PAIR) == ModelConfig()
+
+
+def test_readme_run_config_reference_lists_every_key():
+    section = README.read_text(encoding="utf-8").split("## Run config reference")[1]
+    keys = re.findall(r"`([a-z_]+)`\s+\(", section[section.index("Trainer keys"):section.index("Feature keys")])
+    assert len(keys) == len(set(keys))
+    assert set(keys) == cfgmod.RUN_CONFIG_KEYS
+    assert len(keys) == 33
 
 
 def test_unknown_override_rejected(tmp_path):
@@ -137,4 +169,9 @@ def test_overrides_replace_file_values(tmp_path):
 def test_run_config_hash_is_stable(tmp_path, override, digest):
     path = write(tmp_path, "epochs = 80\nbatch_size = 16\n")
     overrides = {override: False} if override else None
-    assert cfgmod.run_config_hash(*cfgmod.load_train_configs(path, overrides=overrides)) == digest
+    train_cfg, model_cfg = cfgmod.load_train_configs(path, overrides=overrides)
+    assert cfgmod.run_config_hash(train_cfg, tr.model_config_for(train_cfg, DEFAULT_PAIR, model_cfg)) == digest
+
+
+def test_default_run_config_hash_is_pinned():
+    assert cfgmod.run_config_hash(tr.TrainConfig(), ModelConfig()) == "e6ac02fa8588f582"

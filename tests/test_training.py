@@ -136,6 +136,14 @@ def test_run_training_emits_one_record_per_epoch():
         }
 
 
+def test_run_training_sizes_the_model_from_its_first_sample():
+    samples = dk.synth_dataset(n=8, seed=3, mel_shape=(6, 4), coch_shape=(5, 4))
+    result = tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=4, seed=4, queue_size=8), TINY_MODEL)
+    assert result.model_config == ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=1,
+                                              mel_bands=6, coch_channels=5, frame_count=4)
+    assert result.model.parameters()["pos.mel"].shape == (4, 16)
+
+
 def test_run_training_clip_invariant_every_step():
     samples = dk.synth_dataset(n=24, separation=5.0, noise=0.1, seed=5)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=6, queue_size=8, grad_clip=5.0)
