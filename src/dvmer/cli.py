@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteLoss,
     TrackTooShort,
 )
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, text_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -211,17 +211,16 @@ def cmd_diagnose(args) -> CommandResult:
     if not os.path.exists(args.log):
         raise FileNotFoundError(f"epoch log not found: {args.log}")
     columns, rows = None, []
-    with open(args.log, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                cells = _diagnose_cells(json.loads(line), columns)
-            except ValueError as exc:  # json.JSONDecodeError is one too
-                raise ValueError(f"{args.log}:{lineno}: bad record: {exc}") from exc
-            columns = columns or list(cells)
-            rows.append(cells.values())
+    for lineno, line in text_lines(args.log, ValueError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            cells = _diagnose_cells(json.loads(line), columns)
+        except ValueError as exc:  # json.JSONDecodeError is one too
+            raise ValueError(f"{args.log}:{lineno}: bad record: {exc}") from exc
+        columns = columns or list(cells)
+        rows.append(cells.values())
     if not rows:
         raise ValueError(f"{args.log}: no epoch records")
     lines = [",".join(columns)]
@@ -318,7 +317,7 @@ def main(argv=None) -> int:
         return _emit(CommandResult(EXIT_NONFINITE, f"non-finite loss: {exc}"), as_json)
     except CheckpointMismatch as exc:
         return _emit(CommandResult(EXIT_CHECKPOINT, f"checkpoint mismatch: {exc}"), as_json)
-    except (FileNotFoundError, ValueError, EmptySplit, DvmerError) as exc:
+    except (OSError, ValueError, DvmerError) as exc:
         return _emit(CommandResult(EXIT_DATA, f"data error: {exc}"), as_json)
     return _emit(result, as_json)
 

@@ -5,7 +5,8 @@ with '#' are ignored. Values take the type of their field's resolved
 hint; booleans accept true/false/1/0/yes/no, and `none` is accepted only
 where the hint admits None. Unknown keys are rejected so typos fail
 loudly. The training CLI requires `epochs` and `batch_size` to be stated
-explicitly; every other key falls back to its documented default.
+explicitly; every other key falls back to its documented default. Every
+error a file causes while it is loaded names the file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import asdict, fields
 
 from .errors import ConfigError
 from .features import FeatureConfig
+from .ioutil import text_lines
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -27,21 +29,20 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 def parse_kv_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = raw
+    for lineno, line in text_lines(path, ConfigError):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = raw
     return values
 
 
@@ -79,13 +80,17 @@ RUN_CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, ModelConfig) for f i
     "cross_attention", "mel_bands", "coch_channels", "frame_count", "n_classes"}
 
 
-def _build(cls, values: dict, overrides: dict):
-    """cls from the file values that name its fields, typed by the resolved
-    field hints, with the already-typed overrides replacing them."""
+def _build(cls, path, values: dict, overrides: dict):
+    """cls from the values of the file at path that name its fields, typed by
+    the resolved field hints, with the already-typed overrides replacing
+    them; a ConfigError names path."""
     hints = typing.get_type_hints(cls)
-    kwargs = {k: _convert(k, raw, hints[k]) for k, raw in values.items() if k in hints}
-    kwargs.update((k, v) for k, v in overrides.items() if k in hints)
-    return cls(**kwargs)
+    try:
+        kwargs = {k: _convert(k, raw, hints[k]) for k, raw in values.items() if k in hints}
+        kwargs.update((k, v) for k, v in overrides.items() if k in hints)
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig, ModelConfig]:
@@ -98,23 +103,23 @@ def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig
     overrides = overrides or {}
     for key in TRAIN_REQUIRED_KEYS:
         if key not in values:
-            raise ConfigError(f"missing required config key: {key}")
+            raise ConfigError(f"{path}: missing required config key: {key}")
     unknown = set(values) - RUN_CONFIG_KEYS
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
     bad = set(overrides) - RUN_CONFIG_KEYS
     if bad:
         raise ConfigError(f"unknown override(s): {', '.join(sorted(bad))}")
 
-    return _build(TrainConfig, values, overrides), _build(ModelConfig, values, overrides)
+    return _build(TrainConfig, path, values, overrides), _build(ModelConfig, path, values, overrides)
 
 
 def load_feature_config(path=None) -> FeatureConfig:
     values = parse_kv_file(path) if path else {}
     unknown = set(values) - {f.name for f in fields(FeatureConfig)}
     if unknown:
-        raise ConfigError(f"unknown feature config key(s): {', '.join(sorted(unknown))}")
-    return _build(FeatureConfig, values, {})
+        raise ConfigError(f"{path}: unknown feature config key(s): {', '.join(sorted(unknown))}")
+    return _build(FeatureConfig, path, values, {})
 
 
 # inference-time choices that do not alter what was trained

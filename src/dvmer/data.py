@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ClassTooSmall, ConfigError, NoPairs
 from .features import FeaturePair
+from .ioutil import atomic_write_text, text_lines
 
 DIMENSIONS = ("arousal", "valence")
 
@@ -90,39 +91,35 @@ def binarize_label(value: float) -> int:
 def parse_manifest(path) -> list[TrackRecord]:
     records = []
     first_line = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise ConfigError(f"{path}:{lineno}: expected id, valence, arousal[, audio_path]")
-            track_id = parts[0]
-            try:
-                valence, arousal = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: valence and arousal must be numbers, got {parts[1]!r}, {parts[2]!r}"
-                ) from None
-            if track_id in first_line:
-                raise ConfigError(
-                    f"{path}:{lineno}: duplicate track_id {track_id!r}, first on line {first_line[track_id]}"
-                )
-            first_line[track_id] = lineno
-            if not (abs(valence) <= 1.0 and abs(arousal) <= 1.0):
-                raise ConfigError(
-                    f"{path}:{lineno}: valence/arousal magnitudes must be <= 1, "
-                    f"got ({valence}, {arousal})"
-                )
-            audio_path = parts[3] if len(parts) > 3 else ""
-            records.append(TrackRecord(track_id=track_id, valence=valence, arousal=arousal, audio_path=audio_path))
+    for lineno, line in text_lines(path, ConfigError):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3:
+            raise ConfigError(f"{path}:{lineno}: expected id, valence, arousal[, audio_path]")
+        track_id = parts[0]
+        try:
+            valence, arousal = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: valence and arousal must be numbers, got {parts[1]!r}, {parts[2]!r}"
+            ) from None
+        if track_id in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: duplicate track_id {track_id!r}, first on line {first_line[track_id]}"
+            )
+        first_line[track_id] = lineno
+        if not (abs(valence) <= 1.0 and abs(arousal) <= 1.0):
+            raise ConfigError(
+                f"{path}:{lineno}: valence/arousal magnitudes must be <= 1, "
+                f"got ({valence}, {arousal})"
+            )
+        audio_path = parts[3] if len(parts) > 3 else ""
+        records.append(TrackRecord(track_id=track_id, valence=valence, arousal=arousal, audio_path=audio_path))
     return records
 
 
 def write_manifest(path, records: list[TrackRecord]):
-    from .ioutil import atomic_write_text
-
     lines = [
         f"{r.track_id}\t{r.valence!r}\t{r.arousal!r}\t{r.audio_path}"
         for r in records

@@ -90,6 +90,12 @@ class FeatureConfig:
         for name in ("frame_len", "hop"):
             if getattr(self, name) is not None and not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be at least 1 when set, got {getattr(self, name)}")
+        if not math.isfinite(self.segment_duration * self.sample_rate):
+            raise ConfigError(f"segment_duration must be finite, got {self.segment_duration}")
+        if not (self.frame_size % 2 == 0 and 0 < self.frame_size <= self.segment_len):
+            key = "frame_len" if self.frame_len is not None else "hop" if self.hop is not None else "frame_count"
+            raise ConfigError(f"{key} gives a frame of {self.frame_size} samples; a frame must be even, nonempty "
+                              f"and no longer than the segment_duration's {self.segment_len} samples")
 
     @property
     def segment_len(self) -> int:
@@ -211,8 +217,6 @@ def windowed_power_spectra(seg: AudioSegment, cfg: FeatureConfig) -> np.ndarray:
     whole frame array, whatever the worker count."""
     if cfg.frame_size > seg.samples.shape[0]:
         raise ConfigError(f"frame_len {cfg.frame_size} exceeds segment length {seg.samples.shape[0]}")
-    if cfg.frame_size % 2 != 0:
-        raise ConfigError(f"frame_len must be even, got {cfg.frame_size}")
     frames = frame_signal(pre_emphasis(seg.samples, cfg.preemphasis), cfg.frame_size, cfg.hop_len)
     window = np.hamming(cfg.frame_size)
     n_bins = cfg.n_fft // 2 + 1

@@ -1,10 +1,24 @@
-"""Small file-writing helpers; all outputs go through temp-file + rename so
-interrupted runs never leave truncated artifacts."""
+"""Small file helpers. Text inputs are decoded line by line, so a line that
+is not UTF-8 is reported by file and line; all outputs go through
+temp-file + rename so interrupted runs never leave truncated artifacts."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+
+
+def text_lines(path, error):
+    """(line number, line without its end) for each line of the UTF-8 text
+    file at path, split where text mode splits; a line that does not decode
+    raises error naming path:line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def atomic_write_bytes(path, data: bytes):

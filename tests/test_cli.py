@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvmer import config as cfgmod
 from dvmer import data as dk
 from dvmer import features as F
 from dvmer import training as tr
@@ -244,7 +247,6 @@ def test_export_embeddings_shape_and_training_effect(workspace, trained, tmp_pat
 
     # an untrained checkpoint must export different embeddings
     from dvmer import training as tr
-    from dvmer import config as cfgmod
     train_cfg, model_cfg = cfgmod.load_train_configs(workspace["config"])
     fresh = tr.run_training(
         dk.synth_dataset(n=8, separation=6.0, noise=0.05, seed=1)[:8],
@@ -444,6 +446,29 @@ def test_manifest_of_two_gram_shapes_exits_3_naming_the_track(workspace, trained
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ("train", "eval", "export-embeddings"))
+@pytest.mark.parametrize("where", ("manifest", "cache"))
+def test_a_directory_in_place_of_an_input_file_exits_3_naming_it(workspace, trained, tmp_path, capsys, command,
+                                                                  where):
+    manifest, cache = workspace["manifest"], tmp_path / "cache"
+    shutil.copytree(workspace["cache"], cache)
+    if where == "manifest":
+        manifest = tmp_path / "manifest.tsv"
+        manifest.mkdir()
+        victim = manifest
+    else:
+        victim = cache / f"{dk.parse_manifest(manifest)[0].track_id}.dmrf"
+        victim.unlink()
+        victim.mkdir()
+    argv = [command, "--config", str(workspace["config"]), "--manifest", str(manifest), "--features", str(cache)]
+    argv += ["--checkpoint", str(trained / "checkpoint.dmrc")] if command != "train" else []
+    argv += ["--out", str(tmp_path / "o")] if command != "eval" else []
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("data error: ") and str(victim) in out
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ("train", "eval"))
 def test_empty_manifest_exits_3(workspace, trained, tmp_path, capsys, command):
     manifest = tmp_path / "empty.tsv"
@@ -530,6 +555,64 @@ def test_non_numeric_manifest_value_is_a_config_error(workspace, trained, tmp_pa
     assert f"{manifest}:{len(lines) + 1}: valence and arousal must be numbers" in capsys.readouterr().out
 
 
+def _text_input_argv(workspace, root, kind, path):
+    """cli.main arguments that read path as a text input of the given kind.
+    The feature directory and the WAV directory are empty, so no run gets past
+    reading its inputs."""
+    empty = root / "empty"
+    empty.mkdir(exist_ok=True)
+    if kind == "log":
+        return ["diagnose", "--log", str(path), "--out", str(root / "diag.csv")]
+    if kind == "feature_config":
+        return ["extract-features", "--in", str(empty), "--out", str(root / "cache"), "--config", str(path)]
+    config, manifest = (path, workspace["manifest"]) if kind == "run_config" else (workspace["config"], path)
+    return ["train", "--config", str(config), "--manifest", str(manifest), "--features", str(empty),
+            "--out", str(root / "o")]
+
+
+@pytest.mark.parametrize("kind,code", (("run_config", 2), ("feature_config", 2), ("manifest", 2), ("log", 3)))
+def test_undecodable_text_input_names_its_file_and_line(workspace, tmp_path, capsys, kind, code):
+    good = {"run_config": RUN_CFG.encode(), "feature_config": b"hop = 30414\n",
+            "manifest": workspace["manifest"].read_bytes(), "log": json.dumps(GOOD_RECORD).encode() + b"\n"}[kind]
+    path = tmp_path / "input.txt"
+    path.write_bytes(good.splitlines()[0] + b"\r\n# caf\xe9\n")
+    assert main(_text_input_argv(workspace, tmp_path, kind, path)) == code
+    assert f"{path}:2: not UTF-8 text: unexpected end of data at byte 5" in capsys.readouterr().out
+
+
+def _fuzz_bytes(valid_lines: list[bytes]):
+    """Arbitrary bytes, or lines mixing valid ones with arbitrary bytes and text."""
+    line = st.one_of(st.sampled_from(valid_lines), st.binary(max_size=24), st.text(max_size=24).map(str.encode))
+    return st.one_of(st.binary(max_size=200), st.lists(line, max_size=8).map(b"\n".join))
+
+
+FUZZ_LINES = {
+    "run_config": [row.encode() for row in RUN_CFG.splitlines()] + [b"heads = 3", b"dimension = none"],
+    "feature_config": [b"frame_len = 1001", b"hop = 1", b"frame_count = 1", b"segment_duration = inf", b"# note"],
+    "manifest": [b"t0\t0.5\t0.5", b"t0\t0.5\t-0.5\tx.wav", b"t1\tnan\t0", b"# comment"],
+    "log": [json.dumps(GOOD_RECORD).encode(), b"{}", b"[]"],
+}
+
+
+@pytest.mark.parametrize("kind", FUZZ_LINES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_arbitrary_text_input_gives_a_documented_exit_naming_the_file(workspace, tmp_path_factory, kind, data):
+    root = tmp_path_factory.mktemp(kind)
+    path = root / "input.txt"
+    path.write_bytes(data.draw(_fuzz_bytes(FUZZ_LINES[kind]), label="content"))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(_text_input_argv(workspace, root, kind, path))
+    if kind == "log":
+        assert rc == 0 or rc == 3 and str(path) in out.getvalue()
+    elif rc == 3:  # the input loaded; the empty directory stopped the run
+        {"run_config": cfgmod.load_train_configs, "feature_config": cfgmod.load_feature_config,
+         "manifest": dk.parse_manifest}[kind](path)
+    else:
+        assert rc == 2 and str(path) in out.getvalue()
+
+
 @pytest.fixture(scope="module")
 def tiny_files(workspace):
     """A tiny valid feature cache and checkpoint, and a copy of the cache
@@ -613,7 +696,7 @@ def test_unbuildable_array_shape_keeps_the_documented_exit(workspace, trained, t
     "sample_rate = 48000", "mel_bands = 0", "segment_duration = nan", "segment_start = -1",
     "frame_count = 0", "coch_channels = 0", "gammatone_order = 0", "compression = 0", "log_floor = nan",
     "mel_fmin = 22050", "mel_fmax = 30000", "gt_fmin = 0", "gt_fmax = nan", "preemphasis = 1",
-    "frame_len = 0", "hop = 0",
+    "frame_len = 0", "hop = 0", "frame_len = 1001", "frame_count = 1", "frame_len = 100000\nsegment_duration = 0.01",
 ))
 def test_bad_feature_config_value_exits_2_naming_the_key(tmp_path, capsys, line):
     wav_dir = tmp_path / "wavs"
@@ -625,6 +708,13 @@ def test_bad_feature_config_value_exits_2_naming_the_key(tmp_path, capsys, line)
     assert rc == 2
     assert line.split(" = ")[0] in capsys.readouterr().out
     assert not (tmp_path / "cache").exists()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, dvmer.cli; dvmer.cli.build_parser(); print(sorted(m for m in sys.modules if 'scipy' in m))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_train_is_byte_identical_across_processes_at_one_blas_thread(workspace, tmp_path):

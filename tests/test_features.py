@@ -40,10 +40,12 @@ def test_select_segment_rejects_short_track():
 
 
 def test_frame_len_must_fit_segment():
-    cfg = F.FeatureConfig(frame_len=2 * 61 * SR, hop=61 * SR)
-    seg = F.AudioSegment(np.zeros(60 * SR), SR, 15.0)
-    with pytest.raises(ConfigError):
-        F.mel_spectrogram(seg, cfg)
+    with pytest.raises(ConfigError, match="frame_len"):
+        F.FeatureConfig(frame_len=2 * 61 * SR, hop=61 * SR)
+    # a segment built directly can still be shorter than the configured frame
+    seg = F.AudioSegment(np.zeros(F.FeatureConfig().frame_size - 1), SR, 15.0)
+    with pytest.raises(ConfigError, match="exceeds segment length"):
+        F.mel_spectrogram(seg, F.FeatureConfig())
 
 
 def test_default_frame_geometry_contract():
@@ -337,6 +339,8 @@ def test_read_wav_malformed_file_is_a_config_error_naming_it(tmp_path, defect):
     ("mel_fmax", math.nan), ("gt_fmin", 0.0), ("gt_fmin", 18000.0), ("gt_fmin", math.nan),
     ("gt_fmax", 22051.0), ("gt_fmax", math.nan), ("preemphasis", 1.0), ("preemphasis", -0.1),
     ("preemphasis", math.nan), ("frame_len", 0), ("hop", 0), ("hop", math.nan),
+    ("frame_len", 1001), ("frame_len", 2 * 60 * SR + 2), ("frame_count", 1), ("hop", 60 * SR),
+    ("segment_duration", 1e-9), ("segment_duration", math.inf), ("segment_duration", 1e305),
 ))
 def test_feature_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -345,7 +349,8 @@ def test_feature_config_rejects_out_of_range_values(field, value):
 
 def test_feature_config_accepts_the_range_edges_and_keeps_its_hash():
     edges = F.FeatureConfig(segment_start=0.0, mel_fmin=0.0, mel_fmax=22050.0, gt_fmax=22050.0,
-                            preemphasis=0.0, frame_len=1, hop=1)
+                            preemphasis=0.0, frame_len=2, hop=1)
     assert edges.hop_len == 1
+    assert F.FeatureConfig(frame_count=2).frame_size == F.FeatureConfig().segment_len
     # the checks add no field, so the default hash stays the same
     assert F.FeatureConfig().config_hash() == "7fac088bdb27b53b"

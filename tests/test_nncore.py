@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -343,11 +344,20 @@ def test_erf32_is_close_to_erf_odd_and_bounded(z):
     assert np.all(np.abs(got) <= 1.0)
 
 
+GELU64_INPUTS = np.concatenate([np.random.default_rng(61).normal(scale=3.0, size=2 * nc.GELU_BLOCK + 7),
+                                [0.0, -0.0, 40.0, -40.0, 1e-310]])
+
+
 def test_float64_gelu_is_the_bytes_of_the_erf_formula():
-    rng = np.random.default_rng(61)
-    x = np.concatenate([rng.normal(scale=3.0, size=2 * nc.GELU_BLOCK + 7), [0.0, -0.0, 40.0, -40.0, 1e-310]])
-    want = x * 0.5 * (1 + erf(x / np.sqrt(2)))
+    x = GELU64_INPUTS
+    want = x * 0.5 * (1 + np.array([math.erf(v) for v in x / np.sqrt(2)]))
     assert nc.gelu(Tensor(x, dtype=np.float64)).data.tobytes() == want.tobytes()
+
+
+def test_float64_gelu_is_within_1e_15_of_the_scipy_erf_formula():
+    x = GELU64_INPUTS
+    want = x * 0.5 * (1 + erf(x / np.sqrt(2)))
+    assert np.max(np.abs(nc.gelu(Tensor(x, dtype=np.float64)).data - want)) <= 1e-15
 
 
 def test_float32_gelu_is_close_to_the_exact_one():
