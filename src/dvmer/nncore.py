@@ -11,6 +11,11 @@ Stegun 7.1.26 erf, whose largest error against the float64 erf is about 6e-7.
 Inside `with no_grad():` ops still compute and check their outputs but record
 no graph, so forward-only passes free each intermediate as soon as it is
 dead.
+
+`Tensor.backward` frees each interior node's gradient as soon as that node
+has passed it to its parents; only leaves keep theirs. So a sweep holds the
+graph's activations plus the gradients still in flight, and a later sweep
+through a shared node starts from zero rather than from a stale gradient.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this node; seeds with ones by default."""
+        """Reverse-mode sweep from this node; seeds with ones by default.
+        Leaves accumulate into .grad; interior nodes end with .grad None."""
         if grad is None:
             grad = np.ones_like(self.data)
         self.grad = np.asarray(grad, dtype=self.data.dtype)
@@ -122,6 +128,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # every consumer has added its share; leaves keep theirs
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
@@ -392,8 +399,22 @@ def gelu(a: Tensor) -> Tensor:
         np.multiply(xb, p, out=flat_out[start:start + n])
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accum(a, g * (phi + x * pdf))
+        # g * (phi + x * pdf(x)) in blocks, the same bytes as the whole-array formula
+        grad = np.empty(x.shape, np.result_type(g, x))
+        flat_x, flat_g, flat_phi, flat_grad = x.reshape(-1), g.reshape(-1), phi.reshape(-1), grad.reshape(-1)
+        u = np.empty(min(x.size, GELU_BLOCK), x.dtype)
+        for start in range(0, x.size, GELU_BLOCK):
+            xb = flat_x[start:start + GELU_BLOCK]
+            n = xb.size
+            ub = u[:n]
+            np.multiply(xb, -0.5, out=ub)
+            ub *= xb
+            np.exp(ub, out=ub)
+            ub *= _INV_SQRT_2PI
+            ub *= xb
+            ub += flat_phi[start:start + n]
+            np.multiply(flat_g[start:start + n], ub, out=flat_grad[start:start + n])
+        _accum(a, grad)
 
     return _node(data, (a,), backward, "gelu")
 
@@ -425,7 +446,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def backward(g):
         g = g.reshape(-1, d_out)
-        _accum(x, (g @ w.data).reshape(x.data.shape))
+        if x.requires_grad:
+            _accum(x, (g @ w.data).reshape(x.data.shape))
         _accum(w, g.T @ x.data.reshape(-1, d_in))
         if b is not None:
             _accum(b, g.sum(axis=0))

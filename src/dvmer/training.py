@@ -23,7 +23,7 @@ import numpy as np
 from . import curriculum
 from . import memory
 from . import nncore as nc
-from .data import Sample
+from .data import Sample, _check_dimension
 from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue
 from .features import FeaturePair
 from .model import BranchOutputs, DualViewModel, ModelConfig
@@ -91,6 +91,7 @@ class TrainConfig:
             raise ConfigError(f"tau_min {self.tau_min} must not exceed tau_max {self.tau_max}")
         if self.mode not in ("full", "semi"):
             raise ConfigError(f"mode must be 'full' or 'semi', got {self.mode!r}")
+        _check_dimension(self.dimension)
 
     def weights(self) -> LossWeights:
         return LossWeights(
@@ -476,30 +477,34 @@ class Embeddings:
     logits_fuse: np.ndarray
 
 
-def embed(model: DualViewModel, samples: list[Sample], batch_size: int = 64) -> Embeddings:
-    """Inference forward pass over samples in batches, building no autodiff
-    graph, so only one batch's activations are alive at a time."""
+# the training batch: inference's peak memory is one such batch's activations
+INFER_BATCH = 16
+
+
+def embed(model: DualViewModel, samples: list[Sample]) -> Embeddings:
+    """Inference forward pass over samples in batches of INFER_BATCH, building
+    no autodiff graph, so only one batch's activations are alive at a time."""
     if not samples:
         raise EmptySplit("no samples to embed")
     parts = {f.name: [] for f in fields(Embeddings)}
     with nc.no_grad():
-        for start in range(0, len(samples), batch_size):
-            mel, coch, _, _ = _stack_batch(samples, range(start, min(start + batch_size, len(samples))))
+        for start in range(0, len(samples), INFER_BATCH):
+            mel, coch, _, _ = _stack_batch(samples, range(start, min(start + INFER_BATCH, len(samples))))
             outputs = model.forward(mel, coch, training=False)
             for name, chunks in parts.items():
                 chunks.append(getattr(outputs, name).data)
     return Embeddings(**{name: np.concatenate(chunks) for name, chunks in parts.items()})
 
 
-def predict_scores(model: DualViewModel, samples: list[Sample], ensemble: bool = False,
-                   batch_size: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def predict_scores(model: DualViewModel, samples: list[Sample],
+                   ensemble: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positive-class probabilities and argmax predictions for a sample list.
 
     Uses the fused head; ensemble mode averages the three heads'
     temperature-1 probabilities.
     """
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    out = embed(model, samples, batch_size)
+    out = embed(model, samples)
     probs = nc.softmax(Tensor(out.logits_fuse)).data
     if ensemble:
         probs = (

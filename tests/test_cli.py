@@ -377,6 +377,20 @@ def test_out_of_range_run_config_value_exits_2_naming_the_key(workspace, tmp_pat
     test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line)
 
 
+@pytest.mark.parametrize("features", ("cache", "empty"))
+def test_unknown_dimension_exits_2_naming_the_run_config(workspace, tmp_path, capsys, features):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(RUN_CFG.replace("dimension = arousal", "dimension = foo"))
+    (tmp_path / "empty").mkdir()
+    feature_dir = workspace["cache"] if features == "cache" else tmp_path / "empty"
+    rc = main(["train", "--config", str(bad), "--manifest", str(workspace["manifest"]),
+               "--features", str(feature_dir), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert str(bad) in out and "dimension" in out
+    assert not (tmp_path / "o").exists()
+
+
 def test_ablated_checkpoint_needs_the_same_flags_at_eval(workspace, tmp_path, capsys):
     ablate = ["--no-dsaf", "--no-pcl", "--no-saml"]
     out = tmp_path / "ablate"
@@ -587,7 +601,8 @@ def _fuzz_bytes(valid_lines: list[bytes]):
 
 
 FUZZ_LINES = {
-    "run_config": [row.encode() for row in RUN_CFG.splitlines()] + [b"heads = 3", b"dimension = none"],
+    "run_config": [row.encode() for row in RUN_CFG.splitlines()] + [b"heads = 3", b"dimension = none",
+                                                                     b"dimension = foo"],
     "feature_config": [b"frame_len = 1001", b"hop = 1", b"frame_count = 1", b"segment_duration = inf", b"# note"],
     "manifest": [b"t0\t0.5\t0.5", b"t0\t0.5\t-0.5\tx.wav", b"t1\tnan\t0", b"# comment"],
     "log": [json.dumps(GOOD_RECORD).encode(), b"{}", b"[]"],

@@ -207,21 +207,29 @@ def test_queue_receives_no_gradients():
     produced = nc.matmul(x, w)
     queue = mem.MemoryQueue(capacity=2, dim=2, dtype=np.float64)
     queue.enqueue(produced.data, np.array([0]))  # stored as plain arrays
+    queue.enqueue(np.array([[0.0, 1.0]]), np.array([1]))  # a negative, so the loss has a gradient
 
-    query = nc.l2_normalize(nc.matmul(Tensor(np.array([[1.0, 2.0]]), dtype=np.float64), w))
+    def build_query():
+        return nc.l2_normalize(nc.matmul(Tensor(np.array([[1.0, 2.0]]), dtype=np.float64), w))
+
+    query = build_query()
     loss = mem.contrastive_loss(query, np.array([0]), queue)
     loss.backward()
     grad_with_original_queue = w.grad.copy()
     assert produced.grad is None
+    assert np.any(grad_with_original_queue != 0)
 
     # perturbing the stored keys changes the loss value but gradients still
-    # flow only through the query path
+    # flow only through the query path, which the second loss shares with the first
     queue.keys *= 0.9
     w.zero_grad()
     loss2 = mem.contrastive_loss(query, np.array([0]), queue)
     loss2.backward()
-    assert w.grad is not None
     assert grad_with_original_queue.shape == w.grad.shape
+    shared = w.grad.copy()
+    w.zero_grad()
+    mem.contrastive_loss(build_query(), np.array([0]), queue).backward()
+    assert np.array_equal(shared, w.grad)
 
 
 def test_momentum_mode_blends_overwrites():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,63 @@ def test_end_to_end_gradient_check():
 
     report = nc.gradient_check(fn, model.parameters(), step=1e-4, op_name="encode+classify")
     assert report.max_rel_error < 1e-4
+
+
+def _training_loss(model, batch=16, seed=14):
+    """A three-head cross-entropy over one training-mode forward of random
+    default-shaped grams."""
+    rng = np.random.default_rng(seed)
+    cfg = model.cfg
+    mel = rng.normal(size=(batch, cfg.mel_bands, cfg.frame_count)).astype(np.float32)
+    coch = rng.normal(size=(batch, cfg.coch_channels, cfg.frame_count)).astype(np.float32)
+    labels = rng.integers(0, cfg.n_classes, size=batch)
+    out = model.forward(mel, coch, rng=rng, training=True)
+    terms = [nc.tmean(nc.cross_entropy(logits, labels)) for logits in (out.logits_mel, out.logits_coch, out.logits_fuse)]
+    return nc.add(nc.add(terms[0], terms[1]), terms[2])
+
+
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_leaves_gradients_on_leaves_only():
+    model = DualViewModel(ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=1), np.random.default_rng(15))
+    loss = _training_loss(model, batch=4)
+    nodes = _graph_nodes(loss)
+    loss.backward()
+    interior = [n for n in nodes if n._backward is not None]
+    leaves = [n for n in nodes if n._backward is None and n.requires_grad]
+    assert len(interior) > 100
+    assert {id(n) for n in leaves} == {id(p) for p in model.parameters().values()}
+    assert all(n.grad is None for n in interior)
+    assert all(n.grad is not None for n in leaves)
+    assert all(n.grad is None for n in nodes if not n.requires_grad)
+
+
+def test_backward_peak_holds_no_dead_gradients():
+    """The sweep frees each interior gradient once it is used, so its peak
+    above the forward graph is a small share of that graph, not a second copy."""
+    model = DualViewModel(ModelConfig(embed_dim=32, fusion_dim=64, heads=2, layers=2), np.random.default_rng(16))
+    _training_loss(model).backward()  # warm-up outside the traced run
+    for p in model.parameters().values():
+        p.zero_grad()
+    tracemalloc.start()
+    try:
+        loss = _training_loss(model)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 0.25 * held, f"backward peak {(peak - held) / 1e6:.1f} MB over a {held / 1e6:.1f} MB graph"
 
 
 @pytest.mark.parametrize("field,value", (

@@ -116,6 +116,17 @@ def test_gradient_accumulates_through_shared_subexpressions():
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0)
 
 
+def test_a_second_backward_through_a_shared_node_gives_the_true_gradient():
+    w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    h = nc.matmul(Tensor(np.array([[2.0, 1.0]])), w)
+    nc.tsum(h).backward()
+    first = w.grad.copy()
+    assert h.grad is None  # an interior node lets its gradient go once it has passed it on
+    w.zero_grad()
+    nc.tsum(nc.mul(h, 1.0)).backward()
+    assert np.array_equal(w.grad, first)
+
+
 def test_dropout_inverted_scaling_and_eval_identity():
     rng = np.random.default_rng(5)
     x = Tensor(np.ones((4, 1000), dtype=np.float32))
@@ -324,6 +335,21 @@ def test_linear_matches_the_batched_form_bit_for_bit(layout, d_in, d_out):
         assert np.array_equal(got, want)
 
 
+def test_linear_gives_no_input_gradient_when_the_input_needs_none():
+    rng = np.random.default_rng(65)
+    x_np = rng.normal(size=(4, 7, 6)).astype(np.float32)
+    g = rng.normal(size=(4, 7, 5)).astype(np.float32)
+    grads = {}
+    for x_needs in (False, True):
+        x = Tensor(x_np, requires_grad=x_needs)
+        w, b = nc.init_linear_params(5, 6, np.random.default_rng(66))
+        nc.linear(x, w, b).backward(g)
+        grads[x_needs] = (x.grad, w.grad, b.grad)
+    assert grads[False][0] is None and grads[True][0] is not None
+    for got, want in zip(grads[False][1:], grads[True][1:]):
+        assert got.tobytes() == want.tobytes()
+
+
 def _erf32(z):
     return nc._erf32(z, np.empty_like(z), np.empty_like(z), np.empty_like(z))
 
@@ -390,6 +416,26 @@ def test_gelu_of_a_transposed_input():
     nc.tsum(out_t).backward()
     nc.tsum(out_c).backward()
     assert np.array_equal(x_t.grad, x_c.grad)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("layout", ("flat", "transposed"))
+def test_blocked_gelu_backward_is_the_bytes_of_the_whole_array_formula(dtype, layout):
+    rng = np.random.default_rng(67)
+    if layout == "flat":
+        x_np = rng.normal(scale=3.0, size=2 * nc.GELU_BLOCK + 7).astype(dtype)
+    else:
+        x_np = rng.normal(scale=3.0, size=(300, 231)).astype(dtype).T
+    g = rng.normal(size=x_np.shape).astype(dtype)
+    x = Tensor(x_np, requires_grad=True)
+    nc.gelu(x).backward(g)
+    z = x_np / nc._SQRT2
+    erf_z = _erf32(z) if dtype == np.float32 else nc._ERF64(z).astype(dtype)
+    phi = (erf_z + 1.0) * 0.5
+    pdf = np.exp(-0.5 * x_np * x_np) * nc._INV_SQRT_2PI
+    want = g * (phi + x_np * pdf)
+    assert x.grad.dtype == dtype and x.grad.shape == x_np.shape
+    assert x.grad.tobytes() == want.tobytes()
 
 
 def test_forward_only_gelu_peaks_near_its_output():

@@ -268,13 +268,13 @@ def test_checkpoint_round_trip_and_hash_guard(tmp_path):
 
 def test_predict_scores_and_embed_match_a_graph_building_forward():
     model = DualViewModel(TINY_MODEL, np.random.default_rng(30))
-    samples = dk.synth_dataset(n=150, separation=5.0, noise=0.1, seed=31)  # batches 64, 64, 22
+    samples = dk.synth_dataset(n=2 * tr.INFER_BATCH + 6, separation=5.0, noise=0.1, seed=31)  # two full batches and a part
     labels, scores, preds = tr.predict_scores(model, samples)
     _, ens_scores, ens_preds = tr.predict_scores(model, samples, ensemble=True)
     emb = tr.embed(model, samples)
     assert np.array_equal(labels, [s.label for s in samples])
-    for start in range(0, len(samples), 64):
-        batch = samples[start:start + 64]
+    for start in range(0, len(samples), tr.INFER_BATCH):
+        batch = samples[start:start + tr.INFER_BATCH]
         rows = slice(start, start + len(batch))
         out = model.forward(np.stack([s.pair.mel for s in batch]), np.stack([s.pair.coch for s in batch]))
         assert out.z_fuse._backward is not None  # the reference builds a graph
@@ -307,9 +307,9 @@ def test_predict_scores_memory_does_not_grow_with_batches():
     """Forward-only inference keeps one batch's activations alive at a time,
     so three batches peak no higher than one."""
     model = DualViewModel(ModelConfig(embed_dim=32, fusion_dim=64, heads=2, layers=1), np.random.default_rng(33))
-    samples = dk.synth_dataset(n=192, separation=5.0, noise=0.1, seed=34)
-    tr.predict_scores(model, samples[:64])  # warm-up outside the traced runs
-    one = _traced_peak(lambda: tr.predict_scores(model, samples[:64]))
+    samples = dk.synth_dataset(n=3 * tr.INFER_BATCH, separation=5.0, noise=0.1, seed=34)
+    tr.predict_scores(model, samples[:tr.INFER_BATCH])  # warm-up outside the traced runs
+    one = _traced_peak(lambda: tr.predict_scores(model, samples[:tr.INFER_BATCH]))
     three = _traced_peak(lambda: tr.predict_scores(model, samples))
     assert three <= 1.1 * one, f"peak {three / 1e6:.1f} MB over three batches vs {one / 1e6:.1f} MB over one"
 
