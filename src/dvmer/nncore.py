@@ -2,8 +2,10 @@
 
 Implements exactly the tensor operations the dual-view architecture needs:
 linear maps, temperature softmax, layer norm, GELU, multi-head attention,
-dropout, and the reductions that glue them together. Gradients are verified
-against central finite differences via gradient_check.
+dropout, and the reductions that glue them together. The attention core
+(scores, softmax, context) is one op with an analytic backward, so a graph
+keeps one weight array per call. Gradients are verified against central
+finite differences via gradient_check.
 
 Training runs in float32; gradient checking runs in float64. GELU's float64
 erf is math.erf, within 3 ulp of the exact erf; float32 uses the Abramowitz &
@@ -466,6 +468,47 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return add(mul(normed, gamma), beta)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(d_h)) v as one node, over [B, N_q, D]
+    queries and [B, N_k, D] keys and values; returns the merged [B, N_q, D]
+    context. The scores are checked once, after the q k^T GEMM, then scaled
+    and softmaxed in place; the node keeps its inputs and the weights P. The
+    backward, dS = (dP - rowsum(dP * P)) * P * scale, runs the primitive
+    composite's operations in its order, so it gives that composite's bytes."""
+    if not (q.ndim == k.ndim == v.ndim == 3 and k.shape == v.shape and q.shape[::2] == k.shape[::2]):
+        raise ShapeMismatch(f"attention expects [B, N_q, D], [B, N_k, D], [B, N_k, D]: {q.shape}, {k.shape}, {v.shape}")
+    batch, n_q, dim = q.shape
+    n_k = k.shape[1]
+    if dim % heads != 0:
+        raise HeadDivisibility(f"dim {dim} not divisible by heads {heads}")
+    head_dim = dim // heads
+    qh, kh, vh = (t.data.reshape(batch, n, heads, head_dim).transpose(0, 2, 1, 3)
+                  for t, n in ((q, n_q), (k, n_k), (v, n_k)))
+    scale = q.dtype.type(1.0 / np.sqrt(head_dim))
+    p = qh @ np.swapaxes(kh, -1, -2)
+    _check_finite(p, "attention")
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data = (p @ vh).transpose(0, 2, 1, 3).reshape(batch, n_q, dim)
+
+    def merge(g, n):
+        return g.transpose(0, 2, 1, 3).reshape(batch, n, dim)
+
+    def backward(g):
+        gc = g.reshape(batch, n_q, heads, head_dim).transpose(0, 2, 1, 3)
+        gs = gc @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
+        _accum(v, merge(np.swapaxes(p, -1, -2) @ gc, n_k))
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        _accum(q, merge(gs @ kh, n_q))
+        _accum(k, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2), n_k))
+
+    return _node(data, (q, k, v), backward, "attention")
+
+
 def select_classes(t: Tensor, idx) -> Tensor:
     """Pick one entry per row of a [B, C] tensor; used for cross-entropy."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -524,14 +567,13 @@ def init_layer_norm_params(dim: int, dtype=np.float32):
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention with learned Q/K/V and output projections."""
+    """Learned Q/K/V projections, the `attention` op, then the output
+    projection: five graph nodes per call."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
         if dim % heads != 0:
             raise HeadDivisibility(f"dim {dim} not divisible by heads {heads}")
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq, self.bq = init_linear_params(dim, dim, rng, dtype)
         self.wk, self.bk = init_linear_params(dim, dim, rng, dtype)
         self.wv, self.bv = init_linear_params(dim, dim, rng, dtype)
@@ -545,32 +587,11 @@ class MultiHeadAttention:
             "wo": self.wo, "bo": self.bo,
         }
 
-    def _split_heads(self, t: Tensor, batch: int, n: int) -> Tensor:
-        return transpose(reshape(t, (batch, n, self.heads, self.head_dim)), (0, 2, 1, 3))
-
     def __call__(self, query: Tensor, key: Tensor, value: Tensor) -> Tensor:
-        if query.ndim != 3 or key.ndim != 3 or value.ndim != 3:
-            raise ShapeMismatch("attention expects [B, N, D] inputs")
-        if query.shape[-1] != self.dim or key.shape[-1] != self.dim or value.shape[-1] != self.dim:
-            raise ShapeMismatch(
-                f"attention dim {self.dim} vs inputs {query.shape}, {key.shape}, {value.shape}"
-            )
-        if key.shape[:2] != value.shape[:2] or query.shape[0] != key.shape[0]:
-            raise ShapeMismatch(
-                f"attention batch/key mismatch: {query.shape}, {key.shape}, {value.shape}"
-            )
-        batch, n_q, _ = query.shape
-        n_k = key.shape[1]
-
-        q = self._split_heads(linear(query, self.wq, self.bq), batch, n_q)
-        k = self._split_heads(linear(key, self.wk, self.bk), batch, n_k)
-        v = self._split_heads(linear(value, self.wv, self.bv), batch, n_k)
-
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.head_dim))
-        weights = softmax(scores, axis=-1)
-        context = matmul(weights, v)
-        merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, n_q, self.dim))
-        return linear(merged, self.wo, self.bo)
+        q = linear(query, self.wq, self.bq)
+        k = linear(key, self.wk, self.bk)
+        v = linear(value, self.wv, self.bv)
+        return linear(attention(q, k, v, self.heads), self.wo, self.bo)
 
 
 # -- gradient verification ------------------------------------------------

@@ -124,7 +124,7 @@ def _graph_nodes(root):
 
 
 def test_backward_leaves_gradients_on_leaves_only():
-    model = DualViewModel(ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=1), np.random.default_rng(15))
+    model = DualViewModel(ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=2), np.random.default_rng(15))
     loss = _training_loss(model, batch=4)
     nodes = _graph_nodes(loss)
     loss.backward()

@@ -59,15 +59,85 @@ def test_layer_norm_moments():
 
 def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(3)
-    mha = nc.MultiHeadAttention(8, 2, rng, dtype=np.float64)
-    q = Tensor(rng.normal(size=(2, 3, 8)), dtype=np.float64)
-    k = Tensor(rng.normal(size=(2, 5, 8)), dtype=np.float64)
-    # reproduce the internal weights to check the row-sum contract
-    qh = mha._split_heads(nc.linear(q, mha.wq, mha.bq), 2, 3)
-    kh = mha._split_heads(nc.linear(k, mha.wk, mha.bk), 2, 5)
-    scores = nc.mul(nc.matmul(qh, nc.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(mha.head_dim))
-    weights = nc.softmax(scores, axis=-1).data
-    assert np.all(np.abs(weights.sum(axis=-1) - 1.0) < 1e-6)
+    q = Tensor(rng.normal(scale=3.0, size=(2, 3, 8)), dtype=np.float64)
+    k = Tensor(rng.normal(scale=3.0, size=(2, 5, 8)), dtype=np.float64)
+    # each output row is P @ v; with v all ones it is the row sums of P
+    out = nc.attention(q, k, Tensor(np.ones((2, 5, 8)), dtype=np.float64), heads=2).data
+    assert np.all(np.abs(out - 1.0) < 1e-6)
+
+
+def _composite_attention(q, k, v, heads):
+    """The attention core from primitive nodes: split heads, scaled scores,
+    softmax, context, merge."""
+    batch, n_q, dim = q.shape
+    n_k, head_dim = k.shape[1], dim // heads
+
+    def split(t, n):
+        return nc.transpose(nc.reshape(t, (batch, n, heads, head_dim)), (0, 2, 1, 3))
+
+    scores = nc.mul(nc.matmul(split(q, n_q), nc.transpose(split(k, n_k), (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
+    context = nc.matmul(nc.softmax(scores, axis=-1), split(v, n_k))
+    return nc.reshape(nc.transpose(context, (0, 2, 1, 3)), (batch, n_q, dim))
+
+
+def test_attention_gradients_match_finite_differences():
+    rng = np.random.default_rng(30)
+    q, k, v = (Tensor(rng.normal(size=(2, n, 4)), dtype=np.float64, requires_grad=True) for n in (3, 5, 5))
+    proj = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+
+    def fn():
+        return nc.tsum(nc.mul(nc.attention(q, k, v, heads=2), proj))
+
+    report = nc.gradient_check(fn, {"q": q, "k": k, "v": v}, op_name="attention")
+    assert report.max_rel_error < 1e-6, report.per_input
+
+
+@pytest.mark.parametrize("dtype,q_shape,k_shape,heads", (
+    (np.float32, (16, 87, 128), (16, 87, 128), 4),
+    (np.float64, (3, 5, 6), (3, 7, 6), 3),
+))
+def test_attention_is_the_bytes_of_the_primitive_composite(dtype, q_shape, k_shape, heads):
+    rng = np.random.default_rng(31)
+    arrays = [rng.normal(size=s).astype(dtype) for s in (q_shape, k_shape, k_shape)]
+    g = rng.normal(size=q_shape).astype(dtype)
+    results = []
+    for fn in (_composite_attention, nc.attention):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*inputs, heads)
+        out.backward(g)
+        results.append([out.data] + [t.grad for t in inputs])
+    for want, got in zip(*results):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_attention_rejects_non_finite_scores_and_values():
+    ones = np.ones((1, 2, 4), dtype=np.float32)
+    big = Tensor(np.full((1, 2, 4), 1e20, dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="attention"):
+        nc.attention(big, big, Tensor(ones), heads=2)  # q k^T overflows float32 to inf
+    v = ones.copy()
+    v[0, 1, 3] = np.nan
+    with pytest.raises(NonFiniteValue, match="attention"):
+        nc.attention(Tensor(ones), Tensor(ones), Tensor(v), heads=2)
+
+
+def test_training_attention_keeps_one_score_array():
+    """A graph-building call holds its four projections, the merged context
+    and one [B, heads, N_q, N_k] array of weights; no second score array."""
+    rng = np.random.default_rng(32)
+    mha = nc.MultiHeadAttention(128, 4, rng)
+    x = Tensor(rng.normal(size=(16, 87, 128)).astype(np.float32), requires_grad=True)
+    mha(x, x, x)  # warm-up outside the traced call
+    tracemalloc.start()
+    try:
+        out = mha(x, x, x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    scores = 16 * 4 * 87 * 87 * 4
+    allowed = scores + 5 * x.data.nbytes + (1 << 16)
+    assert out.shape == x.shape
+    assert held <= allowed, f"holds {held / 1e6:.2f} MB, allowed {allowed / 1e6:.2f} MB"
 
 
 def test_mha_shape_errors():
@@ -79,6 +149,12 @@ def test_mha_shape_errors():
         mha(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 4, 6))), Tensor(np.zeros((1, 4, 6))))
     with pytest.raises(ShapeMismatch):
         mha(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 4, 8))), Tensor(np.zeros((1, 5, 8))))
+    with pytest.raises(ShapeMismatch):
+        mha(Tensor(np.zeros((3, 8))), Tensor(np.zeros((4, 8))), Tensor(np.zeros((4, 8))))
+    with pytest.raises(ShapeMismatch):
+        mha(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((2, 4, 8))))
+    with pytest.raises(HeadDivisibility):
+        nc.attention(*(Tensor(np.zeros((1, 3, 8))) for _ in range(3)), heads=3)
 
 
 def test_linear_shape_errors():
