@@ -84,6 +84,16 @@ def _overrides_from_args(args) -> dict:
 # -- commands -----------------------------------------------------------------
 
 
+def _extract_track(wav_path, cache_path, track_id, cfg):
+    """One track from WAV to cache. The whole track is freed once its segment
+    is cut, and the rest before the next WAV is read."""
+    track, rate = feats.read_wav(wav_path)
+    seg = feats.select_segment(track, rate, cfg)
+    del track
+    pair = feats.extract_pair(seg, cfg)
+    feats.write_feature_cache(cache_path, pair, track_id, cfg)
+
+
 def cmd_extract_features(args) -> CommandResult:
     cfg = cfgmod.load_feature_config(args.config)
     in_dir, out_dir = args.in_dir, args.out
@@ -98,10 +108,7 @@ def cmd_extract_features(args) -> CommandResult:
     for name in wavs:
         track_id = os.path.splitext(name)[0]
         try:
-            track, rate = feats.read_wav(os.path.join(in_dir, name))
-            seg = feats.select_segment(track, rate, cfg)
-            pair = feats.extract_pair(seg, cfg)
-            feats.write_feature_cache(os.path.join(out_dir, f"{track_id}.dmrf"), pair, track_id, cfg)
+            _extract_track(os.path.join(in_dir, name), os.path.join(out_dir, f"{track_id}.dmrf"), track_id, cfg)
             done.append(track_id)
         except (TrackTooShort, BadSampleRate, ConfigError) as exc:
             failed.append((track_id, str(exc)))

@@ -179,9 +179,9 @@ def select_segment(track, sample_rate: int, cfg: FeatureConfig | None = None) ->
 
     start = int(round(cfg.segment_start * sample_rate))
     length = cfg.segment_len
-    segment = track[start:start + length]
-    if segment.shape[0] < length:
-        segment = np.concatenate([segment, np.zeros(length - segment.shape[0])])
+    segment = np.zeros(length)  # owns its samples, so the track can be freed
+    window = track[start:start + length]
+    segment[:window.shape[0]] = window
     return AudioSegment(samples=segment, sample_rate=sample_rate, start_offset=cfg.segment_start)
 
 
@@ -352,11 +352,16 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         raise ConfigError(f"{path}: malformed WAV: {str(exc) or 'cut or inconsistent header'}") from exc
     if len(raw) % (2 * channels):
         raise ConfigError(f"{path}: malformed WAV: audio data ends inside a {2 * channels}-byte frame")
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    del raw
-    data /= 32768.0
-    if channels > 1:
-        data = data.reshape(-1, channels).mean(axis=1)
+    frames = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
+    del raw  # frames keeps the buffer until the channel sum replaces it
+    # the exact integer channel sum, rounded once by the division: the bytes
+    # of the float mean of samples / 32768
+    total = frames[:, 0].astype(np.int32 if channels > 1 else np.float64)
+    for ch in range(1, channels):
+        total += frames[:, ch]
+    del frames
+    data = total.astype(np.float64, copy=False)
+    data /= channels * 32768.0
     return data, rate
 
 

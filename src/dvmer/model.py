@@ -7,7 +7,9 @@ column; both views are projected into a shared embedding space. Every
 cross-view layer computes both attention directions from the same input
 tokens (simultaneous update), each followed by dropout, a residual
 connection, layer norm, and a position-wise feed-forward block with GELU
-and 4x expansion.
+and 4x expansion. That block and the fusion MLP are each one
+`nncore.feed_forward` node, which keeps the hidden pre-activation and Phi
+but not the GELU output.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class FeedForward:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def __call__(self, x: Tensor) -> Tensor:
-        return nc.linear(nc.gelu(nc.linear(x, self.w1, self.b1)), self.w2, self.b2)
+        return nc.feed_forward(x, self.w1, self.b1, self.w2, self.b2)
 
 
 class CrossDirection:
@@ -197,7 +199,7 @@ class DualViewModel:
         z_mel = nc.tmean(tokens.h_mel, axis=1)
         z_coch = nc.tmean(tokens.h_coch, axis=1)
         joint = nc.concat([z_mel, z_coch], axis=-1)
-        z_fuse = nc.linear(nc.gelu(nc.linear(joint, self.fuse_w1, self.fuse_b1)), self.fuse_w2, self.fuse_b2)
+        z_fuse = nc.feed_forward(joint, self.fuse_w1, self.fuse_b1, self.fuse_w2, self.fuse_b2)
         return BranchOutputs(z_mel=z_mel, z_coch=z_coch, z_fuse=z_fuse)
 
     def classify(self, outputs: BranchOutputs) -> BranchOutputs:

@@ -4,8 +4,12 @@ Implements exactly the tensor operations the dual-view architecture needs:
 linear maps, temperature softmax, layer norm, GELU, multi-head attention,
 dropout, and the reductions that glue them together. The attention core
 (scores, softmax, context) is one op with an analytic backward, so a graph
-keeps one weight array per call. Gradients are verified against central
-finite differences via gradient_check.
+keeps one weight array per call. The feed-forward block (linear, GELU,
+linear) is one op too: its node keeps the hidden pre-activation and Phi
+and rebuilds the GELU output in its backward. A training dropout node keeps
+a one-byte boolean mask. Each fused op gives its primitive composite's
+bytes. Gradients are verified against central finite differences via
+gradient_check.
 
 Training runs in float32; gradient checking runs in float64. GELU's float64
 erf is math.erf, within 3 ulp of the exact erf; float32 uses the Abramowitz &
@@ -177,8 +181,10 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _reduce_to(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _reduce_to(g, b.data.shape))
 
     return _node(data, (a, b), backward, "add")
 
@@ -188,8 +194,10 @@ def sub(a: Tensor, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _reduce_to(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _reduce_to(-g, b.data.shape))
 
     return _node(data, (a, b), backward, "sub")
 
@@ -206,8 +214,10 @@ def mul(a: Tensor, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, _reduce_to(g * b.data, a.data.shape))
-        _accum(b, _reduce_to(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _reduce_to(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _reduce_to(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward, "mul")
 
@@ -217,8 +227,10 @@ def div(a: Tensor, b) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        _accum(a, _reduce_to(g / b.data, a.data.shape))
-        _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            _accum(a, _reduce_to(g / b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(data, (a, b), backward, "div")
 
@@ -376,21 +388,16 @@ def _erf32(z: np.ndarray, out: np.ndarray, t: np.ndarray, poly: np.ndarray) -> n
     return np.copysign(out, z, out=out)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU, x * Phi(x) with Phi(x) = (1 + erf(x / sqrt 2)) / 2, in blocks of
-    GELU_BLOCK elements. float64 uses math.erf, within 3 ulp of the exact
-    erf; float32 uses _erf32, whose largest error is about 6e-7. Phi is
-    kept for the backward only when a gradient will flow."""
-    x = a.data
-    keep_phi = _grad_enabled and a.requires_grad
-    data = np.empty(x.shape, x.dtype)
-    phi = np.empty(x.shape, x.dtype) if keep_phi else None
-    flat_x, flat_out = x.reshape(-1), data.reshape(-1)
+def _gelu_into(x: np.ndarray, out: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
+    """out = x * Phi(x), with Phi(x) = (1 + erf(x / sqrt 2)) / 2, in blocks of
+    GELU_BLOCK elements; Phi also goes into phi when one is given. out and phi
+    are C-contiguous arrays of x's shape, and out may be x itself."""
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     z, t, poly, phi_scratch = np.empty((4, min(x.size, GELU_BLOCK)), x.dtype)
     for start in range(0, x.size, GELU_BLOCK):
         xb = flat_x[start:start + GELU_BLOCK]
         n = xb.size
-        p = phi.reshape(-1)[start:start + n] if keep_phi else phi_scratch[:n]
+        p = phi_scratch[:n] if phi is None else phi.reshape(-1)[start:start + n]
         np.divide(xb, _SQRT2, out=z[:n])
         if x.dtype == np.float32:
             _erf32(z[:n], p, t[:n], poly[:n])
@@ -399,48 +406,71 @@ def gelu(a: Tensor) -> Tensor:
         p += 1.0
         p *= 0.5
         np.multiply(xb, p, out=flat_out[start:start + n])
+    return out
+
+
+def _gelu_grad_into(x: np.ndarray, phi: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = g * (phi + x * pdf(x)) in blocks of GELU_BLOCK elements, the same
+    bytes as the whole-array formula. out is C-contiguous and may be g."""
+    flat_x, flat_g, flat_phi, flat_out = x.reshape(-1), g.reshape(-1), phi.reshape(-1), out.reshape(-1)
+    u = np.empty(min(x.size, GELU_BLOCK), x.dtype)
+    for start in range(0, x.size, GELU_BLOCK):
+        xb = flat_x[start:start + GELU_BLOCK]
+        n = xb.size
+        ub = u[:n]
+        np.multiply(xb, -0.5, out=ub)
+        ub *= xb
+        np.exp(ub, out=ub)
+        ub *= _INV_SQRT_2PI
+        ub *= xb
+        ub += flat_phi[start:start + n]
+        np.multiply(flat_g[start:start + n], ub, out=flat_out[start:start + n])
+    return out
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU, x * Phi(x) with Phi(x) = (1 + erf(x / sqrt 2)) / 2, in blocks of
+    GELU_BLOCK elements. float64 uses math.erf, within 3 ulp of the exact
+    erf; float32 uses _erf32, whose largest error is about 6e-7. Phi is
+    kept for the backward only when a gradient will flow."""
+    x = a.data
+    phi = np.empty(x.shape, x.dtype) if _grad_enabled and a.requires_grad else None
+    data = _gelu_into(x, np.empty(x.shape, x.dtype), phi)
 
     def backward(g):
-        # g * (phi + x * pdf(x)) in blocks, the same bytes as the whole-array formula
-        grad = np.empty(x.shape, np.result_type(g, x))
-        flat_x, flat_g, flat_phi, flat_grad = x.reshape(-1), g.reshape(-1), phi.reshape(-1), grad.reshape(-1)
-        u = np.empty(min(x.size, GELU_BLOCK), x.dtype)
-        for start in range(0, x.size, GELU_BLOCK):
-            xb = flat_x[start:start + GELU_BLOCK]
-            n = xb.size
-            ub = u[:n]
-            np.multiply(xb, -0.5, out=ub)
-            ub *= xb
-            np.exp(ub, out=ub)
-            ub *= _INV_SQRT_2PI
-            ub *= xb
-            ub += flat_phi[start:start + n]
-            np.multiply(flat_g[start:start + n], ub, out=flat_grad[start:start + n])
-        _accum(a, grad)
+        _accum(a, _gelu_grad_into(x, phi, g, np.empty(x.shape, np.result_type(g, x))))
 
     return _node(data, (a,), backward, "gelu")
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
+    """Inverted dropout; identity when not training or p == 0. The node keeps
+    the boolean keep-mask, one byte per element, and rebuilds the scaled
+    mask for its backward."""
     if not training or p <= 0.0:
         return a
-    mask = (rng.random(a.data.shape) >= p).astype(a.dtype) / (1.0 - p)
-    data = a.data * mask
+    keep = rng.random(a.data.shape) >= p
+
+    def scaled_mask():
+        return keep.astype(a.dtype) / (1.0 - p)
 
     def backward(g):
-        _accum(a, g * mask)
+        _accum(a, g * scaled_mask())
 
-    return _node(data, (a,), backward, "dropout")
+    return _node(a.data * scaled_mask(), (a,), backward, "dropout")
+
+
+def _check_linear(d_in: int, w: Tensor, b: Tensor | None, op_name: str):
+    if d_in != w.data.shape[-1]:
+        raise ShapeMismatch(f"{op_name}: input dim {d_in} vs weight {w.data.shape}")
+    if b is not None and b.data.shape != (w.data.shape[0],):
+        raise ShapeMismatch(f"{op_name}: bias shape {b.data.shape} vs weight {w.data.shape}")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x W^T + b over the last axis; w is [d_out, d_in]. Any leading axes
     are flattened into one 2-D GEMM."""
-    if x.data.shape[-1] != w.data.shape[-1]:
-        raise ShapeMismatch(f"linear: input dim {x.data.shape[-1]} vs weight {w.data.shape}")
-    if b is not None and b.data.shape != (w.data.shape[0],):
-        raise ShapeMismatch(f"linear: bias shape {b.data.shape} vs weight {w.data.shape}")
+    _check_linear(x.data.shape[-1], w, b, "linear")
     d_out, d_in = w.data.shape
     data = (x.data.reshape(-1, d_in) @ w.data.T).reshape(x.data.shape[:-1] + (d_out,))
     if b is not None:
@@ -456,6 +486,44 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(data, parents, backward, "linear")
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(gelu(linear(x, w1, b1)), w2, b2) as one node, with the
+    composite's bytes. The node keeps x, the hidden pre-activation h and Phi;
+    its backward rebuilds the GELU output h * Phi for dW2 and drops it
+    before dL/d(gelu output) is allocated. h, the GELU output and the output
+    are each checked for non-finite values, as the composite checks them.
+    Without a graph the GELU output overwrites h."""
+    _check_linear(x.data.shape[-1], w1, b1, "feed_forward")
+    _check_linear(w1.data.shape[0], w2, b2, "feed_forward")
+    d_in, d_out = w1.data.shape[1], w2.data.shape[0]
+    h = x.data.reshape(-1, d_in) @ w1.data.T
+    h += b1.data
+    _check_finite(h, "feed_forward")
+    params = (x, w1, b1, w2, b2)
+    if _grad_enabled and any(t.requires_grad for t in params):
+        phi = np.empty_like(h)
+        act = _gelu_into(h, np.empty_like(h), phi)
+    else:
+        phi = None
+        act = _gelu_into(h, h)
+    _check_finite(act, "feed_forward")
+    data = act @ w2.data.T
+    data += b2.data
+
+    def backward(g):
+        g = g.reshape(-1, d_out)
+        _accum(w2, g.T @ (h * phi))  # the GELU output, rebuilt and dropped before dL/d(gelu output)
+        _accum(b2, g.sum(axis=0))
+        g = g @ w2.data
+        _gelu_grad_into(h, phi, g, g)  # dL/dh, in place
+        if x.requires_grad:
+            _accum(x, (g @ w1.data).reshape(x.data.shape))
+        _accum(w1, g.T @ x.data.reshape(-1, d_in))
+        _accum(b1, g.sum(axis=0))
+
+    return _node(data.reshape(x.data.shape[:-1] + (d_out,)), params, backward, "feed_forward")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

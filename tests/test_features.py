@@ -120,6 +120,19 @@ def test_power_spectra_allocation_peak_stays_below_twice_the_result():
     assert peak <= 2 * power.nbytes, f"peak {peak / 1e6:.1f} MB for a {power.nbytes / 1e6:.1f} MB result"
 
 
+def test_segment_owns_its_samples():
+    """The segment is a copy, so dropping the track frees the whole track;
+    its samples are the window's, zero-padded past the track's end."""
+    cfg = F.FeatureConfig()
+    start = round(cfg.segment_start * SR)
+    for seconds in (120, 50):
+        track = np.random.default_rng(seconds).normal(size=seconds * SR)
+        seg = F.select_segment(track, SR, cfg).samples
+        window = track[start:start + cfg.segment_len]
+        assert not np.shares_memory(seg, track)
+        assert seg.tobytes() == np.concatenate([window, np.zeros(cfg.segment_len - window.shape[0])]).tobytes()
+
+
 def test_extraction_deterministic():
     cfg = F.FeatureConfig(frame_len=2048, hop=1024)
     rng = np.random.default_rng(0)
@@ -294,6 +307,44 @@ def test_read_wav_mono_and_stereo(tmp_path):
     data, rate = F.read_wav(stereo)
     assert data.shape == x.shape
     assert np.max(np.abs(data)) < 1e-3  # channels average to silence
+
+
+def _write_pcm(path, pcm, channels):
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(2)
+        wf.setframerate(SR)
+        wf.writeframes(pcm.astype("<i2").tobytes())
+
+
+@pytest.mark.parametrize("channels", (1, 2, 3, 6))
+def test_read_wav_is_the_bytes_of_the_float_channel_mean(tmp_path, channels):
+    rng = np.random.default_rng(channels)
+    pcm = rng.integers(-32768, 32768, size=(4001, channels))
+    pcm[:3] = [[-32768] * channels, [32767] * channels, [-32768, 32767] * (channels // 2) + [1] * (channels % 2)]
+    path = tmp_path / "track.wav"
+    _write_pcm(path, pcm, channels)
+    want = pcm.reshape(-1).astype("<i2").astype(np.float64) / 32768
+    if channels > 1:
+        want = want.reshape(-1, channels).mean(axis=1)
+    data, rate = F.read_wav(path)
+    assert rate == SR and data.dtype == np.float64
+    assert data.tobytes() == want.tobytes()
+
+
+def test_stereo_read_wav_peaks_below_the_interleaved_float64_size(tmp_path):
+    frames = 200_000
+    path = tmp_path / "stereo.wav"
+    _write_pcm(path, np.random.default_rng(5).integers(-32768, 32768, size=(frames, 2)), 2)
+    tracemalloc.start()
+    try:
+        data, _ = F.read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (frames,)
+    interleaved = frames * 2 * 8
+    assert peak < interleaved, f"peak {peak / 1e6:.2f} MB, interleaved float64 {interleaved / 1e6:.2f} MB"
 
 
 def _malformed_wav(path, defect):

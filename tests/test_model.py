@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dvmer import nncore as nc
 from dvmer.errors import ConfigError, ShapeMismatch
-from dvmer.model import DualViewModel, ModelConfig, TokenSet
+from dvmer.model import DualViewModel, FeedForward, ModelConfig, TokenSet
 from dvmer.nncore import Tensor
 
 import example_checks as ec
@@ -154,6 +155,47 @@ def test_backward_peak_holds_no_dead_gradients():
     finally:
         tracemalloc.stop()
     assert peak - held <= 0.25 * held, f"backward peak {(peak - held) / 1e6:.1f} MB over a {held / 1e6:.1f} MB graph"
+
+
+def _traced_feed_forward_call(grad: bool):
+    """(held after the call, peak of the call, peak of its backward above
+    what the call held, h.nbytes, output nbytes) for one default-sized
+    FeedForward call: [16, 87, 128] -> 512 -> 128, float32."""
+    rng = np.random.default_rng(17)
+    ffn = FeedForward(128, 4, rng, np.float32)
+    x = Tensor(rng.normal(size=(16, 87, 128)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    mode = contextlib.nullcontext if grad else nc.no_grad
+    with mode():
+        ffn(x)  # warm-up outside the traced call
+        tracemalloc.start()
+        try:
+            out = ffn(x)
+            held, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            if grad:
+                out.backward(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    return held, peak, backward_peak, 16 * 87 * 512 * 4, out.data.nbytes
+
+
+def test_training_feed_forward_keeps_no_gelu_output():
+    """A graph-building call holds the hidden pre-activation h, Phi and its
+    output, not the GELU output; its backward rebuilds that output and drops
+    it before dL/d(gelu output) is allocated, so it peaks near one hidden array."""
+    held, _, backward_peak, hidden, out = _traced_feed_forward_call(grad=True)
+    allowed = 2 * hidden + out + (1 << 16)
+    assert held <= allowed, f"holds {held / 1e6:.2f} MB, allowed {allowed / 1e6:.2f} MB"
+    allowed = hidden + 3 * out + (1 << 16)
+    assert backward_peak <= allowed, f"backward peaks {backward_peak / 1e6:.2f} MB, allowed {allowed / 1e6:.2f} MB"
+
+
+def test_forward_only_feed_forward_peaks_at_one_hidden_array():
+    _, peak, _, hidden, out = _traced_feed_forward_call(grad=False)
+    allowed = hidden + out + 4 * nc.GELU_BLOCK * 4 + (1 << 16)
+    assert peak <= allowed, f"peak {peak / 1e6:.2f} MB, allowed {allowed / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("field,value", (

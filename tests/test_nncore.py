@@ -1,3 +1,4 @@
+import contextlib
 import math
 import struct
 import tracemalloc
@@ -140,6 +141,74 @@ def test_training_attention_keeps_one_score_array():
     assert held <= allowed, f"holds {held / 1e6:.2f} MB, allowed {allowed / 1e6:.2f} MB"
 
 
+def _composite_feed_forward(x, w1, b1, w2, b2):
+    return nc.linear(nc.gelu(nc.linear(x, w1, b1)), w2, b2)
+
+
+def test_feed_forward_gradients_match_finite_differences():
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64, requires_grad=True)
+    w1, b1 = nc.init_linear_params(6, 4, rng, np.float64)
+    w2, b2 = nc.init_linear_params(5, 6, rng, np.float64)
+    proj = Tensor(rng.normal(size=(2, 3, 5)), dtype=np.float64)
+
+    def fn():
+        return nc.tsum(nc.mul(nc.feed_forward(x, w1, b1, w2, b2), proj))
+
+    report = nc.gradient_check(fn, {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}, op_name="feed_forward")
+    assert report.max_rel_error < 1e-6, report.per_input
+
+
+@pytest.mark.parametrize("dtype,x_shape,hidden", (
+    (np.float32, (16, 87, 128), 512),
+    (np.float64, (7, 37, 8), 300),  # 77,700 hidden elements: two full GELU blocks and a partial one
+))
+def test_feed_forward_is_the_bytes_of_the_primitive_composite(dtype, x_shape, hidden):
+    rng = np.random.default_rng(34)
+    dim = x_shape[-1]
+    arrays = [rng.normal(size=x_shape)] + [a.data for a in nc.init_linear_params(hidden, dim, rng, dtype)]
+    arrays += [a.data for a in nc.init_linear_params(dim, hidden, rng, dtype)]
+    arrays = [a.astype(dtype) for a in arrays]
+    g = rng.normal(size=x_shape).astype(dtype)
+    results = []
+    for fn in (_composite_feed_forward, nc.feed_forward):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*inputs)
+        out.backward(g)
+        results.append([out.data] + [t.grad for t in inputs])
+        with nc.no_grad():
+            results[-1].append(fn(*inputs).data)
+    for want, got in zip(*results):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_feed_forward_rejects_non_finite_hidden_and_output():
+    x = Tensor(np.ones((1, 2, 4), dtype=np.float32))
+    w1, b1 = Tensor(np.ones((8, 4), dtype=np.float32)), Tensor(np.zeros(8, dtype=np.float32))
+    w2, b2 = Tensor(np.ones((4, 8), dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+    big = Tensor(np.full((1, 2, 4), 1e38, dtype=np.float32))
+    huge_w2 = Tensor(np.full((4, 8), 1e38, dtype=np.float32))
+    for grad_mode in (contextlib.nullcontext, nc.no_grad):
+        with grad_mode(), np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteValue, match="feed_forward"):
+                nc.feed_forward(big, w1, b1, w2, b2)  # the hidden pre-activation overflows
+            with pytest.raises(NonFiniteValue, match="feed_forward"):
+                nc.feed_forward(x, w1, b1, huge_w2, b2)  # the output overflows
+    assert np.isfinite(nc.feed_forward(x, w1, b1, w2, b2).data).all()
+
+
+def test_feed_forward_shape_errors():
+    rng = np.random.default_rng(35)
+    w1, b1 = nc.init_linear_params(8, 4, rng)
+    w2, b2 = nc.init_linear_params(4, 8, rng)
+    with pytest.raises(ShapeMismatch, match="input dim"):
+        nc.feed_forward(Tensor(np.zeros((2, 5))), w1, b1, w2, b2)
+    with pytest.raises(ShapeMismatch, match="input dim"):
+        nc.feed_forward(Tensor(np.zeros((2, 4))), w1, b1, w1, b1)
+    with pytest.raises(ShapeMismatch, match="bias"):
+        nc.feed_forward(Tensor(np.zeros((2, 4))), w1, b2, w2, b2)
+
+
 def test_mha_shape_errors():
     rng = np.random.default_rng(4)
     with pytest.raises(HeadDivisibility):
@@ -192,6 +261,22 @@ def test_gradient_accumulates_through_shared_subexpressions():
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0)
 
 
+def test_mul_backward_makes_no_product_for_a_constant_operand():
+    rng = np.random.default_rng(38)
+    a = Tensor(rng.normal(size=(1000, 500)), requires_grad=True)
+    b = rng.normal(size=a.shape)
+    g = rng.normal(size=a.shape)
+    out = nc.mul(a, b)
+    tracemalloc.start()
+    try:
+        out.backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(a.grad, g * b)
+    assert peak <= a.data.nbytes + (1 << 16), f"peak {peak / 1e6:.2f} MB for a {a.data.nbytes / 1e6:.2f} MB gradient"
+
+
 def test_a_second_backward_through_a_shared_node_gives_the_true_gradient():
     w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
     h = nc.matmul(Tensor(np.array([[2.0, 1.0]])), w)
@@ -218,6 +303,24 @@ def test_dropout_deterministic_given_seed():
     a = nc.dropout(x, 0.5, np.random.default_rng(7), training=True).data
     b = nc.dropout(x, 0.5, np.random.default_rng(7), training=True).data
     assert np.array_equal(a, b)
+
+
+def test_training_dropout_keeps_a_one_byte_mask_and_the_seeded_bytes():
+    rng = np.random.default_rng(36)
+    x = Tensor(rng.normal(size=(64, 1000)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = nc.dropout(x, 0.1, np.random.default_rng(37), training=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    allowed = out.data.nbytes + x.data.size + (1 << 16)
+    assert held <= allowed, f"holds {held / 1e6:.2f} MB, allowed {allowed / 1e6:.2f} MB"
+    out.backward(g)
+    mask = (np.random.default_rng(37).random(x.shape) >= 0.1).astype(np.float32) / (1.0 - 0.1)
+    assert out.data.tobytes() == (x.data * mask).tobytes()
+    assert x.grad.tobytes() == (g * mask).tobytes()
 
 
 def test_select_classes_and_cross_entropy():
