@@ -79,12 +79,11 @@ def curriculum_state(epoch: int, total_epochs: int, tau_max=TAU_MAX_DEFAULT, tau
     if epoch < 0 or epoch >= total_epochs:
         raise BadEpoch(f"epoch {epoch} outside [0, {total_epochs})")
     span = max(total_epochs - 1, 1)
-    step = min(epoch, span)
     return CurriculumState(
         epoch=epoch,
         total=total_epochs,
-        tau=temperature_at(step, span, tau_max, tau_min),
-        theta=threshold_at(step, span, theta_start, theta_min),
+        tau=temperature_at(epoch, span, tau_max, tau_min),
+        theta=threshold_at(epoch, span, theta_start, theta_min),
     )
 
 

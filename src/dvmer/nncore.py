@@ -8,8 +8,9 @@ keeps one weight array per call. The feed-forward block (linear, GELU,
 linear) is one op too: its node keeps the hidden pre-activation and Phi
 and rebuilds the GELU output in its backward. A training dropout node keeps
 a one-byte boolean mask. Each fused op gives its primitive composite's
-bytes. Gradients are verified against central finite differences via
-gradient_check.
+bytes. The two-operand ops (`_binary`) and the input of a linear map
+(`_linear_grads`) get no gradient computed when they need none. Gradients
+are verified against central finite differences via gradient_check.
 
 Training runs in float32; gradient checking runs in float64. GELU's float64
 erf is math.erf, within 3 ulp of the exact erf; float32 uses the Abramowitz &
@@ -176,30 +177,26 @@ def _reduce_to(g, shape):
 # -- elementwise and structural ops -------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    data = a.data + b.data
+def _binary(a: Tensor, b: Tensor, data, grad_a, grad_b, op_name) -> Tensor:
+    """A two-operand node. Its backward computes grad_a(g), then grad_b(g),
+    only for an operand that requires a gradient, summed over broadcast axes."""
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(g, b.data.shape))
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                _accum(t, _reduce_to(grad(g), t.data.shape))
 
-    return _node(data, (a, b), backward, "add")
+    return _node(data, (a, b), backward, op_name)
+
+
+def add(a: Tensor, b) -> Tensor:
+    b = _as_tensor(b, a.dtype)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g, "add")
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(-g, b.data.shape))
-
-    return _node(data, (a, b), backward, "sub")
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g, "sub")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -211,42 +208,20 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _reduce_to(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), backward, "mul")
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data, "mul")
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _reduce_to(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, (a, b), backward, "div")
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data), "div")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatch(f"matmul inner dims {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accum(a, _reduce_to(ga, a.data.shape))
-        _accum(b, _reduce_to(gb, b.data.shape))
-
-    return _node(data, (a, b), backward, "matmul")
+    return _binary(a, b, a.data @ b.data, lambda g: g @ np.swapaxes(b.data, -1, -2),
+                   lambda g: np.swapaxes(a.data, -1, -2) @ g, "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -467,6 +442,16 @@ def _check_linear(d_in: int, w: Tensor, b: Tensor | None, op_name: str):
         raise ShapeMismatch(f"{op_name}: bias shape {b.data.shape} vs weight {w.data.shape}")
 
 
+def _linear_grads(g2d: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None):
+    """Accumulate the gradients of x W^T + b from g2d, dL/dy as a
+    [rows, d_out] matrix; dL/dx only when x requires a gradient."""
+    if x.requires_grad:
+        _accum(x, (g2d @ w.data).reshape(x.data.shape))
+    _accum(w, g2d.T @ x.data.reshape(-1, w.data.shape[1]))
+    if b is not None:
+        _accum(b, g2d.sum(axis=0))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x W^T + b over the last axis; w is [d_out, d_in]. Any leading axes
     are flattened into one 2-D GEMM."""
@@ -477,12 +462,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         data += b.data
 
     def backward(g):
-        g = g.reshape(-1, d_out)
-        if x.requires_grad:
-            _accum(x, (g @ w.data).reshape(x.data.shape))
-        _accum(w, g.T @ x.data.reshape(-1, d_in))
-        if b is not None:
-            _accum(b, g.sum(axis=0))
+        _linear_grads(g.reshape(-1, d_out), x, w, b)
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(data, parents, backward, "linear")
@@ -518,10 +498,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         _accum(b2, g.sum(axis=0))
         g = g @ w2.data
         _gelu_grad_into(h, phi, g, g)  # dL/dh, in place
-        if x.requires_grad:
-            _accum(x, (g @ w1.data).reshape(x.data.shape))
-        _accum(w1, g.T @ x.data.reshape(-1, d_in))
-        _accum(b1, g.sum(axis=0))
+        _linear_grads(g, x, w1, b1)
 
     return _node(data.reshape(x.data.shape[:-1] + (d_out,)), params, backward, "feed_forward")
 
@@ -813,7 +790,7 @@ def unpack_array_table(buf: bytes, offset: int = 0, source: str = "array table")
     """Inverse of pack_array_table; returns (mapping, new_offset).
 
     Raises CheckpointMismatch naming `source` when the table is short or
-    malformed.
+    malformed, or repeats a name.
     """
     reader = BinaryReader(buf, source, offset)
     (count,) = reader.unpack("<I")
@@ -821,5 +798,7 @@ def unpack_array_table(buf: bytes, offset: int = 0, source: str = "array table")
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
+        if name in named:
+            raise CheckpointMismatch(f"{source}: repeated name '{name}'")
         named[name] = reader.array(_DTYPE_TAGS, f"'{name}'")
     return named, reader.offset

@@ -544,8 +544,8 @@ def save_checkpoint(path, result: TrainResult, config_hash: str):
 
 
 def read_checkpoint(path) -> dict:
-    """Parse a checkpoint container; any short, malformed or trailing byte
-    raises CheckpointMismatch."""
+    """Parse a checkpoint container; any short, malformed or trailing byte,
+    or a repeated section tag, raises CheckpointMismatch."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != CHECKPOINT_MAGIC:
@@ -560,6 +560,8 @@ def read_checkpoint(path) -> dict:
     sections = {}
     for _ in range(n_sections):
         tag = reader.text(4, "ascii")
+        if tag in sections:
+            raise CheckpointMismatch(f"{path}: repeated section {tag}")
         (length,) = reader.unpack("<Q")
         table, used = nc.unpack_array_table(reader.take(length), source=f"{path}: section {tag}")
         if used != length:

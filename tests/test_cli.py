@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from dvmer import config as cfgmod
 from dvmer import data as dk
 from dvmer import features as F
+from dvmer import nncore as nc
 from dvmer import training as tr
 from dvmer.cli import main
 from dvmer.errors import BadFeatureCache, CheckpointMismatch
@@ -705,6 +706,32 @@ def test_unbuildable_array_shape_keeps_the_documented_exit(workspace, trained, t
     assert rc == code
     where = f"{checkpoint}: section PARM: " if kind == "dmrc" else ""
     assert f"{where}unusable rank-{len(dims)} shape" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("repeat", ("section", "name"))
+def test_a_checkpoint_that_repeats_a_section_or_a_name_exits_5_naming_it(workspace, trained, tmp_path, capsys,
+                                                                        repeat):
+    payload = tr.read_checkpoint(trained / "checkpoint.dmrc")
+    params = payload["sections"]["PARM"]
+    table = nc.pack_array_table(params)
+    checkpoint = tmp_path / "repeat.dmrc"
+    if repeat == "section":
+        sections, want = [table, table], f"{checkpoint}: repeated section PARM"
+    else:
+        name = next(iter(params))
+        copy = nc.pack_array_table({name: np.zeros_like(params[name])})[4:]
+        sections = [struct.pack("<I", len(params) + 1) + table[4:] + copy]
+        want = f"{checkpoint}: section PARM: repeated name '{name}'"
+    config_hash = payload["config_hash"].encode("ascii")
+    checkpoint.write_bytes(b"".join([b"DMRC", struct.pack("<IH", tr.CHECKPOINT_VERSION, len(config_hash)), config_hash,
+                                     struct.pack("<I", len(sections)),
+                                     *(b"PARM" + struct.pack("<Q", len(t)) + t for t in sections)]))
+    rc = main([
+        "eval", "--checkpoint", str(checkpoint), "--config", str(workspace["config"]),
+        "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]),
+    ])
+    assert rc == 5
+    assert want in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", (

@@ -261,20 +261,50 @@ def test_gradient_accumulates_through_shared_subexpressions():
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 1.0)
 
 
-def test_mul_backward_makes_no_product_for_a_constant_operand():
+CONSTANT_RIGHT_OPERANDS = {
+    "mul": (nc.mul, (1000, 500), lambda rng: rng.normal(size=(1000, 500)), lambda g, b: g * b),
+    # the contrastive loss's similarities: queries @ keys.T, the queue keys a constant
+    "matmul": (nc.matmul, (200, 128), lambda rng: rng.normal(size=(2000, 128)).T, lambda g, b: g @ b.T),
+}
+
+
+@pytest.mark.parametrize("op,a_shape,make_b,grad_a", CONSTANT_RIGHT_OPERANDS.values(), ids=CONSTANT_RIGHT_OPERANDS)
+def test_mul_backward_makes_no_product_for_a_constant_operand(op, a_shape, make_b, grad_a):
     rng = np.random.default_rng(38)
-    a = Tensor(rng.normal(size=(1000, 500)), requires_grad=True)
-    b = rng.normal(size=a.shape)
-    g = rng.normal(size=a.shape)
-    out = nc.mul(a, b)
+    a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+    b = make_b(rng)
+    out = op(a, Tensor(b))
+    g = rng.normal(size=out.shape)
     tracemalloc.start()
     try:
         out.backward(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(a.grad, g * b)
+    assert np.array_equal(a.grad, grad_a(g, b))
     assert peak <= a.data.nbytes + (1 << 16), f"peak {peak / 1e6:.2f} MB for a {a.data.nbytes / 1e6:.2f} MB gradient"
+
+
+# (op, a shape, b shape): layer_norm and l2_normalize already check add, sub,
+# mul and div with a broadcast right operand
+BROADCAST_OPERANDS = {
+    "add_left": (nc.add, (4,), (3, 4)),
+    "sub_left": (nc.sub, (3, 1), (3, 4)),
+    "mul_left": (nc.mul, (1, 4), (3, 4)),
+    "div_left": (nc.div, (4,), (3, 4)),
+    "matmul_left": (nc.matmul, (3, 4), (2, 4, 5)),
+    "matmul_right": (nc.matmul, (2, 3, 4), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("op,a_shape,b_shape", BROADCAST_OPERANDS.values(), ids=BROADCAST_OPERANDS)
+def test_two_operand_gradients_match_finite_differences_with_a_broadcast_operand(op, a_shape, b_shape):
+    rng = np.random.default_rng(71)
+    a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+    b = Tensor(rng.uniform(0.5, 2.0, size=b_shape), requires_grad=True)
+    proj = Tensor(rng.normal(size=op(a, b).shape))
+    report = nc.gradient_check(lambda: nc.tsum(nc.mul(op(a, b), proj)), {"a": a, "b": b}, op_name=op.__name__)
+    assert report.max_rel_error < 1e-5
 
 
 def test_a_second_backward_through_a_shared_node_gives_the_true_gradient():
