@@ -2,15 +2,17 @@
 
 Implements exactly the tensor operations the dual-view architecture needs:
 linear maps, temperature softmax, layer norm, GELU, multi-head attention,
-dropout, and the reductions that glue them together. The attention core
-(scores, softmax, context) is one op with an analytic backward, so a graph
-keeps one weight array per call. The feed-forward block (linear, GELU,
-linear) is one op too: its node keeps the hidden pre-activation and Phi
-and rebuilds the GELU output in its backward. A training dropout node keeps
-a one-byte boolean mask. Each fused op gives its primitive composite's
-bytes. The two-operand ops (`_binary`) and the input of a linear map
-(`_linear_grads`) get no gradient computed when they need none. Gradients
-are verified against central finite differences via gradient_check.
+dropout, and the reductions that glue them together. The single-input ops
+(neg, reshape, transpose, tsum, tmean, exp, sqrt, log_clipped, softmax,
+log_softmax, gelu, dropout, select_classes, take_rows) build their node
+through `_unary`, the two-operand ops (add, sub, mul, div, matmul) through
+`_binary`, which computes no gradient for an operand that needs none.
+concat, linear and the fused ops keep their own backward: the attention
+core (scores, softmax, context) keeps one weight array per call, and the
+feed-forward block (linear, GELU, linear) keeps the hidden pre-activation
+and Phi and rebuilds the GELU output. Each fused op gives its primitive
+composite's bytes. A training dropout node keeps a one-byte boolean mask.
+Gradients are verified against central finite differences via gradient_check.
 
 Training runs in float32; gradient checking runs in float64. GELU's float64
 erf is math.erf, within 3 ulp of the exact erf; float32 uses the Abramowitz &
@@ -113,6 +115,8 @@ class Tensor:
         Leaves accumulate into .grad; interior nodes end with .grad None."""
         if grad is None:
             grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ShapeMismatch(f"backward seed shape {np.shape(grad)} vs output {self.data.shape}")
         self.grad = np.asarray(grad, dtype=self.data.dtype)
 
         # iterative post-order DFS; parent tuples keep traversal deterministic
@@ -147,11 +151,16 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _records(parents) -> bool:
+    """Whether a new node keeps a graph: grad mode is on and a parent requires a gradient."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, backward, op_name) -> Tensor:
     _check_finite(data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    out.requires_grad = _records(parents)
     out.grad = None
     out._parents = tuple(parents) if out.requires_grad else ()
     out._backward = backward if out.requires_grad else None
@@ -189,6 +198,15 @@ def _binary(a: Tensor, b: Tensor, data, grad_a, grad_b, op_name) -> Tensor:
     return _node(data, (a, b), backward, op_name)
 
 
+def _unary(a: Tensor, data, grad, op_name) -> Tensor:
+    """A one-input node. Its backward adds grad(g) into a's gradient."""
+
+    def backward(g):
+        _accum(a, grad(g))
+
+    return _node(data, (a,), backward, op_name)
+
+
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g, "add")
@@ -200,10 +218,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), backward, "neg")
+    return _unary(a, -a.data, lambda g: -g, "neg")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -225,64 +240,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def backward(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _node(data, (a,), backward, "reshape")
+    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.data.shape), "reshape")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    data = a.data.transpose(axes)
     inv = tuple(np.argsort(axes))
+    return _unary(a, a.data.transpose(axes), lambda g: g.transpose(inv), "transpose")
 
-    def backward(g):
-        _accum(a, g.transpose(inv))
 
-    return _node(data, (a,), backward, "transpose")
+def _spread(g, a: Tensor, axis, keepdims):
+    """The gradient g of a reduction of a over axis, broadcast back to a's shape."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.data.shape)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _node(data, (a,), backward, "sum")
+    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims), lambda g: _spread(g, a, axis, keepdims), "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.data.shape[axis]
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape) / count)
-
-    return _node(data, (a,), backward, "mean")
+    return _unary(a, data, lambda g: _spread(g, a, axis, keepdims) / count, "mean")
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * data)
-
-    return _node(data, (a,), backward, "exp")
+    return _unary(a, data, lambda g: g * data, "exp")
 
 
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
-
-    def backward(g):
-        _accum(a, g * (0.5 / data))
-
-    return _node(data, (a,), backward, "sqrt")
+    return _unary(a, data, lambda g: g * (0.5 / data), "sqrt")
 
 
 def log_clipped(a: Tensor, floor: float = 1e-12) -> Tensor:
@@ -292,12 +283,7 @@ def log_clipped(a: Tensor, floor: float = 1e-12) -> Tensor:
     into divergence expressions.
     """
     clipped = np.maximum(a.data, floor)
-    data = np.log(clipped)
-
-    def backward(g):
-        _accum(a, np.where(a.data > floor, g / clipped, 0.0))
-
-    return _node(data, (a,), backward, "log_clipped")
+    return _unary(a, np.log(clipped), lambda g: np.where(a.data > floor, g / clipped, 0.0), "log_clipped")
 
 
 def concat(tensors, axis=-1) -> Tensor:
@@ -323,22 +309,13 @@ def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        gz = (g - (g * data).sum(axis=axis, keepdims=True)) * data
-        _accum(a, gz / temperature)
-
-    return _node(data, (a,), backward, "softmax")
+    return _unary(a, data, lambda g: (g - (g * data).sum(axis=axis, keepdims=True)) * data / temperature, "softmax")
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        _accum(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-
-    return _node(data, (a,), backward, "log_softmax")
+    return _unary(a, data, lambda g: g - np.exp(data) * g.sum(axis=axis, keepdims=True), "log_softmax")
 
 
 def _erf32(z: np.ndarray, out: np.ndarray, t: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -409,13 +386,9 @@ def gelu(a: Tensor) -> Tensor:
     erf; float32 uses _erf32, whose largest error is about 6e-7. Phi is
     kept for the backward only when a gradient will flow."""
     x = a.data
-    phi = np.empty(x.shape, x.dtype) if _grad_enabled and a.requires_grad else None
+    phi = np.empty(x.shape, x.dtype) if _records((a,)) else None
     data = _gelu_into(x, np.empty(x.shape, x.dtype), phi)
-
-    def backward(g):
-        _accum(a, _gelu_grad_into(x, phi, g, np.empty(x.shape, np.result_type(g, x))))
-
-    return _node(data, (a,), backward, "gelu")
+    return _unary(a, data, lambda g: _gelu_grad_into(x, phi, g, np.empty(x.shape, np.result_type(g, x))), "gelu")
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -429,10 +402,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     def scaled_mask():
         return keep.astype(a.dtype) / (1.0 - p)
 
-    def backward(g):
-        _accum(a, g * scaled_mask())
-
-    return _node(a.data * scaled_mask(), (a,), backward, "dropout")
+    return _unary(a, a.data * scaled_mask(), lambda g: g * scaled_mask(), "dropout")
 
 
 def _check_linear(d_in: int, w: Tensor, b: Tensor | None, op_name: str):
@@ -482,7 +452,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     h += b1.data
     _check_finite(h, "feed_forward")
     params = (x, w1, b1, w2, b2)
-    if _grad_enabled and any(t.requires_grad for t in params):
+    if _records(params):
         phi = np.empty_like(h)
         act = _gelu_into(h, np.empty_like(h), phi)
     else:
@@ -554,34 +524,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return _node(data, (q, k, v), backward, "attention")
 
 
+def _scatter_add(t: Tensor, index, g):
+    """The gradient g of the gather t.data[index], added into zeros of t's shape."""
+    full = np.zeros_like(t.data)
+    np.add.at(full, index, g)
+    return full
+
+
 def select_classes(t: Tensor, idx) -> Tensor:
     """Pick one entry per row of a [B, C] tensor; used for cross-entropy."""
     idx = np.asarray(idx, dtype=np.int64)
     if t.data.ndim != 2 or idx.shape != (t.data.shape[0],):
         raise ShapeMismatch(f"select_classes: {t.data.shape} with index {idx.shape}")
     rows = np.arange(t.data.shape[0])
-    data = t.data[rows, idx]
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        full[rows, idx] = g
-        _accum(t, full)
-
-    return _node(data, (t,), backward, "select_classes")
+    return _unary(t, t.data[rows, idx], lambda g: _scatter_add(t, (rows, idx), g), "select_classes")
 
 
 def take_rows(t: Tensor, idx) -> Tensor:
     """Gather t[idx] along the first axis; repeated indices sum their
     gradients."""
     idx = np.asarray(idx, dtype=np.int64)
-    data = t.data[idx]
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        np.add.at(full, idx, g)
-        _accum(t, full)
-
-    return _node(data, (t,), backward, "take_rows")
+    return _unary(t, t.data[idx], lambda g: _scatter_add(t, idx, g), "take_rows")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -307,6 +307,63 @@ def test_two_operand_gradients_match_finite_differences_with_a_broadcast_operand
     assert report.max_rel_error < 1e-5
 
 
+# id -> (op applied to x, x's shape); every op here builds its node through _unary
+UNARY_OPS = {
+    **{f"{name}_axis{axis}_keepdims{keep}": (lambda x, r=r, axis=axis, keep=keep: r(x, axis=axis, keepdims=keep), (3, 4))
+       for name, r in (("tsum", nc.tsum), ("tmean", nc.tmean))
+       for axis in (None, 0, -1) for keep in (True, False)},
+    "softmax_axis0": (lambda x: nc.softmax(x, temperature=0.7, axis=0), (3, 4)),
+    "softmax_axis-1": (lambda x: nc.softmax(x, temperature=0.7, axis=-1), (3, 4)),
+    "log_softmax": (nc.log_softmax, (3, 4)),
+    "exp": (nc.exp, (3, 4)),
+    "sqrt": (nc.sqrt, (3, 4)),
+    "neg": (nc.neg, (3, 4)),
+    "reshape": (lambda x: nc.reshape(x, (2, 6)), (3, 4)),
+    "transpose": (lambda x: nc.transpose(x, (2, 0, 1)), (2, 3, 4)),
+    "select_classes": (lambda x: nc.select_classes(x, [0, 3, 1]), (3, 4)),
+    "gelu": (nc.gelu, (3, 4)),
+    # the rng is re-seeded on every call, so every evaluation draws the same mask
+    "dropout": (lambda x: nc.dropout(x, 0.3, np.random.default_rng(5), training=True), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("op,shape", UNARY_OPS.values(), ids=UNARY_OPS)
+def test_single_input_gradients_match_finite_differences(op, shape):
+    rng = np.random.default_rng(72)
+    x = Tensor(rng.uniform(0.5, 2.0, size=shape), requires_grad=True)  # away from sqrt's and log's kinks
+    proj = Tensor(rng.normal(size=op(x).shape))
+    report = nc.gradient_check(lambda: nc.tsum(nc.mul(op(x), proj)), {"x": x}, op_name="unary")
+    assert report.max_rel_error < 1e-6
+
+
+def test_log_clipped_gradient_is_exact_above_the_floor_and_zero_below_it():
+    rng = np.random.default_rng(73)
+    x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(3, 4)))
+    report = nc.gradient_check(lambda: nc.tsum(nc.mul(nc.log_clipped(x), proj)), {"x": x}, op_name="log_clipped")
+    assert report.max_rel_error < 1e-6
+    # finite differences cannot cross the floor, so below it the zero gradient is checked as it is
+    low = Tensor(np.array([0.0, 1e-14, 5e-13]), requires_grad=True)
+    out = nc.log_clipped(low, floor=1e-12)
+    assert np.array_equal(out.data, np.full(3, np.log(1e-12)))
+    nc.tsum(out).backward()
+    assert np.array_equal(low.grad, np.zeros(3))
+
+
+def test_a_backward_seed_that_broadcasts_to_the_output_is_refused():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    with pytest.raises(ShapeMismatch):
+        nc.mul(x, 2.0).backward(np.ones((4, 3)))
+    assert x.grad is None
+
+
+def test_a_backward_seed_of_the_wrong_shape_for_a_scalar_is_refused():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    with pytest.raises(ShapeMismatch):
+        nc.tsum(x).backward(np.ones(5))
+    assert x.grad is None
+
+
 def test_a_second_backward_through_a_shared_node_gives_the_true_gradient():
     w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
     h = nc.matmul(Tensor(np.array([[2.0, 1.0]])), w)
