@@ -21,6 +21,12 @@ Inside `with no_grad():` ops still compute and check their outputs but record
 no graph, so forward-only passes free each intermediate as soon as it is
 dead.
 
+The graph holds nodes, not Tensors: a Tensor is its data and its `_Node`
+(gradient, backward closure, parents' nodes), and a backward closure keeps
+only the arrays it reads. So an op output that no backward reads, such as a
+dropout output or a residual sum, is freed as soon as the caller drops its
+Tensor, during the forward.
+
 `Tensor.backward` frees each interior node's gradient as soon as that node
 has passed it to its parents; only leaves keep theirs. So a sweep holds the
 graph's activations plus the gradients still in flight, and a later sweep
@@ -76,24 +82,43 @@ def _check_finite(data, op_name):
         raise NonFiniteValue(f"non-finite value produced by op '{op_name}'")
 
 
+class _Node:
+    """One graph node: the gradient, whether one flows, the backward closure
+    and the parents' nodes. The graph links nodes, never Tensors, so an op
+    output's array lives only while a Tensor or a backward closure holds it."""
+
+    __slots__ = ("grad", "requires_grad", "backward", "parents")
+
+    def __init__(self, requires_grad, backward=None, parents=()):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.backward = backward
+        self.parents = parents
+
+
+def _through_node(slot):
+    """A Tensor attribute that reads and writes its node's slot."""
+    return property(lambda t: getattr(t._node, slot), lambda t, value: setattr(t._node, slot, value))
+
+
 class Tensor:
-    """Array node in a dynamically built computation graph.
+    """Array with its node in a dynamically built computation graph.
 
     data is float32 by default; pass float64 arrays for gradient checking.
     Every op validates its output for NaN/Inf.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "_node")
+    grad = _through_node("grad")
+    requires_grad = _through_node("requires_grad")
+    _backward = _through_node("backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._backward = None
-        self._parents = ()
+        self._node = _Node(bool(requires_grad))
 
     @property
     def shape(self):
@@ -122,7 +147,7 @@ class Tensor:
         # iterative post-order DFS; parent tuples keep traversal deterministic
         order = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -132,13 +157,13 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in visited:
                     stack.append((p, False))
 
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
                 node.grad = None  # every consumer has added its share; leaves keep theirs
 
     def __repr__(self):
@@ -157,19 +182,17 @@ def _records(parents) -> bool:
 
 
 def _node(data, parents, backward, op_name) -> Tensor:
+    """An op output whose node links the parents' nodes; backward holds no parent Tensor."""
     _check_finite(data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = _records(parents)
-    out.grad = None
-    out._parents = tuple(parents) if out.requires_grad else ()
-    out._backward = backward if out.requires_grad else None
+    out._node = _Node(True, backward, tuple(p._node for p in parents)) if _records(parents) else _Node(False)
     return out
 
 
-def _accum(t: Tensor, g):
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+def _accum(node: _Node, g):
+    if node.requires_grad:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _reduce_to(g, shape):
@@ -188,21 +211,23 @@ def _reduce_to(g, shape):
 
 def _binary(a: Tensor, b: Tensor, data, grad_a, grad_b, op_name) -> Tensor:
     """A two-operand node. Its backward computes grad_a(g), then grad_b(g),
-    only for an operand that requires a gradient, summed over broadcast axes."""
+    only for an operand that requires a gradient, summed over broadcast axes;
+    the rule for an operand that requires none is not kept."""
+    wanted = tuple((t._node, t.data.shape, grad) for t, grad in ((a, grad_a), (b, grad_b)) if t.requires_grad)
 
     def backward(g):
-        for t, grad in ((a, grad_a), (b, grad_b)):
-            if t.requires_grad:
-                _accum(t, _reduce_to(grad(g), t.data.shape))
+        for node, shape, grad in wanted:
+            _accum(node, _reduce_to(grad(g), shape))
 
     return _node(data, (a, b), backward, op_name)
 
 
 def _unary(a: Tensor, data, grad, op_name) -> Tensor:
     """A one-input node. Its backward adds grad(g) into a's gradient."""
+    node = a._node
 
     def backward(g):
-        _accum(a, grad(g))
+        _accum(node, grad(g))
 
     return _node(data, (a,), backward, op_name)
 
@@ -223,24 +248,26 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data, "mul")
+    x, y = a.data, b.data
+    return _binary(a, b, x * y, lambda g: g * y, lambda g: g * x, "mul")
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
-                   lambda g: -g * a.data / (b.data * b.data), "div")
+    x, y = a.data, b.data
+    return _binary(a, b, x / y, lambda g: g / y, lambda g: -g * x / (y * y), "div")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatch(f"matmul inner dims {a.data.shape} @ {b.data.shape}")
-    return _binary(a, b, a.data @ b.data, lambda g: g @ np.swapaxes(b.data, -1, -2),
-                   lambda g: np.swapaxes(a.data, -1, -2) @ g, "matmul")
+    x, y = a.data, b.data
+    return _binary(a, b, x @ y, lambda g: g @ np.swapaxes(y, -1, -2), lambda g: np.swapaxes(x, -1, -2) @ g, "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.data.shape), "reshape")
+    shape_in = a.data.shape
+    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(shape_in), "reshape")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -249,21 +276,23 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _unary(a, a.data.transpose(axes), lambda g: g.transpose(inv), "transpose")
 
 
-def _spread(g, a: Tensor, axis, keepdims):
-    """The gradient g of a reduction of a over axis, broadcast back to a's shape."""
+def _spread(g, shape, axis, keepdims):
+    """The gradient g of a reduction over axis, broadcast back to the input's shape."""
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, a.data.shape)
+    return np.broadcast_to(g, shape)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims), lambda g: _spread(g, a, axis, keepdims), "sum")
+    shape = a.data.shape
+    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims), lambda g: _spread(g, shape, axis, keepdims), "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    shape = a.data.shape
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return _unary(a, data, lambda g: _spread(g, a, axis, keepdims) / count, "mean")
+    count = math.prod(shape[i] for i in (range(a.ndim) if axis is None else np.atleast_1d(axis)))
+    return _unary(a, data, lambda g: _spread(g, shape, axis, keepdims) / count, "mean")
 
 
 def exp(a: Tensor) -> Tensor:
@@ -282,18 +311,20 @@ def log_clipped(a: Tensor, floor: float = 1e-12) -> Tensor:
     Keeps 0*log(0) terms finite when hard one-hot distributions are fed
     into divergence expressions.
     """
-    clipped = np.maximum(a.data, floor)
-    return _unary(a, np.log(clipped), lambda g: np.where(a.data > floor, g / clipped, 0.0), "log_clipped")
+    x = a.data
+    clipped = np.maximum(x, floor)
+    return _unary(a, np.log(clipped), lambda g: np.where(x > floor, g / clipped, 0.0), "log_clipped")
 
 
 def concat(tensors, axis=-1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
+    nodes = [t._node for t in tensors]
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
-            _accum(t, piece)
+        for node, piece in zip(nodes, np.split(g, offsets, axis=axis)):
+            _accum(node, piece)
 
     return _node(data, tuple(tensors), backward, "concat")
 
@@ -398,9 +429,10 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     if not training or p <= 0.0:
         return a
     keep = rng.random(a.data.shape) >= p
+    dtype = a.dtype
 
     def scaled_mask():
-        return keep.astype(a.dtype) / (1.0 - p)
+        return keep.astype(dtype) / (1.0 - p)
 
     return _unary(a, a.data * scaled_mask(), lambda g: g * scaled_mask(), "dropout")
 
@@ -412,14 +444,15 @@ def _check_linear(d_in: int, w: Tensor, b: Tensor | None, op_name: str):
         raise ShapeMismatch(f"{op_name}: bias shape {b.data.shape} vs weight {w.data.shape}")
 
 
-def _linear_grads(g2d: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None):
+def _linear_grads(g2d: np.ndarray, x: np.ndarray, w: np.ndarray, nodes):
     """Accumulate the gradients of x W^T + b from g2d, dL/dy as a
-    [rows, d_out] matrix; dL/dx only when x requires a gradient."""
-    if x.requires_grad:
-        _accum(x, (g2d @ w.data).reshape(x.data.shape))
-    _accum(w, g2d.T @ x.data.reshape(-1, w.data.shape[1]))
-    if b is not None:
-        _accum(b, g2d.sum(axis=0))
+    [rows, d_out] matrix, into nodes, the nodes of x, W and (when there is
+    one) b; dL/dx only when x requires a gradient."""
+    if nodes[0].requires_grad:
+        _accum(nodes[0], (g2d @ w).reshape(x.shape))
+    _accum(nodes[1], g2d.T @ x.reshape(-1, w.shape[1]))
+    if len(nodes) > 2:
+        _accum(nodes[2], g2d.sum(axis=0))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -430,11 +463,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     data = (x.data.reshape(-1, d_in) @ w.data.T).reshape(x.data.shape[:-1] + (d_out,))
     if b is not None:
         data += b.data
+    parents = (x, w) if b is None else (x, w, b)
+    x_data, w_data, nodes = x.data, w.data, [t._node for t in parents]
 
     def backward(g):
-        _linear_grads(g.reshape(-1, d_out), x, w, b)
+        _linear_grads(g.reshape(-1, d_out), x_data, w_data, nodes)
 
-    parents = (x, w) if b is None else (x, w, b)
     return _node(data, parents, backward, "linear")
 
 
@@ -461,14 +495,16 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     _check_finite(act, "feed_forward")
     data = act @ w2.data.T
     data += b2.data
+    x_data, w1_data, w2_data = x.data, w1.data, w2.data
+    *first_nodes, w2_node, b2_node = [t._node for t in params]
 
     def backward(g):
         g = g.reshape(-1, d_out)
-        _accum(w2, g.T @ (h * phi))  # the GELU output, rebuilt and dropped before dL/d(gelu output)
-        _accum(b2, g.sum(axis=0))
-        g = g @ w2.data
+        _accum(w2_node, g.T @ (h * phi))  # the GELU output, rebuilt and dropped before dL/d(gelu output)
+        _accum(b2_node, g.sum(axis=0))
+        g = g @ w2_data
         _gelu_grad_into(h, phi, g, g)  # dL/dh, in place
-        _linear_grads(g, x, w1, b1)
+        _linear_grads(g, x_data, w1_data, first_nodes)
 
     return _node(data.reshape(x.data.shape[:-1] + (d_out,)), params, backward, "feed_forward")
 
@@ -507,6 +543,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     data = (p @ vh).transpose(0, 2, 1, 3).reshape(batch, n_q, dim)
+    q_node, k_node, v_node = q._node, k._node, v._node
 
     def merge(g, n):
         return g.transpose(0, 2, 1, 3).reshape(batch, n, dim)
@@ -514,19 +551,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def backward(g):
         gc = g.reshape(batch, n_q, heads, head_dim).transpose(0, 2, 1, 3)
         gs = gc @ np.swapaxes(vh, -1, -2)  # dP, turned into dS in place
-        _accum(v, merge(np.swapaxes(p, -1, -2) @ gc, n_k))
+        _accum(v_node, merge(np.swapaxes(p, -1, -2) @ gc, n_k))
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        _accum(q, merge(gs @ kh, n_q))
-        _accum(k, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2), n_k))
+        _accum(q_node, merge(gs @ kh, n_q))
+        _accum(k_node, merge(np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2), n_k))
 
     return _node(data, (q, k, v), backward, "attention")
 
 
-def _scatter_add(t: Tensor, index, g):
-    """The gradient g of the gather t.data[index], added into zeros of t's shape."""
-    full = np.zeros_like(t.data)
+def _scatter_add(shape, dtype, index, g):
+    """The gradient g of a gather at index, added into zeros of the gathered array's shape and dtype."""
+    full = np.zeros(shape, dtype)
     np.add.at(full, index, g)
     return full
 
@@ -537,14 +574,16 @@ def select_classes(t: Tensor, idx) -> Tensor:
     if t.data.ndim != 2 or idx.shape != (t.data.shape[0],):
         raise ShapeMismatch(f"select_classes: {t.data.shape} with index {idx.shape}")
     rows = np.arange(t.data.shape[0])
-    return _unary(t, t.data[rows, idx], lambda g: _scatter_add(t, (rows, idx), g), "select_classes")
+    shape, dtype = t.data.shape, t.dtype
+    return _unary(t, t.data[rows, idx], lambda g: _scatter_add(shape, dtype, (rows, idx), g), "select_classes")
 
 
 def take_rows(t: Tensor, idx) -> Tensor:
     """Gather t[idx] along the first axis; repeated indices sum their
     gradients."""
     idx = np.asarray(idx, dtype=np.int64)
-    return _unary(t, t.data[idx], lambda g: _scatter_add(t, idx, g), "take_rows")
+    shape, dtype = t.data.shape, t.dtype
+    return _unary(t, t.data[idx], lambda g: _scatter_add(shape, dtype, idx, g), "take_rows")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
