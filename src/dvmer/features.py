@@ -15,6 +15,11 @@ Frame geometry is chosen so the segment yields exactly 87 frames with 50%
 overlap: hop = ceil(segment_len / 87), frame_len = 2 * hop, and the frame
 count n = ceil(segment_len / hop); the signal tail is zero-padded to cover
 the last frame.
+
+The spectra are computed in blocks of frames on a few threads. Each block
+pre-emphasises and zero-pads only the samples its own frames cover, so the
+segment is never copied whole; the bytes are those of pre-emphasising and
+framing the whole segment at once.
 """
 
 from __future__ import annotations
@@ -41,8 +46,10 @@ REQUIRED_SAMPLE_RATE = 44100
 MIN_TRACK_SECONDS = 30.0
 
 # np.fft releases the GIL, so frame blocks transform in parallel on threads;
-# each row's bits do not depend on the block or thread that computed it
-FFT_WORKERS = min(len(os.sched_getaffinity(0)), 4)
+# each row's bits do not depend on the block or thread that computed it.
+# macOS and Windows have no os.sched_getaffinity; there the CPU count stands
+# in for the affinity mask.
+FFT_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4)
 # complex spectrum bytes per block: one frame at the default geometry, many
 # rows for small frames so that no geometry pays one task per frame
 FFT_BLOCK_BYTES = 1 << 20
@@ -211,25 +218,36 @@ def windowed_power_spectra(seg: AudioSegment, cfg: FeatureConfig) -> np.ndarray:
     """Shared front half of both views: pre-emphasis, framing, Hamming
     window, double-length FFT. Returns power spectra [n_frames, n_bins].
 
-    Row blocks of about FFT_BLOCK_BYTES of spectrum are windowed,
-    transformed and squared on FFT_WORKERS threads straight into the one
-    output array; every row equals np.abs(np.fft.rfft(...)) ** 2 of the
-    whole frame array, whatever the worker count."""
-    if cfg.frame_size > seg.samples.shape[0]:
-        raise ConfigError(f"frame_len {cfg.frame_size} exceeds segment length {seg.samples.shape[0]}")
-    frames = frame_signal(pre_emphasis(seg.samples, cfg.preemphasis), cfg.frame_size, cfg.hop_len)
-    window = np.hamming(cfg.frame_size)
+    Row blocks of about FFT_BLOCK_BYTES of spectrum are transformed and
+    squared on FFT_WORKERS threads straight into the one output array. Each
+    block pre-emphasises and zero-pads only the samples its own frames
+    cover, so no whole-signal copy is made; pre-emphasis is elementwise, so
+    every row equals np.abs(np.fft.rfft(...)) ** 2 of the whole frame array,
+    whatever the block size or worker count."""
+    x = seg.samples
+    if cfg.frame_size > x.shape[0]:
+        raise ConfigError(f"frame_len {cfg.frame_size} exceeds segment length {x.shape[0]}")
+    frame_len, hop = cfg.frame_size, cfg.hop_len
+    window = np.hamming(frame_len)
     n_bins = cfg.n_fft // 2 + 1
-    power = np.empty((frames.shape[0], n_bins))
+    power = np.empty((cfg.n_frames(x.shape[0]), n_bins))
     rows = max(1, FFT_BLOCK_BYTES // (16 * n_bins))
 
     def transform(start: int):
         block = power[start:start + rows]
-        np.abs(np.fft.rfft(frames[start:start + rows] * window, n=cfg.n_fft, axis=1), out=block)
+        lo, end = start * hop, (start + block.shape[0] - 1) * hop + frame_len
+        # the span starts one sample early so its first y[n] reads x[n-1];
+        # at lo = 0 it starts at x[0], which keeps the x[-1] = 0 rule
+        span = pre_emphasis(x[max(lo - 1, 0):end], cfg.preemphasis)[min(lo, 1):]
+        # neither the span nor its padded frames outlive the windowing, so the
+        # FFT output is the block's only other large allocation
+        windowed = frame_signal(span, frame_len, hop)[:block.shape[0]] * window
+        del span
+        np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=1), out=block)
         np.square(block, out=block)
 
     with ThreadPoolExecutor(max_workers=FFT_WORKERS) as pool:
-        list(pool.map(transform, range(0, frames.shape[0], rows)))  # re-raises a worker's error
+        list(pool.map(transform, range(0, power.shape[0], rows)))  # re-raises a worker's error
     return power
 
 

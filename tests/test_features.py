@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import math
 import os
 import re
 import struct
+import sys
 import tempfile
 import tracemalloc
 import wave
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -89,6 +91,64 @@ def test_power_spectra_equal_the_one_shot_transform_at_any_worker_count(monkeypa
     for workers in (1, 4):
         monkeypatch.setattr(F, "FFT_WORKERS", workers)
         assert np.array_equal(F.windowed_power_spectra(seg, cfg), reference)
+
+
+_ramp = np.linspace(-1.0, 1.0, 100)
+_ramp_from_negative_zero = np.concatenate([[-0.0], _ramp[1:]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=hnp.arrays(np.float64, st.integers(48, 200), elements=st.floats(-1, 1)),
+       half=st.integers(1, 24), hop=st.integers(1, 60), rows=st.integers(1, 5),
+       coeff=st.sampled_from((0.0, 0.5, 0.97)))
+@example(samples=_ramp, half=4, hop=13, rows=2, coeff=0.97)  # hop > frame_len: gaps between frames
+@example(samples=_ramp, half=12, hop=5, rows=3, coeff=0.97)  # hop < frame_len / 2
+@example(samples=_ramp[:97], half=12, hop=10, rows=4, coeff=0.97)  # last frame runs 17 samples past the end
+@example(samples=_ramp_from_negative_zero, half=8, hop=8, rows=1, coeff=0.97)  # first sample -0.0
+@example(samples=_ramp, half=8, hop=6, rows=2, coeff=0.0)  # no pre-emphasis
+def test_block_spectra_are_the_bytes_of_the_whole_signal_transform(samples, half, hop, rows, coeff):
+    """Each block pre-emphasises and pads only its own span; blocks of 1 to 5
+    rows on 1 or 4 threads give the bytes of pre-emphasising and framing the
+    whole signal at once."""
+    cfg = F.FeatureConfig(segment_duration=samples.shape[0] / SR, frame_len=2 * half, hop=hop, preemphasis=coeff)
+    seg = F.AudioSegment(samples, SR, 15.0)
+    reference = _reference_power(seg, cfg).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "FFT_BLOCK_BYTES", rows * 16 * (cfg.n_fft // 2 + 1))
+        for workers in (1, 4):
+            mp.setattr(F, "FFT_WORKERS", workers)
+            assert F.windowed_power_spectra(seg, cfg).tobytes() == reference
+
+
+@pytest.mark.parametrize("workers", (1, 4))
+def test_power_spectra_hold_no_whole_signal_copy(monkeypatch, workers):
+    """At the default geometry the traced peak above the 42 MB result stays
+    within 4 MiB per worker; a float64 copy of the segment is 21 MB."""
+    monkeypatch.setattr(F, "FFT_WORKERS", workers)
+    cfg = F.FeatureConfig()
+    seg = F.AudioSegment(np.random.default_rng(5).normal(size=cfg.segment_len) * 0.1, SR, 15.0)
+    tracemalloc.start()
+    try:
+        power = F.windowed_power_spectra(seg, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    above = peak - power.nbytes
+    assert above <= workers * (4 << 20), f"peak {above / 1e6:.1f} MB above the result at {workers} worker(s)"
+
+
+def test_fft_workers_fall_back_to_the_cpu_count_without_affinity(monkeypatch):
+    """Where os has no sched_getaffinity (macOS, Windows) the module still
+    imports, and takes its worker count from os.cpu_count, capped at 4."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, workers in ((None, 1), (1, 1), (3, 3), (64, 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        # a second copy of the module, so its constants are computed under the patches
+        spec = importlib.util.spec_from_file_location("dvmer._features_copy", F.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+        assert module.FFT_WORKERS == workers
 
 
 def test_banks_are_built_once_per_config_and_read_only(monkeypatch):
