@@ -63,16 +63,6 @@ class SplitManifest:
             indent=1,
         ) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "SplitManifest":
-        d = json.loads(text)
-        return cls(
-            train_ids=list(d["train_ids"]),
-            test_ids=list(d["test_ids"]),
-            dimension=d["dimension"],
-            seed=int(d["seed"]),
-        )
-
 
 def _check_dimension(dimension: str) -> str:
     if dimension not in DIMENSIONS:

@@ -29,15 +29,14 @@ import hashlib
 import json
 import math
 import os
-import struct
 import wave
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import nncore as nc
 from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort
+from .ioutil import atomic_write_bytes, open_framed, pack_array, write_framed
 
 CACHE_MAGIC = b"DMRF"
 CACHE_VERSION = 1
@@ -389,14 +388,11 @@ _CACHE_DTYPES = {0: np.float32}
 
 
 def write_feature_cache(path, pair: FeaturePair, track_id: str, cfg: FeatureConfig):
-    """Binary cache: magic, version, then per gram (mel first, coch second)
-    dtype tag, rank, dims, row-major float32 payload. A JSON sidecar lists
-    track id, config hash and dims."""
-    from .ioutil import atomic_write_bytes
-
-    parts = [CACHE_MAGIC, struct.pack("<I", CACHE_VERSION)]
-    parts += [nc.pack_array(np.asarray(gram, dtype=np.float32)) for gram in (pair.mel, pair.coch)]
-    atomic_write_bytes(path, b"".join(parts))
+    """Binary cache: the `DMRF` frame, then per gram (mel first, coch
+    second) one float32 array. A JSON sidecar lists track id, config hash
+    and dims."""
+    write_framed(path, CACHE_MAGIC, CACHE_VERSION,
+                 [pack_array(np.asarray(gram, dtype=np.float32)) for gram in (pair.mel, pair.coch)])
 
     sidecar = {
         "track_id": track_id,
@@ -411,20 +407,15 @@ def write_feature_cache(path, pair: FeaturePair, track_id: str, cfg: FeatureConf
 
 def read_feature_cache(path) -> FeaturePair:
     """Parse a cache file; a bad magic or version, a cut field, an unknown
-    dtype tag, a short payload, a gram that is not 2-d or stray bytes raise
-    BadFeatureCache."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != CACHE_MAGIC:
-        raise BadFeatureCache(f"{path}: not a feature cache (bad magic)")
-    reader = nc.BinaryReader(buf, str(path), offset=4, error=BadFeatureCache)
-    (version,) = reader.unpack("<I")
-    if version != CACHE_VERSION:
-        raise BadFeatureCache(f"{path}: unsupported cache version {version}")
-    mel, coch = (reader.array(_CACHE_DTYPES, gram) for gram in ("mel", "coch"))
-    if reader.offset != len(buf):
-        raise BadFeatureCache(f"{path}: {len(buf) - reader.offset} stray byte(s) after the second gram")
+    dtype tag, a short payload, stray bytes, a non-finite value or a gram
+    that is not 2-d raise BadFeatureCache."""
+    reader = open_framed(path, CACHE_MAGIC, CACHE_VERSION, BadFeatureCache, "cache")
+    grams = {name: reader.array(_CACHE_DTYPES, name) for name in ("mel", "coch")}
+    reader.done("the second gram")
+    for name, gram in grams.items():
+        if not np.isfinite(gram).all():
+            raise BadFeatureCache(f"{path}: the {name} gram holds a non-finite value")
     try:
-        return FeaturePair(mel=mel, coch=coch)
+        return FeaturePair(**grams)
     except ShapeMismatch as exc:
         raise BadFeatureCache(f"{path}: {exc}") from exc

@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadTemperature,
-    CheckpointMismatch,
     HeadDivisibility,
     NonFiniteValue,
     ShapeMismatch,
@@ -715,92 +713,3 @@ def gradient_check(
     max_err = max(per_input.values()) if per_input else 0.0
     return GradReport(op_name=op_name, max_rel_error=max_err, per_input=per_input)
 
-
-# -- named-parameter container (checkpoint building block) ----------------
-
-_DTYPE_TAGS = {0: np.float32, 1: np.float64, 2: np.int64, 3: np.uint8}
-_TAG_FOR_DTYPE = {np.dtype(v): k for k, v in _DTYPE_TAGS.items()}
-
-
-def pack_array(arr) -> bytes:
-    """One array as u8 dtype tag, u8 rank, u32 dims, then the row-major
-    little-endian payload; booleans are stored as uint8. A 0-d array keeps
-    rank 0."""
-    arr = np.asarray(arr)
-    if arr.dtype == np.bool_:
-        arr = arr.astype(np.uint8)
-    tag = _TAG_FOR_DTYPE.get(arr.dtype)
-    if tag is None:
-        raise ValueError(f"unsupported dtype {arr.dtype}")
-    header = struct.pack(f"<BB{arr.ndim}I", tag, arr.ndim, *arr.shape)
-    return header + arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-
-
-def pack_array_table(named: dict) -> bytes:
-    """Serialise a name -> ndarray mapping, each array in the pack_array layout."""
-    parts = [struct.pack("<I", len(named))]
-    for name, arr in named.items():
-        raw = name.encode("utf-8")
-        parts += [struct.pack("<H", len(raw)), raw, pack_array(arr)]
-    return b"".join(parts)
-
-
-class BinaryReader:
-    """Bounds-checked cursor over a binary buffer; a short read, undecodable
-    text or an unknown dtype tag raises `error` (CheckpointMismatch unless
-    the caller picks another class) naming `source`."""
-
-    def __init__(self, buf: bytes, source: str, offset: int = 0, error: type[Exception] = CheckpointMismatch):
-        self.buf = buf
-        self.source = source
-        self.offset = offset
-        self.error = error
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.buf):
-            raise self.error(
-                f"{self.source}: truncated: needs {n} byte(s) at offset {self.offset}, has {len(self.buf) - self.offset}"
-            )
-        self.offset += n
-        return self.buf[self.offset - n:self.offset]
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int, encoding: str = "utf-8") -> str:
-        start = self.offset
-        try:
-            return self.take(n).decode(encoding)
-        except UnicodeDecodeError as exc:
-            raise self.error(f"{self.source}: undecodable text at offset {start}") from exc
-
-    def array(self, dtypes: dict, what: str) -> np.ndarray:
-        """One array in the `pack_array` layout, its tag looked up in dtypes."""
-        tag, rank = self.unpack("<BB")
-        if tag not in dtypes:
-            raise self.error(f"{self.source}: unknown dtype tag {tag} for {what}")
-        dims = self.unpack(f"<{rank}I")
-        dtype = np.dtype(dtypes[tag])
-        raw = self.take(math.prod(dims) * dtype.itemsize)
-        try:
-            return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(dims).astype(dtype)
-        except ValueError as exc:  # a rank above numpy's limit, or a zero-size shape too big to index
-            raise self.error(f"{self.source}: unusable rank-{rank} shape for {what}: {exc}") from exc
-
-
-def unpack_array_table(buf: bytes, offset: int = 0, source: str = "array table"):
-    """Inverse of pack_array_table; returns (mapping, new_offset).
-
-    Raises CheckpointMismatch naming `source` when the table is short or
-    malformed, or repeats a name.
-    """
-    reader = BinaryReader(buf, source, offset)
-    (count,) = reader.unpack("<I")
-    named = {}
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        name = reader.text(name_len)
-        if name in named:
-            raise CheckpointMismatch(f"{source}: repeated name '{name}'")
-        named[name] = reader.array(_DTYPE_TAGS, f"'{name}'")
-    return named, reader.offset

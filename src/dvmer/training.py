@@ -26,6 +26,7 @@ from . import nncore as nc
 from .data import Sample, _check_dimension
 from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue
 from .features import FeaturePair
+from .ioutil import BinaryReader, open_framed, pack_array_table, write_framed
 from .model import BranchOutputs, DualViewModel, ModelConfig
 from .nncore import Tensor
 
@@ -532,28 +533,18 @@ def evaluate(model: DualViewModel, samples: list[Sample], ensemble: bool = False
 def save_checkpoint(path, result: TrainResult, config_hash: str):
     """Container with one section, the named parameters (`PARM`), stamped
     with the run config hash."""
-    from .ioutil import atomic_write_bytes
-
-    params = nc.pack_array_table({n: p.data for n, p in result.model.parameters().items()})
+    params = pack_array_table({n: p.data for n, p in result.model.parameters().items()})
     hash_raw = config_hash.encode("utf-8")
-    atomic_write_bytes(path, b"".join([
-        CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+    write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, [
         struct.pack("<H", len(hash_raw)), hash_raw,
         struct.pack("<I", 1), b"PARM", struct.pack("<Q", len(params)), params,
-    ]))
+    ])
 
 
 def read_checkpoint(path) -> dict:
     """Parse a checkpoint container; any short, malformed or trailing byte,
     or a repeated section tag, raises CheckpointMismatch."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointMismatch(f"{path}: not a checkpoint (bad magic)")
-    reader = nc.BinaryReader(buf, str(path), offset=4)
-    (version,) = reader.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(f"{path}: unsupported version {version}")
+    reader = open_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointMismatch, "checkpoint")
     (hash_len,) = reader.unpack("<H")
     config_hash = reader.text(hash_len)
     (n_sections,) = reader.unpack("<I")
@@ -563,20 +554,19 @@ def read_checkpoint(path) -> dict:
         if tag in sections:
             raise CheckpointMismatch(f"{path}: repeated section {tag}")
         (length,) = reader.unpack("<Q")
-        table, used = nc.unpack_array_table(reader.take(length), source=f"{path}: section {tag}")
-        if used != length:
-            raise CheckpointMismatch(f"{path}: section {tag} has {length - used} stray byte(s)")
-        sections[tag] = table
-    if reader.offset != len(buf):
-        raise CheckpointMismatch(f"{path}: {len(buf) - reader.offset} stray byte(s) after the last section")
+        section = BinaryReader(reader.take(length), f"{path}: section {tag}", CheckpointMismatch)
+        sections[tag] = section.table()
+        section.done("the table")
+    reader.done("the last section")
     return {"config_hash": config_hash, "sections": sections}
 
 
 def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: str | None = None) -> tuple[DualViewModel, dict]:
     """Rebuild a model from a checkpoint's `PARM` section; raises
     CheckpointMismatch when the stored config hash differs from
-    expected_hash. Other sections, such as the `ADAM` and `QUEU` sections
-    of older checkpoints, are ignored."""
+    expected_hash, or a parameter is missing, misshapen or non-finite.
+    Other sections, such as the `ADAM` and `QUEU` sections of older
+    checkpoints, are ignored."""
     payload = read_checkpoint(path)
     if expected_hash is not None and payload["config_hash"] != expected_hash:
         raise CheckpointMismatch(
@@ -595,5 +585,7 @@ def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: s
         arr = np.asarray(stored[name], dtype=p.data.dtype)
         if arr.shape != p.data.shape:
             raise CheckpointMismatch(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointMismatch(f"{path}: parameter {name} holds a non-finite value")
         p.data = arr  # the payload's own fresh array: a copy would only add a transient
     return model, payload

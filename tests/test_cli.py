@@ -13,17 +13,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvmer import config as cfgmod
 from dvmer import data as dk
 from dvmer import features as F
-from dvmer import nncore as nc
+from dvmer import ioutil
 from dvmer import training as tr
 from dvmer.cli import main
 from dvmer.errors import BadFeatureCache, CheckpointMismatch
-from dvmer.nncore import Tensor
+from dvmer.model import DualViewModel, ModelConfig
 
 SR = 44100
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -629,16 +629,24 @@ def test_arbitrary_text_input_gives_a_documented_exit_naming_the_file(workspace,
         assert rc == 2 and str(path) in out.getvalue()
 
 
+# the tiny checkpoint's model: 16 parameters, 56 floats
+TINY_CHECKPOINT_MODEL = ModelConfig(embed_dim=2, fusion_dim=2, heads=1, layers=0, mel_bands=3, coch_channels=2,
+                                    frame_count=2, ffn_expand=1)
+
+
 @pytest.fixture(scope="module")
 def tiny_files(workspace):
-    """A tiny valid feature cache and checkpoint, and a copy of the cache
-    directory whose first manifest track a test may overwrite."""
+    """A tiny valid feature cache and checkpoint, each ending in a float32
+    0.5, and a copy of the cache directory whose first manifest track a
+    test may overwrite."""
     root = workspace["root"] / "tiny"
     root.mkdir()
     pair = F.FeaturePair(mel=np.ones((3, 2), np.float32), coch=np.full((2, 2), 0.5, np.float32))
     F.write_feature_cache(root / "tiny.dmrf", pair, "tiny", F.FeatureConfig())
-    params = {"w": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)), "b": Tensor(np.zeros(4, np.float32))}
-    tr.save_checkpoint(root / "tiny.dmrc", SimpleNamespace(model=SimpleNamespace(parameters=lambda: params)), "cafe")
+    model = DualViewModel(TINY_CHECKPOINT_MODEL, np.random.default_rng(0))
+    for p in model.parameters().values():
+        p.data = np.full_like(p.data, 0.5)
+    tr.save_checkpoint(root / "tiny.dmrc", SimpleNamespace(model=model), "cafe")
     cache = root / "cache"
     shutil.copytree(workspace["cache"], cache)
     first = dk.parse_manifest(workspace["manifest"])[0].track_id
@@ -646,34 +654,53 @@ def tiny_files(workspace):
             "root": root, "cache": cache, "victim": cache / f"{first}.dmrf"}
 
 
-def _damage(data, buf):
-    """buf with up to three bits flipped, then cut at any offset."""
+def _damage(buf, flips, insert, cut):
+    """buf with bits flipped, then bytes inserted at an offset, then cut to
+    a length. A bit index is taken modulo the bit count, so -1 is the last
+    bit; -2, -9 and -32 are bits 30, 23 and 0 of the last float32."""
     out = bytearray(buf)
-    for bit in data.draw(st.lists(st.integers(0, 8 * len(buf) - 1), max_size=3), label="flipped bits"):
+    for bit in flips:
+        bit %= 8 * len(buf)
         out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out[:data.draw(st.integers(0, len(buf)), label="cut")])
+    if insert is not None:
+        at, raw = insert
+        out[at:at] = raw
+    return bytes(out if cut is None else out[:cut])
+
+
+DAMAGE = {"flips": st.lists(st.integers(-2**12, 2**12), max_size=3),
+          "insert": st.none() | st.tuples(st.integers(0, 2**10), st.binary(min_size=1, max_size=8)),
+          "cut": st.none() | st.integers(0, 2**10)}
+# a last float32 of 0.5 (0x3f000000) with those bits flipped: 0x7f800001, a NaN, and 0x7f800000, +inf
+NAN_FLIPS, INF_FLIPS = [-32, -9, -2], [-9, -2]
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_damaged_feature_cache_parses_or_exits_3(workspace, trained, tiny_files, data):
+@given(**DAMAGE)
+@example(flips=NAN_FLIPS, insert=None, cut=None)
+@example(flips=INF_FLIPS, insert=None, cut=None)
+def test_damaged_feature_cache_parses_or_exits_3(workspace, trained, tiny_files, flips, insert, cut):
     victim = tiny_files["victim"]
-    victim.write_bytes(_damage(data, tiny_files["dmrf"]))
+    victim.write_bytes(_damage(tiny_files["dmrf"], flips, insert, cut))
     try:
-        F.read_feature_cache(victim)
+        pair = F.read_feature_cache(victim)
     except BadFeatureCache:
         rc = main([
             "eval", "--checkpoint", str(trained / "checkpoint.dmrc"), "--config", str(workspace["config"]),
             "--manifest", str(workspace["manifest"]), "--features", str(tiny_files["cache"]),
         ])
         assert rc == 3
+    else:
+        assert np.isfinite(pair.mel).all() and np.isfinite(pair.coch).all()
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_damaged_checkpoint_parses_or_exits_5(workspace, tiny_files, data):
+@given(**DAMAGE)
+@example(flips=NAN_FLIPS, insert=None, cut=None)
+@example(flips=INF_FLIPS, insert=None, cut=None)
+def test_damaged_checkpoint_parses_or_exits_5(workspace, tiny_files, flips, insert, cut):
     path = tiny_files["root"] / "damaged.dmrc"
-    path.write_bytes(_damage(data, tiny_files["dmrc"]))
+    path.write_bytes(_damage(tiny_files["dmrc"], flips, insert, cut))
     try:
         tr.read_checkpoint(path)
     except CheckpointMismatch as exc:
@@ -683,6 +710,12 @@ def test_damaged_checkpoint_parses_or_exits_5(workspace, tiny_files, data):
             "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]),
         ])
         assert rc == 5
+        return
+    try:
+        model, _ = tr.load_model_from_checkpoint(path, TINY_CHECKPOINT_MODEL)
+    except CheckpointMismatch:
+        return  # a renamed, reshaped or non-finite parameter
+    assert all(np.isfinite(p.data).all() for p in model.parameters().values())
 
 
 @pytest.mark.parametrize("dims", ((0,) * 65, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)), ids=("rank_65", "overflow"))
@@ -713,13 +746,13 @@ def test_a_checkpoint_that_repeats_a_section_or_a_name_exits_5_naming_it(workspa
                                                                         repeat):
     payload = tr.read_checkpoint(trained / "checkpoint.dmrc")
     params = payload["sections"]["PARM"]
-    table = nc.pack_array_table(params)
+    table = ioutil.pack_array_table(params)
     checkpoint = tmp_path / "repeat.dmrc"
     if repeat == "section":
         sections, want = [table, table], f"{checkpoint}: repeated section PARM"
     else:
         name = next(iter(params))
-        copy = nc.pack_array_table({name: np.zeros_like(params[name])})[4:]
+        copy = ioutil.pack_array_table({name: np.zeros_like(params[name])})[4:]
         sections = [struct.pack("<I", len(params) + 1) + table[4:] + copy]
         want = f"{checkpoint}: section PARM: repeated name '{name}'"
     config_hash = payload["config_hash"].encode("ascii")
@@ -732,6 +765,59 @@ def test_a_checkpoint_that_repeats_a_section_or_a_name_exits_5_naming_it(workspa
     ])
     assert rc == 5
     assert want in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing(workspace, tmp_path, capsys):
+    config = tmp_path / "diverge.cfg"
+    config.write_text(RUN_CFG + "learning_rate = 1e30\n")
+    out = tmp_path / "out"
+    rc = main([
+        "train", "--config", str(config), "--manifest", str(workspace["manifest"]),
+        "--features", str(workspace["cache"]), "--out", str(out),
+    ])
+    assert rc == 4
+    assert "non-finite loss at epoch 0, batch 1" in capsys.readouterr().out
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("split", ("train", "test"))
+def test_a_cache_holding_nan_exits_3_naming_it_before_train_writes(workspace, tmp_path, capsys, split):
+    # RUN_CFG's dimension and seed
+    ids = dk.stratified_split(dk.parse_manifest(workspace["manifest"]), "arousal", seed=2)
+    victim = (ids.train_ids if split == "train" else ids.test_ids)[0]
+    cache = tmp_path / "cache"
+    shutil.copytree(workspace["cache"], cache)
+    pair = F.read_feature_cache(cache / f"{victim}.dmrf")
+    pair.coch[3, 5] = np.nan
+    F.write_feature_cache(cache / f"{victim}.dmrf", pair, victim, F.FeatureConfig())
+    out = tmp_path / "out"
+    rc = main([
+        "train", "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
+        "--features", str(cache), "--out", str(out),
+    ])
+    assert rc == 3
+    assert f"{cache / victim}.dmrf: the coch gram holds a non-finite value" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("eval", "export-embeddings"))
+def test_a_checkpoint_parameter_holding_nan_exits_5_naming_it(workspace, trained, tmp_path, capsys, command):
+    payload = tr.read_checkpoint(trained / "checkpoint.dmrc")
+    params = payload["sections"]["PARM"]
+    name = sorted(params)[0]
+    params[name].flat[-1] = np.nan
+    checkpoint = tmp_path / "nan.dmrc"
+    model = SimpleNamespace(parameters=lambda: {n: SimpleNamespace(data=a) for n, a in params.items()})
+    tr.save_checkpoint(checkpoint, SimpleNamespace(model=model), payload["config_hash"])
+    out = ["--out", str(tmp_path / "emb.csv")] if command == "export-embeddings" else []
+    rc = main([
+        command, "--checkpoint", str(checkpoint), "--config", str(workspace["config"]),
+        "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]), *out,
+    ])
+    assert rc == 5
+    assert f"{checkpoint}: parameter {name} holds a non-finite value" in capsys.readouterr().out
+    assert not (tmp_path / "emb.csv").exists()
 
 
 @pytest.mark.parametrize("line", (

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -66,8 +67,7 @@ def test_split_requires_two_per_class():
 
 def test_split_manifest_json_round_trip():
     split = dk.SplitManifest(train_ids=["a", "b"], test_ids=["c"], dimension="arousal", seed=9)
-    back = dk.SplitManifest.from_json(split.to_json())
-    assert back == split
+    assert json.loads(split.to_json()) == {"dimension": "arousal", "seed": 9, "train_ids": ["a", "b"], "test_ids": ["c"]}
 
 
 def test_consistency_symmetric_in_pair_order():

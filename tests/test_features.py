@@ -263,17 +263,25 @@ GRAMS = hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side
 
 @settings(max_examples=100, deadline=None)
 @given(mel=GRAMS, coch=GRAMS, track_id=st.text(max_size=12))
+@example(mel=np.ones((2, 1), np.float32), coch=np.array([[0.5, -np.inf]], np.float32), track_id="t")
 def test_cache_round_trips_exactly(mel, coch, track_id):
+    """Finite grams read back bit-exact; a gram holding NaN or inf is refused by name."""
     cfg = F.FeatureConfig()
+    bad = next((name for name, gram in (("mel", mel), ("coch", coch)) if not np.isfinite(gram).all()), None)
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "track.dmrf"
         F.write_feature_cache(path, F.FeaturePair(mel=mel, coch=coch), track_id, cfg)
-        back = F.read_feature_cache(path)
         sidecar = json.loads((Path(root) / "track.dmrf.json").read_text())
-    for stored, gram in ((back.mel, mel), (back.coch, coch)):
-        assert stored.shape == gram.shape and stored.tobytes() == gram.tobytes()
+        if bad is None:
+            back = F.read_feature_cache(path)
+        else:
+            with pytest.raises(BadFeatureCache, match=f"^{re.escape(str(path))}: the {bad} gram holds a non-finite"):
+                F.read_feature_cache(path)
     assert sidecar == {"track_id": track_id, "config_hash": cfg.config_hash(),
                        "grams": [{"name": "mel", "dims": list(mel.shape)}, {"name": "coch", "dims": list(coch.shape)}]}
+    if bad is None:
+        for stored, gram in ((back.mel, mel), (back.coch, coch)):
+            assert stored.shape == gram.shape and stored.tobytes() == gram.tobytes()
 
 
 def test_cache_rejects_bad_magic(tmp_path):

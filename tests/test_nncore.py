@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
+from dvmer import ioutil
 from dvmer import nncore as nc
 from dvmer.errors import BadFeatureCache, BadTemperature, CheckpointMismatch, HeadDivisibility, NonFiniteValue, ShapeMismatch
 from dvmer.nncore import Tensor
@@ -470,6 +471,15 @@ def test_gradient_check_rejects_bad_step():
         nc.gradient_check(lambda: nc.tsum(x), {"x": x}, step=1e-2)
 
 
+# -- the binary array layout (dvmer.ioutil) -----------------------------------
+
+
+def _read_table(blob, offset=0):
+    """The table at offset in blob, and the offset just past it."""
+    reader = ioutil.BinaryReader(blob, "array table", CheckpointMismatch, offset=offset)
+    return reader.table(), reader.offset
+
+
 def test_pack_unpack_table_round_trip():
     table = {
         "weights": np.arange(12, dtype=np.float32).reshape(3, 4),
@@ -477,8 +487,8 @@ def test_pack_unpack_table_round_trip():
         "flags": np.array([True, False, True]),
         "scalar": np.array(7.5, dtype=np.float64),
     }
-    blob = nc.pack_array_table(table)
-    back, consumed = nc.unpack_array_table(blob)
+    blob = ioutil.pack_array_table(table)
+    back, consumed = _read_table(blob)
     assert consumed == len(blob)
     assert np.array_equal(back["weights"], table["weights"])
     assert np.array_equal(back["labels"], table["labels"])
@@ -495,8 +505,8 @@ TABLE_ARRAYS = hnp.arrays(
 @settings(max_examples=200, deadline=None)
 @given(table=st.dictionaries(st.text(max_size=12), TABLE_ARRAYS, max_size=5), prefix=st.binary(max_size=8))
 def test_array_table_round_trips_exactly(table, prefix):
-    blob = nc.pack_array_table(table)
-    back, consumed = nc.unpack_array_table(prefix + blob, offset=len(prefix))
+    blob = ioutil.pack_array_table(table)
+    back, consumed = _read_table(prefix + blob, offset=len(prefix))
     assert consumed == len(prefix) + len(blob)
     assert list(back) == list(table)
     for name, arr in table.items():
@@ -506,17 +516,17 @@ def test_array_table_round_trips_exactly(table, prefix):
 
 
 def test_unpack_table_rejects_unknown_dtype_tag():
-    blob = bytearray(nc.pack_array_table({"w": np.zeros(3, dtype=np.float32)}))
+    blob = bytearray(ioutil.pack_array_table({"w": np.zeros(3, dtype=np.float32)}))
     blob[4 + 2 + 1] = 9  # count, name length, name "w", then the dtype tag
     with pytest.raises(CheckpointMismatch, match="dtype tag 9"):
-        nc.unpack_array_table(bytes(blob))
+        _read_table(bytes(blob))
 
 
 def test_unpack_table_rejects_every_truncation():
-    blob = nc.pack_array_table({"w": np.arange(6, dtype=np.float32).reshape(2, 3), "n": np.array([1])})
+    blob = ioutil.pack_array_table({"w": np.arange(6, dtype=np.float32).reshape(2, 3), "n": np.array([1])})
     for cut in range(len(blob)):
         with pytest.raises(CheckpointMismatch):
-            nc.unpack_array_table(blob[:cut])
+            _read_table(blob[:cut])
 
 
 # shapes whose byte count is zero, so every dim is read, but that numpy cannot build
@@ -532,7 +542,7 @@ UNBUILDABLE_DIMS = {
 def test_reader_raises_its_own_error_for_a_shape_numpy_cannot_build(dims, error):
     buf = struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims)
     with pytest.raises(error, match=f"unusable rank-{len(dims)} shape for 'w'"):
-        nc.BinaryReader(buf, "blob", error=error).array({0: np.float32}, "'w'")
+        ioutil.BinaryReader(buf, "blob", error).array({0: np.float32}, "'w'")
 
 
 def _parameter_and_input():

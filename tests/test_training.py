@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dvmer import curriculum as cur
 from dvmer import data as dk
+from dvmer import ioutil
 from dvmer import nncore as nc
 from dvmer import training as tr
 from dvmer.errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss
@@ -402,14 +403,14 @@ def _container(sections) -> bytes:
 
 def test_checkpoint_section_with_stray_bytes_is_a_mismatch(tmp_path):
     path = tmp_path / "stray.dmrc"
-    path.write_bytes(_container([(b"PARM", nc.pack_array_table({"w": np.zeros(2)}) + b"\0")]))
-    with pytest.raises(CheckpointMismatch, match="section PARM has 1 stray byte"):
+    path.write_bytes(_container([(b"PARM", ioutil.pack_array_table({"w": np.zeros(2)}) + b"\0")]))
+    with pytest.raises(CheckpointMismatch, match="section PARM: 1 stray byte"):
         tr.read_checkpoint(path)
 
 
 def test_checkpoint_without_parameters_is_a_mismatch(tmp_path):
     path = tmp_path / "empty.dmrc"
-    path.write_bytes(_container([(b"QUEU", nc.pack_array_table({}))]))
+    path.write_bytes(_container([(b"QUEU", ioutil.pack_array_table({}))]))
     assert tr.read_checkpoint(path)["config_hash"] == "ab"
     with pytest.raises(CheckpointMismatch, match="no parameter section"):
         tr.load_model_from_checkpoint(path, TINY_MODEL)
@@ -428,8 +429,8 @@ def test_checkpoint_in_the_older_layout_still_loads(tmp_path):
     queu = {"keys": queue.keys, "labels": queue.labels, "valid": queue.valid,
             "write_index": np.array([queue.write_index], dtype=np.int64)}
     path = tmp_path / "older.dmrc"
-    path.write_bytes(_container([(b"PARM", nc.pack_array_table(params)), (b"ADAM", nc.pack_array_table(adam)),
-                                 (b"QUEU", nc.pack_array_table(queu))]))
+    path.write_bytes(_container([(b"PARM", ioutil.pack_array_table(params)), (b"ADAM", ioutil.pack_array_table(adam)),
+                                 (b"QUEU", ioutil.pack_array_table(queu))]))
 
     model, payload = tr.load_model_from_checkpoint(path, result.model_config, expected_hash="ab")
     assert set(payload["sections"]) == {"PARM", "ADAM", "QUEU"}
@@ -444,7 +445,7 @@ def test_saved_checkpoint_is_the_header_and_one_parameter_section(tmp_path):
     result = tr.run_training(samples, tr.TrainConfig(epochs=1, batch_size=8, seed=18, queue_size=8), TINY_MODEL)
     path = tmp_path / "model.dmrc"
     tr.save_checkpoint(path, result, config_hash="ab")
-    table = nc.pack_array_table({n: p.data for n, p in result.model.parameters().items()})
+    table = ioutil.pack_array_table({n: p.data for n, p in result.model.parameters().items()})
     buf = path.read_bytes()
     assert len(buf) == (4 + 4 + 2 + len("ab") + 4) + (4 + 8 + len(table))
     assert buf == _container([(b"PARM", table)])
