@@ -86,7 +86,7 @@ def open_framed(path, magic: bytes, version: int, error: type[Exception], kind: 
         buf = fh.read()
     if buf[:4] != magic:
         raise error(f"{path}: not a {kind} (bad magic)")
-    reader = BinaryReader(buf, str(path), error, offset=4)
+    reader = BinaryReader(memoryview(buf), str(path), error, offset=4)
     (found,) = reader.unpack("<I")
     if found != version:
         raise error(f"{path}: unsupported {kind} version {found}")
@@ -96,15 +96,16 @@ def open_framed(path, magic: bytes, version: int, error: type[Exception], kind: 
 class BinaryReader:
     """Bounds-checked cursor over a binary buffer; a short read, undecodable
     text, an unknown dtype tag, a repeated table name or stray bytes raise
-    `error` naming `source`."""
+    `error` naming `source`. Over a memoryview, `take` returns views, so only
+    the arrays are copied out of the buffer."""
 
-    def __init__(self, buf: bytes, source: str, error: type[Exception], offset: int = 0):
+    def __init__(self, buf: bytes | memoryview, source: str, error: type[Exception], offset: int = 0):
         self.buf = buf
         self.source = source
         self.error = error
         self.offset = offset
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> bytes | memoryview:
         if self.offset + n > len(self.buf):
             raise self.error(
                 f"{self.source}: truncated: needs {n} byte(s) at offset {self.offset}, has {len(self.buf) - self.offset}"
@@ -118,7 +119,7 @@ class BinaryReader:
     def text(self, n: int, encoding: str = "utf-8") -> str:
         start = self.offset
         try:
-            return self.take(n).decode(encoding)
+            return str(self.take(n), encoding)
         except UnicodeDecodeError as exc:
             raise self.error(f"{self.source}: undecodable text at offset {start}") from exc
 

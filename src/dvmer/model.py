@@ -7,9 +7,14 @@ column; both views are projected into a shared embedding space. Every
 cross-view layer computes both attention directions from the same input
 tokens (simultaneous update), each followed by dropout, a residual
 connection, layer norm, and a position-wise feed-forward block with GELU
-and 4x expansion. That block and the fusion MLP are each one
-`nncore.feed_forward` node, which keeps the hidden pre-activation and Phi
-but not the GELU output.
+and 4x expansion. That block and the fusion MLP are each a `FeedForward`
+part, one `nncore.feed_forward` node, which keeps the hidden pre-activation
+and Phi but not the GELU output.
+
+Every part is an `nncore.Module`, so the model's parameter names and their
+order follow from its attributes: `mel_proj.w`, `layer0.mel_from_coch.attn.wq`,
+`fuse.w1`, `head_fuse.b`. That order is the checkpoint's `PARM` order and the
+order in which gradient clipping sums.
 """
 
 from __future__ import annotations
@@ -67,32 +72,26 @@ class BranchOutputs:
     logits_fuse: Tensor | None = None
 
 
-class FeedForward:
-    def __init__(self, dim: int, expand: int, rng, dtype):
-        self.w1, self.b1 = nc.init_linear_params(dim * expand, dim, rng, dtype)
-        self.w2, self.b2 = nc.init_linear_params(dim, dim * expand, rng, dtype)
+class FeedForward(nc.Module):
+    """Linear, GELU, linear: d_in -> d_hidden -> d_out."""
 
-    def parameters(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+    def __init__(self, d_in: int, d_hidden: int, d_out: int, rng, dtype):
+        self.w1, self.b1 = nc.init_linear_params(d_hidden, d_in, rng, dtype)
+        self.w2, self.b2 = nc.init_linear_params(d_out, d_hidden, rng, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return nc.feed_forward(x, self.w1, self.b1, self.w2, self.b2)
 
 
-class CrossDirection:
+class CrossDirection(nc.Module):
     """One attention direction plus its residual/norm/FFN stack."""
 
     def __init__(self, dim: int, heads: int, expand: int, rng, dtype):
+        # set in the checkpoint's parameter order; the layer norms draw no random numbers
         self.attn = nc.MultiHeadAttention(dim, heads, rng, dtype)
+        self.ffn = FeedForward(dim, dim * expand, dim, rng, dtype)
         self.ln1_g, self.ln1_b = nc.init_layer_norm_params(dim, dtype)
-        self.ffn = FeedForward(dim, expand, rng, dtype)
         self.ln2_g, self.ln2_b = nc.init_layer_norm_params(dim, dtype)
-
-    def parameters(self):
-        params = {f"attn.{k}": v for k, v in self.attn.parameters().items()}
-        params.update({f"ffn.{k}": v for k, v in self.ffn.parameters().items()})
-        params.update({"ln1.g": self.ln1_g, "ln1.b": self.ln1_b, "ln2.g": self.ln2_g, "ln2.b": self.ln2_b})
-        return params
 
     def __call__(self, own: Tensor, other: Tensor, p_drop: float, rng, training: bool) -> Tensor:
         attended = self.attn(own, other, other)
@@ -101,15 +100,10 @@ class CrossDirection:
         return out
 
 
-class CrossViewLayer:
+class CrossViewLayer(nc.Module):
     def __init__(self, dim: int, heads: int, expand: int, rng, dtype):
         self.mel_from_coch = CrossDirection(dim, heads, expand, rng, dtype)
         self.coch_from_mel = CrossDirection(dim, heads, expand, rng, dtype)
-
-    def parameters(self):
-        params = {f"mel_from_coch.{k}": v for k, v in self.mel_from_coch.parameters().items()}
-        params.update({f"coch_from_mel.{k}": v for k, v in self.coch_from_mel.parameters().items()})
-        return params
 
     def __call__(self, tokens: TokenSet, p_drop: float, rng, training: bool) -> TokenSet:
         # both directions read the same input tokens; no sequential dependence
@@ -118,8 +112,8 @@ class CrossViewLayer:
         return TokenSet(h_mel=new_mel, h_coch=new_coch)
 
 
-class DualViewModel:
-    """Full encoder plus heads; parameters live in a flat name -> Tensor map."""
+class DualViewModel(nc.Module):
+    """Full encoder plus heads."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
@@ -141,31 +135,11 @@ class DualViewModel:
                 CrossViewLayer(d, cfg.heads, cfg.ffn_expand, rng, dtype) for _ in range(cfg.layers)
             ]
 
-        self.fuse_w1, self.fuse_b1 = nc.init_linear_params(cfg.fusion_dim, 2 * d, rng, dtype)
-        self.fuse_w2, self.fuse_b2 = nc.init_linear_params(cfg.fusion_dim, cfg.fusion_dim, rng, dtype)
+        self.fuse = FeedForward(2 * d, cfg.fusion_dim, cfg.fusion_dim, rng, dtype)
 
         self.head_mel_w, self.head_mel_b = nc.init_linear_params(cfg.n_classes, d, rng, dtype)
         self.head_coch_w, self.head_coch_b = nc.init_linear_params(cfg.n_classes, d, rng, dtype)
         self.head_fuse_w, self.head_fuse_b = nc.init_linear_params(cfg.n_classes, cfg.fusion_dim, rng, dtype)
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = {
-            "mel_proj.w": self.mel_proj_w, "mel_proj.b": self.mel_proj_b,
-            "coch_proj.w": self.coch_proj_w, "coch_proj.b": self.coch_proj_b,
-        }
-        if self.pos_mel is not None:
-            params["pos.mel"] = self.pos_mel
-            params["pos.coch"] = self.pos_coch
-        for i, layer in enumerate(self.cross_layers):
-            params.update({f"layer{i}.{k}": v for k, v in layer.parameters().items()})
-        params.update({
-            "fuse.w1": self.fuse_w1, "fuse.b1": self.fuse_b1,
-            "fuse.w2": self.fuse_w2, "fuse.b2": self.fuse_b2,
-            "head_mel.w": self.head_mel_w, "head_mel.b": self.head_mel_b,
-            "head_coch.w": self.head_coch_w, "head_coch.b": self.head_coch_b,
-            "head_fuse.w": self.head_fuse_w, "head_fuse.b": self.head_fuse_b,
-        })
-        return params
 
     # -- forward pieces ---------------------------------------------------
 
@@ -199,8 +173,7 @@ class DualViewModel:
         z_mel = nc.tmean(tokens.h_mel, axis=1)
         z_coch = nc.tmean(tokens.h_coch, axis=1)
         joint = nc.concat([z_mel, z_coch], axis=-1)
-        z_fuse = nc.feed_forward(joint, self.fuse_w1, self.fuse_b1, self.fuse_w2, self.fuse_b2)
-        return BranchOutputs(z_mel=z_mel, z_coch=z_coch, z_fuse=z_fuse)
+        return BranchOutputs(z_mel=z_mel, z_coch=z_coch, z_fuse=self.fuse(joint))
 
     def classify(self, outputs: BranchOutputs) -> BranchOutputs:
         outputs.logits_mel = nc.linear(outputs.z_mel, self.head_mel_w, self.head_mel_b)

@@ -611,7 +611,27 @@ def init_layer_norm_params(dim: int, dtype=np.float32):
     return gamma, beta
 
 
-class MultiHeadAttention:
+class Module:
+    """A model part whose parameters are named by one rule, in the order its
+    attributes were set: a Tensor attribute `head_fuse_w` is `head_fuse.w`
+    (the last underscore becomes a dot), a part `attn` prefixes its own
+    names with `attn.`, and the parts of a list are `layer0.`, `layer1.`, ...
+    Any other attribute, None included, is skipped."""
+
+    def parameters(self) -> dict[str, Tensor]:
+        params = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                params[".".join(attr.rsplit("_", 1))] = value
+            elif isinstance(value, Module):
+                params.update((f"{attr}.{k}", v) for k, v in value.parameters().items())
+            elif isinstance(value, list) and all(isinstance(part, Module) for part in value):
+                for i, part in enumerate(value):
+                    params.update((f"layer{i}.{k}", v) for k, v in part.parameters().items())
+        return params
+
+
+class MultiHeadAttention(Module):
     """Learned Q/K/V projections, the `attention` op, then the output
     projection: five graph nodes per call."""
 
@@ -623,14 +643,6 @@ class MultiHeadAttention:
         self.wk, self.bk = init_linear_params(dim, dim, rng, dtype)
         self.wv, self.bv = init_linear_params(dim, dim, rng, dtype)
         self.wo, self.bo = init_linear_params(dim, dim, rng, dtype)
-
-    def parameters(self) -> dict:
-        return {
-            "wq": self.wq, "bq": self.bq,
-            "wk": self.wk, "bk": self.bk,
-            "wv": self.wv, "bv": self.bv,
-            "wo": self.wo, "bo": self.bo,
-        }
 
     def __call__(self, query: Tensor, key: Tensor, value: Tensor) -> Tensor:
         q = linear(query, self.wq, self.bq)

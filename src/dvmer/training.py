@@ -90,6 +90,8 @@ class TrainConfig:
                               f"got {self.theta_min} and {self.theta_start}")
         if not self.tau_min <= self.tau_max:
             raise ConfigError(f"tau_min {self.tau_min} must not exceed tau_max {self.tau_max}")
+        if not 0 < self.labeled_fraction <= 1:
+            raise ConfigError(f"labeled_fraction must lie in (0, 1], got {self.labeled_fraction}")
         if self.mode not in ("full", "semi"):
             raise ConfigError(f"mode must be 'full' or 'semi', got {self.mode!r}")
         _check_dimension(self.dimension)
@@ -367,8 +369,9 @@ def run_training(
         for batch_index, idx in enumerate(batches):
             batch = _stack_batch(train_samples, idx)
             try:
-                losses, preds, confidences, (pre_norm, post_norm) = _train_step(
-                    model, optimizer, queue, config, batch, tau, theta, lr, loop_rng)
+                with np.errstate(over="ignore"):  # an overflow surfaces as the op's non-finite output
+                    losses, preds, confidences, (pre_norm, post_norm) = _train_step(
+                        model, optimizer, queue, config, batch, tau, theta, lr, loop_rng)
             except (NonFiniteValue, NonFiniteLoss) as exc:
                 raise NonFiniteLoss(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}: {exc}",
@@ -570,7 +573,7 @@ def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: s
     payload = read_checkpoint(path)
     if expected_hash is not None and payload["config_hash"] != expected_hash:
         raise CheckpointMismatch(
-            f"checkpoint hash {payload['config_hash']} != config hash {expected_hash}"
+            f"{path}: checkpoint hash {payload['config_hash']} != config hash {expected_hash}"
         )
     model = DualViewModel(model_config, np.random.default_rng(0))
     params = model.parameters()
@@ -580,11 +583,11 @@ def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: s
     missing = set(params) - set(stored)
     extra = set(stored) - set(params)
     if missing or extra:
-        raise CheckpointMismatch(f"parameter table mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        raise CheckpointMismatch(f"{path}: parameter table mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
     for name, p in params.items():
         arr = np.asarray(stored[name], dtype=p.data.dtype)
         if arr.shape != p.data.shape:
-            raise CheckpointMismatch(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
+            raise CheckpointMismatch(f"{path}: shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
         if not np.isfinite(arr).all():
             raise CheckpointMismatch(f"{path}: parameter {name} holds a non-finite value")
         p.data = arr  # the payload's own fresh array: a copy would only add a transient

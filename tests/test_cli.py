@@ -767,7 +767,7 @@ def test_a_checkpoint_that_repeats_a_section_or_a_name_exits_5_naming_it(workspa
     assert want in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing(workspace, tmp_path, capsys):
     config = tmp_path / "diverge.cfg"
     config.write_text(RUN_CFG + "learning_rate = 1e30\n")
@@ -818,6 +818,31 @@ def test_a_checkpoint_parameter_holding_nan_exits_5_naming_it(workspace, trained
     assert rc == 5
     assert f"{checkpoint}: parameter {name} holds a non-finite value" in capsys.readouterr().out
     assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.parametrize("damage", ("renamed", "reshaped", "hash"))
+def test_a_checkpoint_that_does_not_fit_exits_5_naming_it(workspace, trained, tmp_path, capsys, damage):
+    payload = tr.read_checkpoint(trained / "checkpoint.dmrc")
+    params = payload["sections"]["PARM"]
+    name = sorted(params)[0]
+    config_hash = payload["config_hash"]
+    if damage == "renamed":
+        params[name + "_renamed"] = params.pop(name)
+        want = "parameter table mismatch"
+    elif damage == "reshaped":
+        params[name] = params[name].reshape(-1)[:-1]
+        want = f"shape mismatch for {name}"
+    else:
+        config_hash, want = "0" * len(config_hash), "checkpoint hash"
+    checkpoint = tmp_path / f"{damage}.dmrc"
+    model = SimpleNamespace(parameters=lambda: {n: SimpleNamespace(data=a) for n, a in params.items()})
+    tr.save_checkpoint(checkpoint, SimpleNamespace(model=model), config_hash)
+    rc = main([
+        "eval", "--checkpoint", str(checkpoint), "--config", str(workspace["config"]),
+        "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]), "--json",
+    ])
+    assert rc == 5
+    assert json.loads(capsys.readouterr().out)["summary"].startswith(f"checkpoint mismatch: {checkpoint}: {want}")
 
 
 @pytest.mark.parametrize("line", (

@@ -81,6 +81,45 @@ def test_parameter_names_stable_and_complete():
     assert "head_fuse.w" in names
 
 
+def test_one_layer_model_names_its_parameters_in_attribute_order():
+    direction = ["attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+                 "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln1.g", "ln1.b", "ln2.g", "ln2.b"]
+    names = ["mel_proj.w", "mel_proj.b", "coch_proj.w", "coch_proj.b", "pos.mel", "pos.coch",
+             *(f"layer0.mel_from_coch.{n}" for n in direction), *(f"layer0.coch_from_mel.{n}" for n in direction),
+             "fuse.w1", "fuse.b1", "fuse.w2", "fuse.b2",
+             "head_mel.w", "head_mel.b", "head_coch.w", "head_coch.b", "head_fuse.w", "head_fuse.b"]
+    model = DualViewModel(ec.tiny_model_config(positional=True), np.random.default_rng(0))
+    assert list(model.parameters()) == names
+    assert model.parameters()["fuse.w1"] is model.fuse.w1
+    without_pos = DualViewModel(ec.tiny_model_config(positional=False), np.random.default_rng(0))
+    assert list(without_pos.parameters()) == [n for n in names if not n.startswith("pos.")]
+
+
+def test_module_names_tensors_parts_and_lists_of_parts_and_skips_the_rest():
+    def tensor():
+        return Tensor(np.zeros(2), requires_grad=True)
+
+    class Part(nc.Module):
+        def __init__(self):
+            self.w = tensor()
+
+    class Whole(nc.Module):
+        def __init__(self):
+            self.in_proj_w = tensor()
+            self.unset = None
+            self.size = 3
+            self.block = Part()
+            self.stack = [Part(), Part()]
+            self.out_b = tensor()
+
+    whole = Whole()
+    params = whole.parameters()
+    assert list(params) == ["in_proj.w", "block.w", "layer0.w", "layer1.w", "out.b"]
+    assert params["in_proj.w"] is whole.in_proj_w
+    assert params["block.w"] is whole.block.w
+    assert params["layer1.w"] is whole.stack[1].w
+
+
 def test_end_to_end_gradient_check():
     """Full encode + classify pass against central differences (64-bit)."""
     cfg = ec.tiny_model_config()
@@ -226,7 +265,7 @@ def _traced_feed_forward_call(grad: bool):
     what the call held, h.nbytes, output nbytes) for one default-sized
     FeedForward call: [16, 87, 128] -> 512 -> 128, float32."""
     rng = np.random.default_rng(17)
-    ffn = FeedForward(128, 4, rng, np.float32)
+    ffn = FeedForward(128, 512, 128, rng, np.float32)
     x = Tensor(rng.normal(size=(16, 87, 128)).astype(np.float32), requires_grad=True)
     g = rng.normal(size=x.shape).astype(np.float32)
     mode = contextlib.nullcontext if grad else nc.no_grad

@@ -3,6 +3,7 @@ import re
 import struct
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -451,13 +452,26 @@ def test_saved_checkpoint_is_the_header_and_one_parameter_section(tmp_path):
     assert buf == _container([(b"PARM", table)])
 
 
+def test_reading_a_checkpoint_holds_the_file_and_its_arrays_but_no_section_copy(tmp_path):
+    path = tmp_path / "default.dmrc"
+    tr.save_checkpoint(path, SimpleNamespace(model=DualViewModel(ModelConfig(), np.random.default_rng(0))), "ab")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        tr.read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * size, f"peaks at {peak / size:.2f} times the {size / 1e6:.2f} MB file"
+
+
 @pytest.mark.parametrize("field,value", (
     ("learning_rate", 0.0), ("learning_rate", math.nan), ("grad_clip", -1.0), ("grad_clip", math.nan),
     ("contrast_temperature", 0.0), ("contrast_temperature", math.nan), ("tau_min", 0.0),
     ("tau_max", -0.5), ("tau_max", math.nan), ("queue_size", 0), ("queue_size", -3),
     ("queue_size", 15), ("weight_decay", -1e-4), ("weight_decay", math.nan), ("theta_min", -0.1),
     ("theta_min", 0.7), ("theta_min", math.nan), ("theta_start", 1.5), ("theta_start", math.nan),
-    ("tau_min", 1.6),
+    ("tau_min", 1.6), ("labeled_fraction", 0.0), ("labeled_fraction", 1.5), ("labeled_fraction", math.nan),
 ))
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
