@@ -3,7 +3,8 @@
 Commands: extract-features, train, eval, diagnose, export-embeddings.
 
 Exit codes are stable: 0 success, 2 configuration error, 3 data error,
-4 non-finite loss during training, 5 checkpoint/config hash mismatch.
+4 non-finite value in training or in a trained model's forward pass,
+5 checkpoint/config hash mismatch.
 All commands accept --json for machine-readable output; every file output
 is written atomically.
 """
@@ -16,18 +17,19 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from . import config as cfgmod
 from . import data as datakit
 from . import features as feats
 from . import training
 from .errors import (
-    BadFeatureCache,
     BadSampleRate,
     CheckpointMismatch,
     ConfigError,
     DvmerError,
     EmptySplit,
-    NonFiniteLoss,
+    NonFiniteValue,
     TrackTooShort,
 )
 from .ioutil import atomic_write_text, text_lines
@@ -138,18 +140,18 @@ def cmd_train(args) -> CommandResult:
         )
 
     result = training.run_training(train_samples, train_cfg, model_cfg, on_epoch=log_epoch)
+    # both splits' forward passes run before any file is written, so a model
+    # that diverges there leaves --out as empty as a diverging step does
+    train_metrics = training.evaluate(result.model, train_samples, ensemble=train_cfg.ensemble_eval)
+    test_metrics = training.evaluate(result.model, test_samples, ensemble=train_cfg.ensemble_eval)
 
     config_hash = cfgmod.run_config_hash(train_cfg, result.model_config)
-    checkpoint_path = os.path.join(args.out, "checkpoint.dmrc")
-    training.save_checkpoint(checkpoint_path, result, config_hash)
+    training.save_checkpoint(os.path.join(args.out, "checkpoint.dmrc"), result, config_hash)
     atomic_write_text(
         os.path.join(args.out, "epochs.log"),
         "\n".join(json.dumps(r.to_dict()) for r in result.records) + "\n",
     )
     atomic_write_text(os.path.join(args.out, "split.json"), split.to_json())
-
-    train_metrics = training.evaluate(result.model, train_samples, ensemble=train_cfg.ensemble_eval)
-    test_metrics = training.evaluate(result.model, test_samples, ensemble=train_cfg.ensemble_eval)
     summary = {
         "dimension": train_cfg.dimension,
         "config_hash": config_hash,
@@ -315,13 +317,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     as_json = getattr(args, "json", False)
     try:
-        result = args.func(args)
-    except BadFeatureCache as exc:
-        return _emit(CommandResult(EXIT_DATA, f"data error: {exc}"), as_json)
+        with np.errstate(over="ignore"):  # an overflow surfaces as a non-finite op output, which names the op
+            result = args.func(args)
     except ConfigError as exc:
         return _emit(CommandResult(EXIT_CONFIG, f"config error: {exc}"), as_json)
-    except NonFiniteLoss as exc:
-        return _emit(CommandResult(EXIT_NONFINITE, f"non-finite loss: {exc}"), as_json)
+    except NonFiniteValue as exc:
+        return _emit(CommandResult(EXIT_NONFINITE, f"numeric error: {exc}"), as_json)
     except CheckpointMismatch as exc:
         return _emit(CommandResult(EXIT_CHECKPOINT, f"checkpoint mismatch: {exc}"), as_json)
     except (OSError, ValueError, DvmerError) as exc:

@@ -9,7 +9,7 @@ class ConfigError(DvmerError):
     """Invalid or inconsistent configuration."""
 
 
-class BadFeatureCache(ConfigError):
+class BadFeatureCache(DvmerError):
     """Malformed feature cache file; the CLI reports it as a data error."""
 
 
@@ -37,8 +37,8 @@ class NonFiniteValue(DvmerError):
     """A NaN or Inf appeared in a tensor operation."""
 
 
-class NonFiniteLoss(DvmerError):
-    """Training produced a non-finite loss; carries the offending batch index."""
+class NonFiniteLoss(NonFiniteValue):
+    """A training step produced a non-finite value; carries its epoch and batch index."""
 
     def __init__(self, message, epoch=None, batch_index=None):
         super().__init__(message)

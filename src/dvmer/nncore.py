@@ -616,18 +616,25 @@ class Module:
     attributes were set: a Tensor attribute `head_fuse_w` is `head_fuse.w`
     (the last underscore becomes a dot), a part `attn` prefixes its own
     names with `attn.`, and the parts of a list are `layer0.`, `layer1.`, ...
-    Any other attribute, None included, is skipped."""
+    Any other attribute, None included, is skipped. A name given twice, such
+    as by a second list of parts, raises ValueError rather than dropping a
+    parameter."""
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {}
+        named = []
         for attr, value in vars(self).items():
             if isinstance(value, Tensor):
-                params[".".join(attr.rsplit("_", 1))] = value
+                named.append((".".join(attr.rsplit("_", 1)), value))
             elif isinstance(value, Module):
-                params.update((f"{attr}.{k}", v) for k, v in value.parameters().items())
+                named += [(f"{attr}.{k}", v) for k, v in value.parameters().items()]
             elif isinstance(value, list) and all(isinstance(part, Module) for part in value):
                 for i, part in enumerate(value):
-                    params.update((f"layer{i}.{k}", v) for k, v in part.parameters().items())
+                    named += [(f"layer{i}.{k}", v) for k, v in part.parameters().items()]
+        params = {}
+        for name, value in named:
+            if name in params:
+                raise ValueError(f"{type(self).__name__} names two parameters {name!r}")
+            params[name] = value
         return params
 
 
@@ -682,8 +689,9 @@ def gradient_check(
     finite differences.
 
     fn must rebuild its graph from the given Tensors on every call and
-    return a scalar Tensor. All inputs must be float64 and step must lie
-    in [1e-5, 1e-3]. Relative error uses max(|a|, |b|) as denominator with
+    return a scalar Tensor; the finite-difference calls run under
+    no_grad(). All inputs must be float64 and step must lie in
+    [1e-5, 1e-3]. Relative error uses max(|a|, |b|) as denominator with
     the 0/0 := 0 convention; denom_floor keeps structurally-zero gradients
     (both sides pure roundoff noise below the floor) from inflating the
     ratio, comparing them on an absolute scale instead.
@@ -708,19 +716,20 @@ def gradient_check(
     }
 
     per_input = {}
-    for name, t in inputs.items():
-        flat = t.data.reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(fn().data)
-            flat[i] = orig - step
-            f_minus = float(fn().data)
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * step)
-            worst = max(worst, _rel_error(float(analytic[name].reshape(-1)[i]), fd, denom_floor))
-        per_input[name] = worst
+    with no_grad():  # a forward gives the same values without a graph
+        for name, t in inputs.items():
+            flat = t.data.reshape(-1)
+            worst = 0.0
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                f_plus = float(fn().data)
+                flat[i] = orig - step
+                f_minus = float(fn().data)
+                flat[i] = orig
+                fd = (f_plus - f_minus) / (2.0 * step)
+                worst = max(worst, _rel_error(float(analytic[name].reshape(-1)[i]), fd, denom_floor))
+            per_input[name] = worst
 
     max_err = max(per_input.values()) if per_input else 0.0
     return GradReport(op_name=op_name, max_rel_error=max_err, per_input=per_input)

@@ -769,16 +769,23 @@ def test_a_checkpoint_that_repeats_a_section_or_a_name_exits_5_naming_it(workspa
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing(workspace, tmp_path, capsys):
-    config = tmp_path / "diverge.cfg"
-    config.write_text(RUN_CFG + "learning_rate = 1e30\n")
-    out = tmp_path / "out"
-    rc = main([
-        "train", "--config", str(config), "--manifest", str(workspace["manifest"]),
-        "--features", str(workspace["cache"]), "--out", str(out),
-    ])
-    assert rc == 4
-    assert "non-finite loss at epoch 0, batch 1" in capsys.readouterr().out
-    assert list(out.iterdir()) == []
+    # the second step's forward overflows; then a run whose only step is its
+    # last, so the evaluation at the end of train overflows
+    last_step = RUN_CFG.replace("epochs = 3", "epochs = 1").replace("batch_size = 8", "batch_size = 32")
+    for name, text, want in (
+        ("batch1", RUN_CFG, "non-finite loss at epoch 0, batch 1"),
+        ("last-step", last_step.replace("queue_size = 16", "queue_size = 32"), "non-finite value produced by op"),
+    ):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text + "learning_rate = 1e30\n")
+        out = tmp_path / name
+        rc = main([
+            "train", "--config", str(config), "--manifest", str(workspace["manifest"]),
+            "--features", str(workspace["cache"]), "--out", str(out),
+        ])
+        assert rc == 4, name
+        assert want in capsys.readouterr().out
+        assert list(out.iterdir()) == [], name
 
 
 @pytest.mark.parametrize("split", ("train", "test"))
@@ -817,6 +824,25 @@ def test_a_checkpoint_parameter_holding_nan_exits_5_naming_it(workspace, trained
     ])
     assert rc == 5
     assert f"{checkpoint}: parameter {name} holds a non-finite value" in capsys.readouterr().out
+    assert not (tmp_path / "emb.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ("eval", "export-embeddings"))
+def test_a_checkpoint_whose_forward_overflows_exits_4_naming_the_op(workspace, trained, tmp_path, capsys, command):
+    payload = tr.read_checkpoint(trained / "checkpoint.dmrc")
+    params = {n: a * np.float32(1e30) for n, a in payload["sections"]["PARM"].items()}
+    assert all(np.isfinite(a).all() for a in params.values())
+    checkpoint = tmp_path / "huge.dmrc"
+    model = SimpleNamespace(parameters=lambda: {n: SimpleNamespace(data=a) for n, a in params.items()})
+    tr.save_checkpoint(checkpoint, SimpleNamespace(model=model), payload["config_hash"])
+    out = ["--out", str(tmp_path / "emb.csv")] if command == "export-embeddings" else []
+    rc = main([
+        command, "--checkpoint", str(checkpoint), "--config", str(workspace["config"]),
+        "--manifest", str(workspace["manifest"]), "--features", str(workspace["cache"]), *out,
+    ])
+    assert rc == 4
+    assert "numeric error: non-finite value produced by op 'linear'" in capsys.readouterr().out
     assert not (tmp_path / "emb.csv").exists()
 
 

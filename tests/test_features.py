@@ -287,7 +287,7 @@ def test_cache_round_trips_exactly(mel, coch, track_id):
 def test_cache_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.dmrf"
     path.write_bytes(b"WXYZ" + b"\x00" * 16)
-    with pytest.raises(ConfigError):
+    with pytest.raises(BadFeatureCache):
         F.read_feature_cache(path)
 
 

@@ -120,6 +120,20 @@ def test_module_names_tensors_parts_and_lists_of_parts_and_skips_the_rest():
     assert params["layer1.w"] is whole.stack[1].w
 
 
+def test_module_refuses_a_parameter_name_given_twice():
+    class Part(nc.Module):
+        def __init__(self):
+            self.w = Tensor(np.zeros(2), requires_grad=True)
+
+    class TwoStacks(nc.Module):
+        def __init__(self):
+            self.encoder = [Part()]
+            self.decoder = [Part(), Part()]
+
+    with pytest.raises(ValueError, match="TwoStacks names two parameters 'layer0.w'"):
+        TwoStacks().parameters()
+
+
 def test_end_to_end_gradient_check():
     """Full encode + classify pass against central differences (64-bit)."""
     cfg = ec.tiny_model_config()

@@ -268,6 +268,22 @@ def test_checkpoint_round_trip_and_hash_guard(tmp_path):
         tr.load_model_from_checkpoint(path, result.model_config, expected_hash="deadbeef")
 
 
+def test_loading_a_checkpoint_draws_no_random_number(tmp_path, monkeypatch):
+    saved = DualViewModel(TINY_MODEL, np.random.default_rng(0))
+    path = tmp_path / "model.dmrc"
+    tr.save_checkpoint(path, SimpleNamespace(model=saved), config_hash="ab")
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the load built a random generator")
+
+    monkeypatch.setattr(tr.np.random, "default_rng", no_generator)
+    model, _ = tr.load_model_from_checkpoint(path, TINY_MODEL)
+    loaded = model.parameters()
+    assert list(loaded) == list(saved.parameters())
+    for name, p in saved.parameters().items():
+        assert loaded[name].data.dtype == p.data.dtype and np.array_equal(loaded[name].data, p.data)
+
+
 def test_predict_scores_and_embed_match_a_graph_building_forward():
     model = DualViewModel(TINY_MODEL, np.random.default_rng(30))
     samples = dk.synth_dataset(n=2 * tr.INFER_BATCH + 6, separation=5.0, noise=0.1, seed=31)  # two full batches and a part
