@@ -87,12 +87,9 @@ def _overrides_from_args(args) -> dict:
 
 
 def _extract_track(wav_path, cache_path, track_id, cfg):
-    """One track from WAV to cache. The whole track is freed once its segment
-    is cut, and the rest before the next WAV is read."""
-    track, rate = feats.read_wav(wav_path)
-    seg = feats.select_segment(track, rate, cfg)
-    del track
-    pair = feats.extract_pair(seg, cfg)
+    """One track from WAV to cache; only the analysis window is read, and
+    everything is freed before the next WAV is read."""
+    pair = feats.extract_pair(feats.read_segment(wav_path, cfg), cfg)
     feats.write_feature_cache(cache_path, pair, track_id, cfg)
 
 

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 from types import SimpleNamespace
@@ -556,6 +557,48 @@ def test_extract_features_skips_malformed_wavs_like_short_tracks(tmp_path, capsy
     for name in ("frame", "header", "text"):
         assert f"skipped {name}: {wav_dir / name}.wav: malformed WAV" in err
     assert f"skipped folder: {wav_dir / 'folder'}.wav: cannot read" in err
+
+
+def test_extract_features_builds_no_dense_mel_bank(tmp_path, monkeypatch):
+    def dense_bank(cfg):
+        raise AssertionError("extract-features built the dense Mel bank")
+
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    _write_wav(wav_dir / "ok.wav", 36, 440.0, np.random.default_rng(4))
+    monkeypatch.setattr(F, "mel_filterbank", dense_bank)
+    F._banks.cache_clear()  # so this run builds its banks
+    assert main(["extract-features", "--in", str(wav_dir), "--out", str(tmp_path / "cache")]) == 0
+    assert F.read_feature_cache(tmp_path / "cache" / "ok.dmrf").mel.shape == (128, 87)
+
+
+def test_extract_features_reads_only_the_window_of_a_long_wav(tmp_path, monkeypatch):
+    """The traced peak up to the feature views stays near two float64
+    segments (21 MB each), where the 300 s stereo track alone is 106 MB in
+    float64."""
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    rng = np.random.default_rng(5)
+    with wave.open(str(wav_dir / "long.wav"), "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(2)
+        wf.setframerate(SR)
+        for _ in range(10):
+            wf.writeframes(rng.integers(-32768, 32768, size=(30 * SR, 2), dtype="<i2").tobytes())
+    peaks = []
+
+    def views(seg, cfg):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return F.FeaturePair(mel=np.zeros((128, 87)), coch=np.zeros((84, 87)))
+
+    monkeypatch.setattr(F, "extract_pair", views)
+    segment_bytes = F.FeatureConfig().segment_len * 8
+    tracemalloc.start()
+    try:
+        assert main(["extract-features", "--in", str(wav_dir), "--out", str(tmp_path / "cache")]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 2.5 * segment_bytes, f"peak {peaks[0] / 1e6:.1f} MB"
 
 
 def test_non_numeric_manifest_value_is_a_config_error(workspace, trained, tmp_path, capsys):

@@ -151,8 +151,15 @@ def test_fft_workers_fall_back_to_the_cpu_count_without_affinity(monkeypatch):
         assert module.FFT_WORKERS == workers
 
 
+def _scatter(spans, shape):
+    bank = np.zeros(shape)
+    for b, (first, weights) in enumerate(spans):
+        bank[b, first:first + weights.shape[0]] = weights
+    return bank
+
+
 def test_banks_are_built_once_per_config_and_read_only(monkeypatch):
-    real = {name: getattr(F, name) for name in ("mel_filterbank", "gammatone_filterbank")}
+    real = {name: getattr(F, name) for name in ("mel_spans", "gammatone_filterbank")}
     builds = []
     for name, build in real.items():
         monkeypatch.setattr(F, name, lambda cfg, name=name, build=build: builds.append(name) or build(cfg))
@@ -160,12 +167,49 @@ def test_banks_are_built_once_per_config_and_read_only(monkeypatch):
     configs = (F.FeatureConfig(frame_len=2048, hop=1024), F.FeatureConfig(frame_len=1024, hop=512))
     for cfg in configs + configs:
         power = np.random.default_rng(6).random((3, cfg.n_fft // 2 + 1))
-        assert np.array_equal(F.mel_energies_from_spectra(power, cfg), real["mel_filterbank"](cfg) @ power.T)
+        dense = F.mel_filterbank(cfg)
+        # the spans hold every entry of the dense bank with its bits; only the
+        # order in which each band's energy is summed differs
+        assert np.array_equal(_scatter(F._banks(cfg)[0], dense.shape), dense)
+        np.testing.assert_allclose(F.mel_energies_from_spectra(power, cfg), dense @ power.T, rtol=1e-13, atol=0)
         assert np.array_equal(F.coch_energies_from_spectra(power, cfg), real["gammatone_filterbank"](cfg) @ power.T)
-    assert sorted(builds) == ["gammatone_filterbank"] * 2 + ["mel_filterbank"] * 2
-    for bank in F._banks(configs[0]):
+    assert sorted(builds) == ["gammatone_filterbank"] * 2 + ["mel_spans"] * 2
+    spans, gammatone = F._banks(configs[0])
+    for bank in [weights for _, weights in spans] + [gammatone]:
         with pytest.raises(ValueError, match="read-only"):
-            bank[0, 0] = 1.0
+            bank[..., :1] = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(bands=st.integers(1, 160), fmin=st.floats(0.0, 21000.0), width=st.floats(1.0, 22050.0),
+       hop=st.integers(1, 400))
+# a 64-sample frame: bins 344.5 Hz apart, so the lowest bands hold no bin
+@example(bands=128, fmin=0.0, width=22050.0, hop=32)
+def test_mel_spans_scatter_to_the_dense_bank(bands, fmin, width, hop):
+    cfg = F.FeatureConfig(mel_bands=bands, mel_fmin=fmin, mel_fmax=min(fmin + width, 22050.0), frame_len=2 * hop,
+                          hop=hop)
+    dense = F.mel_filterbank(cfg)
+    spans = F.mel_spans(cfg)
+    assert np.array_equal(_scatter(spans, dense.shape), dense)
+    power = np.random.default_rng(bands).random((2, dense.shape[1]))
+    energies = F.mel_energies_from_spectra(power, cfg)
+    np.testing.assert_allclose(energies, dense @ power.T, rtol=1e-13, atol=0)
+    for (_, weights), row in zip(spans, energies):
+        assert weights.shape[0] or not row.any()
+
+
+def test_extract_pair_mel_is_the_bytes_of_the_dense_bank_product():
+    """A span one bin off moves a band's energy by a whole bin's weight; the
+    cache's float32 grams show it where a tolerance over the gram may not."""
+    cfg = F.FeatureConfig()
+    rng = np.random.default_rng(22)
+    t = np.arange(cfg.segment_len) / SR
+    x = 0.3 * np.sin(2 * np.pi * 440.0 * t) * (1 + np.sin(2 * np.pi * 0.5 * t)) + 0.05 * rng.normal(size=t.shape)
+    x[-10 * SR:] = 0.0  # a track that ends inside the window: its last frames hit the floor
+    seg = F.AudioSegment(x, SR, 15.0)
+    power = F.windowed_power_spectra(seg, cfg)
+    want = np.log(np.maximum(F.mel_filterbank(cfg) @ power.T, cfg.log_floor)).astype(np.float32)
+    assert F.extract_pair(seg, cfg).mel.tobytes() == want.tobytes()
 
 
 def test_power_spectra_allocation_peak_stays_below_twice_the_result():
@@ -445,8 +489,47 @@ def test_read_wav_unopenable_path_is_a_config_error_naming_it(tmp_path):
 def test_read_wav_malformed_file_is_a_config_error_naming_it(tmp_path, defect):
     path = tmp_path / "bad.wav"
     _malformed_wav(path, defect)
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed WAV"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: malformed WAV") as whole:
         F.read_wav(path)
+    with pytest.raises(ConfigError) as window:
+        F.read_segment(path)
+    assert str(window.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("seconds,channels,start", ((40, 1, 15.0), (90, 2, 15.0), (31, 3, 15.0), (80, 1, 50.0),
+                                                    (40, 2, 45.0)))
+def test_read_segment_is_select_segment_of_read_wav(tmp_path, seconds, channels, start):
+    """Reading only the window gives the segment's bytes, whether the track
+    covers the window, ends inside it or ends before it starts."""
+    path = tmp_path / "track.wav"
+    _write_pcm(path, np.random.default_rng(seconds).integers(-32768, 32768, size=(seconds * SR, channels)), channels)
+    cfg = F.FeatureConfig(segment_start=start)
+    seg = F.read_segment(path, cfg)
+    assert seg.samples.tobytes() == F.select_segment(*F.read_wav(path), cfg).samples.tobytes()
+    assert seg.start_offset == start
+
+
+@pytest.mark.parametrize("rate,seconds", ((SR, 29.99), (22050, 40)))
+def test_read_segment_refuses_a_track_as_select_segment_does(tmp_path, rate, seconds):
+    path = tmp_path / "track.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(rate)
+        wf.writeframes(np.zeros(int(seconds * rate), dtype="<i2").tobytes())
+    with pytest.raises((TrackTooShort, BadSampleRate)) as whole:
+        F.select_segment(*F.read_wav(path))
+    with pytest.raises(whole.type, match=f"^{re.escape(str(whole.value))}$"):
+        F.read_segment(path)
+
+
+def test_data_that_ends_inside_a_frame_past_the_window_is_malformed(tmp_path):
+    path = tmp_path / "cut.wav"
+    _write_pcm(path, np.zeros((80 * SR, 2)), 2)
+    path.write_bytes(path.read_bytes()[:-1])
+    for read in (F.read_wav, F.read_segment):
+        with pytest.raises(ConfigError, match="malformed WAV: audio data ends inside a 4-byte frame"):
+            read(path)
 
 
 @pytest.mark.parametrize("field,value", (
