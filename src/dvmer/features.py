@@ -182,28 +182,28 @@ def select_segment(track, sample_rate: int, cfg: FeatureConfig | None = None) ->
     """
     cfg = cfg or FeatureConfig()
     track = np.asarray(track, dtype=np.float64)
-    return _padded_segment(track[cfg.segment_offset:cfg.segment_offset + cfg.segment_len], track.shape[0],
-                           sample_rate, cfg)
+    window = track[cfg.segment_offset:cfg.segment_offset + cfg.segment_len]
+    segment = np.zeros(cfg.segment_len)  # a copy, so the caller's track can be freed
+    segment[:window.shape[0]] = window
+    return _checked_segment(segment, track.shape[0], sample_rate, cfg)
 
 
 def read_segment(path, cfg: FeatureConfig | None = None) -> AudioSegment:
     """The analysis window of a WAV file, read without the rest of the track:
     the samples and errors of select_segment(*read_wav(path), cfg)."""
     cfg = cfg or FeatureConfig()
-    window, rate, frames = _decode_wav(path, cfg.segment_offset, cfg.segment_len)
-    return _padded_segment(window, frames, rate, cfg)
+    segment, rate, frames = _decode_wav(path, cfg.segment_offset, cfg.segment_len)
+    return _checked_segment(segment, frames, rate, cfg)
 
 
-def _padded_segment(window: np.ndarray, track_len: int, sample_rate: int, cfg: FeatureConfig) -> AudioSegment:
-    """The segment from the window's samples, given the whole track's length
-    in samples; the segment owns its samples, so the track can be freed."""
+def _checked_segment(segment: np.ndarray, track_len: int, sample_rate: int, cfg: FeatureConfig) -> AudioSegment:
+    """The zero-padded segment as an AudioSegment, once the sample rate and
+    the whole track's length in samples pass the checks."""
     if sample_rate != REQUIRED_SAMPLE_RATE:
         raise BadSampleRate(f"expected {REQUIRED_SAMPLE_RATE} Hz, got {sample_rate}")
     duration = track_len / sample_rate
     if duration < MIN_TRACK_SECONDS:
         raise TrackTooShort(f"track is {duration:.2f} s, minimum is {MIN_TRACK_SECONDS:.0f} s")
-    segment = np.zeros(cfg.segment_len)
-    segment[:window.shape[0]] = window
     return AudioSegment(samples=segment, sample_rate=sample_rate, start_offset=cfg.segment_start)
 
 
@@ -407,19 +407,23 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 
 def _decode_wav(path, start: int = 0, count: int | None = None) -> tuple[np.ndarray, int, int]:
-    """The samples of frames [start, start + count) as read_wav gives them
-    (to the end when count is None; fewer where the track ends), the sample
-    rate, and the number of whole frames the file holds. Only those frames
-    are read, but a file whose data ends inside a frame anywhere is refused."""
+    """count samples from frame start on as read_wav gives them, zero-padded
+    past the track's end (all frames when count is None); the sample rate;
+    and the number of whole frames the file holds. Only those frames are
+    read, but a file whose data ends inside a frame anywhere is refused."""
     try:
         with open(path, "rb") as fh, wave.open(fh) as wf:
             if wf.getsampwidth() != 2:
                 raise ConfigError(f"{path}: only 16-bit PCM WAV is supported")
             rate = wf.getframerate()
             channels = wf.getnchannels()
-            # wave.open leaves the file at the start of the data; a cut file
-            # holds fewer data bytes than its header gives
-            held = min(wf.getnframes() * 2 * channels, os.fstat(fh.fileno()).st_size - fh.tell())
+            # wave.open leaves the file at the start of the data; wave reads no
+            # further than the file's end or the RIFF chunk's end (its size is
+            # bytes 4-8), and either may cut the data the header gives
+            data_at = fh.tell()
+            fh.seek(4)
+            data_end = min(os.fstat(fh.fileno()).st_size, 8 + int.from_bytes(fh.read(4), "little"))
+            held = min(wf.getnframes() * 2 * channels, data_end - data_at)
             if held % (2 * channels):
                 raise ConfigError(f"{path}: malformed WAV: audio data ends inside a {2 * channels}-byte frame")
             frames = held // (2 * channels)
@@ -434,12 +438,12 @@ def _decode_wav(path, start: int = 0, count: int | None = None) -> tuple[np.ndar
     del raw  # pcm keeps the buffer until the channel sum replaces it
     # the exact integer channel sum, rounded once by the division: the bytes
     # of the float mean of samples / 32768
-    total = pcm[:, 0].astype(np.int32 if channels > 1 else np.float64)
+    total = pcm[:, 0].astype(np.int32)
     for ch in range(1, channels):
         total += pcm[:, ch]
     del pcm
-    data = total.astype(np.float64, copy=False)
-    data /= channels * 32768.0
+    data = np.zeros(total.shape[0] if count is None else count)
+    np.divide(total, channels * 32768.0, out=data[:total.shape[0]])
     return data, rate, frames
 
 

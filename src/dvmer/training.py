@@ -370,7 +370,7 @@ def run_training(
                     model, optimizer, queue, config, batch, tau, theta, lr, loop_rng)
             except NonFiniteValue as exc:
                 raise NonFiniteLoss(
-                    f"non-finite loss at epoch {epoch}, batch {batch_index}: {exc}",
+                    f"non-finite value in the step at epoch {epoch}, batch {batch_index}: {exc}",
                     epoch=epoch, batch_index=batch_index,
                 ) from exc
 

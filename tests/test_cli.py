@@ -23,7 +23,7 @@ from dvmer import features as F
 from dvmer import ioutil
 from dvmer import training as tr
 from dvmer.cli import main
-from dvmer.errors import BadFeatureCache, CheckpointMismatch
+from dvmer.errors import BadFeatureCache, BadSampleRate, CheckpointMismatch, ConfigError, TrackTooShort
 from dvmer.model import DualViewModel, ModelConfig
 
 SR = 44100
@@ -548,12 +548,19 @@ def test_extract_features_skips_malformed_wavs_like_short_tracks(tmp_path, capsy
     (wav_dir / "frame.wav").write_bytes(whole[:-1])
     (wav_dir / "tiny.wav").unlink()
     (wav_dir / "folder.wav").mkdir()
+    # wave reads no further than the RIFF chunk's size: 37 bytes short of
+    # the file ends the data inside a frame of the analysis window
+    _write_wav(wav_dir / "cut_riff.wav", 36, 440.0, rng)
+    riff = bytearray((wav_dir / "cut_riff.wav").read_bytes())
+    riff[4:8] = struct.pack("<I", len(riff) - 8 - 37)
+    (wav_dir / "cut_riff.wav").write_bytes(bytes(riff))
     rc = main(["extract-features", "--in", str(wav_dir), "--out", str(tmp_path / "cache"), "--json"])
     assert rc == 3
     out, err = capsys.readouterr()
     payload = json.loads(out.strip())
     assert payload["extracted"] == ["ok"]
-    assert sorted(payload["failed"]) == ["folder", "frame", "header", "text"]
+    assert sorted(payload["failed"]) == ["cut_riff", "folder", "frame", "header", "text"]
+    assert f"skipped cut_riff: {wav_dir / 'cut_riff'}.wav: malformed WAV: audio data ends inside a 2-byte" in err
     for name in ("frame", "header", "text"):
         assert f"skipped {name}: {wav_dir / name}.wav: malformed WAV" in err
     assert f"skipped folder: {wav_dir / 'folder'}.wav: cannot read" in err
@@ -572,19 +579,20 @@ def test_extract_features_builds_no_dense_mel_bank(tmp_path, monkeypatch):
     assert F.read_feature_cache(tmp_path / "cache" / "ok.dmrf").mel.shape == (128, 87)
 
 
-def test_extract_features_reads_only_the_window_of_a_long_wav(tmp_path, monkeypatch):
-    """The traced peak up to the feature views stays near two float64
-    segments (21 MB each), where the 300 s stereo track alone is 106 MB in
-    float64."""
+@pytest.mark.parametrize("channels", (2, 1), ids=("stereo", "mono"))
+def test_extract_features_reads_only_the_window_of_a_long_wav(tmp_path, monkeypatch, channels):
+    """The traced peak up to the feature views stays near one and a half
+    float64 segments (21 MB each): the segment and the window's int32
+    channel sum. The whole 300 s track is 106 MB in float64."""
     wav_dir = tmp_path / "wavs"
     wav_dir.mkdir()
     rng = np.random.default_rng(5)
     with wave.open(str(wav_dir / "long.wav"), "wb") as wf:
-        wf.setnchannels(2)
+        wf.setnchannels(channels)
         wf.setsampwidth(2)
         wf.setframerate(SR)
         for _ in range(10):
-            wf.writeframes(rng.integers(-32768, 32768, size=(30 * SR, 2), dtype="<i2").tobytes())
+            wf.writeframes(rng.integers(-32768, 32768, size=(30 * SR, channels), dtype="<i2").tobytes())
     peaks = []
 
     def views(seg, cfg):
@@ -598,7 +606,7 @@ def test_extract_features_reads_only_the_window_of_a_long_wav(tmp_path, monkeypa
         assert main(["extract-features", "--in", str(wav_dir), "--out", str(tmp_path / "cache")]) == 0
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 1 and peaks[0] < 2.5 * segment_bytes, f"peak {peaks[0] / 1e6:.1f} MB"
+    assert len(peaks) == 1 and peaks[0] < 1.75 * segment_bytes, f"peak {peaks[0] / 1e6:.1f} MB"
 
 
 def test_non_numeric_manifest_value_is_a_config_error(workspace, trained, tmp_path, capsys):
@@ -761,6 +769,49 @@ def test_damaged_checkpoint_parses_or_exits_5(workspace, tiny_files, flips, inse
     assert all(np.isfinite(p.data).all() for p in model.parameters().values())
 
 
+def _small_wav(channels):
+    """A valid 16-bit 44.1 kHz WAV of 1000 frames of noise."""
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(2)
+        wf.setframerate(SR)
+        wf.writeframes(np.random.default_rng(channels).integers(-32768, 32768, (1000, channels), "<i2").tobytes())
+    return buf.getvalue()
+
+
+SMALL_WAVS = {channels: _small_wav(channels) for channels in (1, 2, 3)}
+# a 882-sample window from the first sample; with a 441-sample minimum the
+# damaged tracks cover the window, end inside it or are too short
+WAV_FUZZ_CFG = F.FeatureConfig(segment_start=0.0, segment_duration=0.02)
+
+
+def _segment_or_error(read):
+    try:
+        return read().samples.tobytes()
+    except (ConfigError, BadSampleRate, TrackTooShort) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(channels=st.integers(1, 3), flips=st.lists(st.integers(0, 64 * 8 - 1), max_size=3),
+       insert=st.none() | st.tuples(st.integers(0, 6100), st.binary(min_size=1, max_size=8)),
+       cut=st.none() | st.integers(0, 6100))
+@example(channels=2, flips=[32, 34], insert=None, cut=None)  # RIFF size 3 bytes short: data ends inside a frame
+@example(channels=1, flips=[41, 42], insert=None, cut=None)  # RIFF size 1536 bytes short: 228 frames of 1000
+def test_damaged_wav_reads_its_window_as_the_whole_track_or_is_refused_by_name(tmp_path_factory, channels, flips,
+                                                                               insert, cut):
+    path = tmp_path_factory.mktemp("wav") / "damaged.wav"
+    path.write_bytes(_damage(SMALL_WAVS[channels], flips, insert, cut))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "MIN_TRACK_SECONDS", 0.01)
+        window = _segment_or_error(lambda: F.read_segment(path, WAV_FUZZ_CFG))
+        whole = _segment_or_error(lambda: F.select_segment(*F.read_wav(path), WAV_FUZZ_CFG))
+    assert window == whole
+    if isinstance(whole, tuple) and whole[0] is ConfigError:
+        assert whole[1].startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("dims", ((0,) * 65, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)), ids=("rank_65", "overflow"))
 @pytest.mark.parametrize("kind,code", (("dmrf", 3), ("dmrc", 5)))
 def test_unbuildable_array_shape_keeps_the_documented_exit(workspace, trained, tiny_files, tmp_path, capsys,
@@ -816,7 +867,7 @@ def test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing(workspace, 
     # last, so the evaluation at the end of train overflows
     last_step = RUN_CFG.replace("epochs = 3", "epochs = 1").replace("batch_size = 8", "batch_size = 32")
     for name, text, want in (
-        ("batch1", RUN_CFG, "non-finite loss at epoch 0, batch 1"),
+        ("batch1", RUN_CFG, "non-finite value in the step at epoch 0, batch 1: non-finite value produced by op"),
         ("last-step", last_step.replace("queue_size = 16", "queue_size = 32"), "non-finite value produced by op"),
     ):
         config = tmp_path / f"{name}.cfg"

@@ -461,7 +461,8 @@ def test_stereo_read_wav_peaks_below_the_interleaved_float64_size(tmp_path):
 
 def _malformed_wav(path, defect):
     """A WAV with one defect: not RIFF/WAVE, a header cut short, a fmt
-    chunk size past its chunk, or audio data that ends inside a frame."""
+    chunk size past its chunk, audio data that ends inside a frame, or a
+    RIFF chunk size that ends the data inside a frame."""
     _write_wav(path, np.zeros(64), channels=2)
     buf = bytearray(path.read_bytes())
     if defect == "not_riff":
@@ -470,12 +471,14 @@ def _malformed_wav(path, defect):
         buf = buf[:20]
     elif defect == "chunk_size":
         buf[16:20] = struct.pack("<I", 0xFFFF)
+    elif defect == "riff_cut":
+        buf[4:8] = struct.pack("<I", len(buf) - 8 - 37)
     else:
         buf = buf[:-1]
     path.write_bytes(bytes(buf))
 
 
-WAV_DEFECTS = ("not_riff", "cut_header", "chunk_size", "mid_frame")
+WAV_DEFECTS = ("not_riff", "cut_header", "chunk_size", "mid_frame", "riff_cut")
 
 
 def test_read_wav_unopenable_path_is_a_config_error_naming_it(tmp_path):
