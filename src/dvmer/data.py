@@ -22,6 +22,7 @@ from .features import FeaturePair
 from .ioutil import atomic_write_text, text_lines
 
 DIMENSIONS = ("arousal", "valence")
+TRAIN_FRACTION = 0.7  # of each class, in the train split
 
 
 @dataclass
@@ -117,14 +118,9 @@ def write_manifest(path, records: list[TrackRecord]):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def stratified_split(
-    records: list[TrackRecord],
-    dimension: str,
-    train_fraction: float = 0.7,
-    seed: int = 0,
-) -> SplitManifest:
-    """Deterministic per-class split preserving class ratios within one
-    sample per class. Requires at least two records in every class."""
+def stratified_split(records: list[TrackRecord], dimension: str, seed: int = 0) -> SplitManifest:
+    """Deterministic per-class TRAIN_FRACTION split preserving class ratios
+    within one sample per class. Requires at least two records in every class."""
     _check_dimension(dimension)
     by_class: dict[int, list[str]] = {0: [], 1: []}
     for r in records:
@@ -140,7 +136,7 @@ def stratified_split(
     for cls in (0, 1):
         ids = sorted(by_class[cls])
         order = rng.permutation(len(ids))
-        n_train = int(np.floor(train_fraction * len(ids) + 0.5))
+        n_train = int(np.floor(TRAIN_FRACTION * len(ids) + 0.5))
         n_train = min(max(n_train, 1), len(ids) - 1)  # keep both sides nonempty
         for i, pos in enumerate(order):
             (train_ids if i < n_train else test_ids).append(ids[pos])

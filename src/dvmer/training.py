@@ -83,8 +83,11 @@ class TrainConfig:
         if self.use_saml and self.queue_size < self.batch_size:
             raise ConfigError(f"queue_size {self.queue_size} must be at least batch_size {self.batch_size} "
                               "when use_saml is on")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must not be negative, got {self.weight_decay}")
+        for name in ("weight_decay", "lambda_cls", "lambda_pl", "lambda_cons", "lambda_cont"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
+        if self.queue_momentum is not None and not 0 <= self.queue_momentum < 1:
+            raise ConfigError(f"queue_momentum must lie in [0, 1) when set, got {self.queue_momentum}")
         if not 0 <= self.theta_min <= self.theta_start <= 1:
             raise ConfigError(f"theta_min and theta_start must satisfy 0 <= theta_min <= theta_start <= 1, "
                               f"got {self.theta_min} and {self.theta_start}")
@@ -189,16 +192,17 @@ def total_loss(components: dict, weights: LossWeights) -> Tensor:
 # -- optimiser -------------------------------------------------------------
 
 
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Adaptive moment estimation with bias correction and decoupled weight
     decay applied as p -= lr * (update + wd * p)."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-4):
+    def __init__(self, params: dict, lr: float = 1e-3, weight_decay: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -216,11 +220,11 @@ class AdamW:
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = self.m[name] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = self.v[name] / (1.0 - ADAM_BETA2 ** t)
+            update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.data = p.data - lr * (update + self.weight_decay * p.data)
 
 
@@ -269,10 +273,12 @@ def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueu
                 batch: tuple, tau: float, theta: float, lr: float, rng: np.random.Generator):
     """One optimiser step on one batch, then the memory enqueue. Returns
     plain values only, so the batch's graph dies on return: the loss floats
-    by name, the fused-head argmax, the `batch_confidences` records (None
-    without PCL) and the (pre-clip, post-clip) gradient norms."""
+    by name, the `batch_confidences` records (None without PCL), and the
+    counts of correct and of scored fused-head predictions. Semi mode reads
+    the labels of the labeled rows only, so only they are scored."""
     mel, coch, labels, labeled = batch
     semi = config.mode == "semi"
+    scored = labeled if semi else np.ones_like(labeled)
     outputs = model.forward(mel, coch, rng=rng, training=True)
     p_mel = nc.softmax(outputs.logits_mel, temperature=tau)
     p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
@@ -301,12 +307,44 @@ def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueu
 
     optimizer.zero_grad()
     loss.backward()
-    norms = clip_grad_norm(optimizer.params, config.grad_clip)
+    clip_grad_norm(optimizer.params, config.grad_clip)
     optimizer.step(lr=lr)
     if config.use_saml:
         queue.enqueue(z_kept.data, kept_labels)
     losses = {name: float(t.data) for name, t in {"total": loss, **terms}.items()}
-    return losses, np.argmax(outputs.logits_fuse.data, axis=1), confidences, norms
+    hits = np.argmax(outputs.logits_fuse.data, axis=1) == labels
+    return losses, confidences, int(np.sum(hits & scored)), int(scored.sum())
+
+
+def _epoch_record(epoch: int, lr: float, tau: float, theta: float, steps: list,
+                  queue: memory.MemoryQueue) -> EpochRecord:
+    """An epoch's record from its steps' returns, in batch order, and the
+    queue after its last step. Each loss mean adds one batch at a time: a
+    compensated `sum()`, as in Python 3.12, would give other bits. Without
+    PCL the curriculum figures are 0, and with an empty queue so are its
+    entropy and coverage."""
+    losses, confidences, correct, scored = zip(*steps)
+    totals = dict.fromkeys(losses[0], 0.0)
+    for batch in losses:
+        for name, value in batch.items():
+            totals[name] += value
+    confidences = [c for c in confidences if c is not None]
+    if confidences:
+        diag = curriculum.curriculum_diagnostics(curriculum.EpochCurriculumStats(confidences), tau, theta)
+    else:
+        diag = dict.fromkeys(("mask_ratio", "mean_reliability", "mean_confidence"), 0.0)
+    try:
+        qdiag = memory.queue_diagnostics(queue)
+        queue_entropy, queue_coverage = qdiag["label_entropy"], list(qdiag["class_coverage"])
+    except EmptyQueue:
+        queue_entropy, queue_coverage = 0.0, [0.0] * queue.n_classes
+    return EpochRecord(
+        epoch=epoch, lr=lr, tau=tau, theta=theta,
+        **{f"loss_{name}": total / len(steps) for name, total in totals.items()},
+        mask_ratio=diag["mask_ratio"], mean_reliability=diag["mean_reliability"],
+        mean_confidence=diag["mean_confidence"], queue_entropy=queue_entropy, queue_coverage=queue_coverage,
+        train_acc=sum(correct) / sum(scored) if sum(scored) else 0.0,
+    )
 
 
 def run_training(
@@ -314,17 +352,17 @@ def run_training(
     config: TrainConfig,
     model_config: ModelConfig | None = None,
     on_epoch=None,
-    on_step=None,
 ) -> TrainResult:
     """Train on the given samples per the curriculum loop.
 
     Per epoch: fix the temperature and threshold from the linear schedules
     and the learning rate from the cosine schedule, draw the batch order,
-    run one `_train_step` per batch and sum what it returns into one
-    EpochRecord. A step returns no tensor, so at most one batch's autodiff
-    graph is alive at a time. A non-finite loss or tensor raises
-    NonFiniteLoss carrying the epoch and batch index. Deterministic given
-    the seed.
+    run one `_train_step` per batch, and build the epoch's EpochRecord from
+    the list of what the steps returned; `on_epoch` gets each record, and
+    there is no per-step hook. A step returns no tensor, so at most one
+    batch's autodiff graph is alive at a time. A non-finite loss or tensor
+    raises NonFiniteLoss carrying the epoch and batch index. Deterministic
+    given the seed.
     """
     if not train_samples:
         raise EmptySplit("training requires a nonempty sample list")
@@ -356,58 +394,18 @@ def run_training(
         lr = cosine_lr(epoch, config.epochs, config.learning_rate) if config.cosine_annealing else config.learning_rate
 
         order = loop_rng.permutation(n)
-        batches = [order[i:i + config.batch_size] for i in range(0, n, config.batch_size)]
-
-        sums = {}
-        cur_stats = curriculum.EpochCurriculumStats()
-        correct = 0
-        counted = 0
-
-        for batch_index, idx in enumerate(batches):
-            batch = _stack_batch(train_samples, idx)
+        steps = []
+        for batch_index, start in enumerate(range(0, n, config.batch_size)):
+            batch = _stack_batch(train_samples, order[start:start + config.batch_size])
             try:
-                losses, preds, confidences, (pre_norm, post_norm) = _train_step(
-                    model, optimizer, queue, config, batch, tau, theta, lr, loop_rng)
+                steps.append(_train_step(model, optimizer, queue, config, batch, tau, theta, lr, loop_rng))
             except NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"non-finite value in the step at epoch {epoch}, batch {batch_index}: {exc}",
                     epoch=epoch, batch_index=batch_index,
                 ) from exc
 
-            sums = {name: sums.get(name, 0.0) + value for name, value in losses.items()}
-            if confidences is not None:
-                cur_stats.record(confidences)
-            _, _, labels, labeled = batch
-            scored = labeled if config.mode == "semi" else np.ones_like(labeled)
-            correct += int(np.sum((preds == labels) & scored))
-            counted += int(scored.sum())
-            if on_step is not None:
-                on_step({"epoch": epoch, "batch": batch_index, "pre_clip_norm": pre_norm, "post_clip_norm": post_norm})
-
-        if cur_stats.batches:
-            diag = curriculum.curriculum_diagnostics(cur_stats, tau, theta)
-        else:
-            diag = {"mask_ratio": 0.0, "mean_reliability": 0.0, "mean_confidence": 0.0}
-
-        try:
-            qdiag = memory.queue_diagnostics(queue)
-            queue_entropy, queue_coverage = qdiag["label_entropy"], list(qdiag["class_coverage"])
-        except EmptyQueue:
-            queue_entropy, queue_coverage = 0.0, [0.0] * model_config.n_classes
-
-        record = EpochRecord(
-            epoch=epoch,
-            lr=lr,
-            tau=tau,
-            theta=theta,
-            **{f"loss_{name}": total / len(batches) for name, total in sums.items()},
-            mask_ratio=diag["mask_ratio"],
-            mean_reliability=diag["mean_reliability"],
-            mean_confidence=diag["mean_confidence"],
-            queue_entropy=queue_entropy,
-            queue_coverage=queue_coverage,
-            train_acc=correct / counted if counted else 0.0,
-        )
+        record = _epoch_record(epoch, lr, tau, theta, steps, queue)
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)

@@ -3,6 +3,7 @@ import re
 import struct
 import tracemalloc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from dvmer import curriculum as cur
 from dvmer import data as dk
 from dvmer import ioutil
+from dvmer import memory
 from dvmer import nncore as nc
 from dvmer import training as tr
 from dvmer.errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss
@@ -146,12 +148,21 @@ def test_run_training_sizes_the_model_from_its_first_sample():
     assert result.model.parameters()["pos.mel"].shape == (4, 16)
 
 
-def test_run_training_clip_invariant_every_step():
+def test_run_training_clip_invariant_every_step(monkeypatch):
     samples = dk.synth_dataset(n=24, separation=5.0, noise=0.1, seed=5)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=6, queue_size=8, grad_clip=5.0)
     norms = []
-    tr.run_training(samples, cfg, TINY_MODEL, on_step=lambda info: norms.append(info["post_clip_norm"]))
-    assert norms and all(n <= 5.0 + 1e-6 for n in norms)
+    clip = tr.clip_grad_norm
+
+    def recording_clip(params, max_norm):
+        pre, post = clip(params, max_norm)
+        norms.append(post)
+        return pre, post
+
+    monkeypatch.setattr(tr, "clip_grad_norm", recording_clip)
+    tr.run_training(samples, cfg, TINY_MODEL)
+    assert len(norms) == 2 * 3  # epochs x batches: every step clips
+    assert all(n <= 5.0 + 1e-6 for n in norms)
 
 
 def test_run_training_nonfinite_abort_carries_batch_index():
@@ -173,6 +184,31 @@ def test_semi_mode_pseudo_loss_only_on_unlabeled():
     result = tr.run_training(samples, cfg, TINY_MODEL)
     # thresholds pinned near 1: nothing selected, so the pl term stays zero
     assert all(r.loss_pl == 0.0 for r in result.records)
+
+
+def test_semi_mode_never_reads_an_unlabeled_label():
+    samples = dk.mark_unlabeled(dk.synth_dataset(n=32, separation=5.0, noise=0.1, seed=9),
+                                labeled_fraction=0.5, seed=9)
+    flipped = [s if s.labeled else replace(s, label=1 - s.label) for s in samples]
+    cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=10, queue_size=8, mode="semi", labeled_fraction=0.5,
+                         theta_start=0.5, learning_rate=1e-2)
+    runs = [tr.run_training(data, cfg, TINY_MODEL) for data in (samples, flipped)]
+    assert any(r.mask_ratio > 0 for r in runs[0].records)  # pseudo-labels stand in for the unlabeled rows
+    assert runs[0].records[-1].train_acc > 0.5  # not a constant predictor, whose accuracy a flip keeps
+    assert runs[0].records == runs[1].records
+    for name, p in runs[0].model.parameters().items():
+        np.testing.assert_array_equal(p.data, runs[1].model.parameters()[name].data)
+
+
+def test_epoch_record_sums_each_loss_in_batch_order():
+    # a compensated sum gives 1/3 here; one batch at a time, 1e16 absorbs the 1.0
+    steps = [(dict.fromkeys(("total", "cls", "pl", "cons", "cont"), value), None, 1, 2)
+             for value in (1e16, 1.0, -1e16)]
+    queue = memory.MemoryQueue(capacity=4, dim=2)
+    record = tr._epoch_record(0, 1e-3, 1.0, 0.0, steps, queue)
+    assert (record.loss_total, record.loss_cls, record.loss_pl, record.loss_cons, record.loss_cont) == (0.0,) * 5
+    assert record.train_acc == 0.5
+    assert (record.mask_ratio, record.queue_entropy, record.queue_coverage) == (0.0, 0.0, [0.0, 0.0])
 
 
 def _memory_rows_loop_oracle(labels, labeled, confidences):
@@ -488,6 +524,9 @@ def test_reading_a_checkpoint_holds_the_file_and_its_arrays_but_no_section_copy(
     ("queue_size", 15), ("weight_decay", -1e-4), ("weight_decay", math.nan), ("theta_min", -0.1),
     ("theta_min", 0.7), ("theta_min", math.nan), ("theta_start", 1.5), ("theta_start", math.nan),
     ("tau_min", 1.6), ("labeled_fraction", 0.0), ("labeled_fraction", 1.5), ("labeled_fraction", math.nan),
+    ("queue_momentum", math.nan), ("queue_momentum", 1.0), ("queue_momentum", 1.5), ("queue_momentum", -1.0),
+    ("lambda_cls", -0.1), ("lambda_cls", math.nan), ("lambda_pl", -1.0), ("lambda_pl", math.nan),
+    ("lambda_cons", -0.2), ("lambda_cons", math.nan), ("lambda_cont", -0.1), ("lambda_cont", math.nan),
 ))
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -498,6 +537,7 @@ def test_train_config_accepts_the_range_edges():
     tr.TrainConfig(queue_size=1, use_saml=False)  # no queue to fill
     tr.TrainConfig(queue_size=16, weight_decay=0.0, theta_min=0.0, theta_start=1.0)
     tr.TrainConfig(theta_min=0.5, theta_start=0.5, tau_min=1.0, tau_max=1.0)
+    tr.TrainConfig(queue_momentum=0.0, lambda_cls=0.0, lambda_pl=0.0, lambda_cons=0.0, lambda_cont=0.0)
 
 
 @settings(max_examples=300, deadline=None)
