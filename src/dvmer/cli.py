@@ -124,8 +124,6 @@ def cmd_train(args) -> CommandResult:
     split = datakit.stratified_split(records, train_cfg.dimension, seed=train_cfg.seed)
     train_samples = [samples[i] for i in split.train_ids]
     test_samples = [samples[i] for i in split.test_ids]
-    if train_cfg.mode == "semi":
-        train_samples = datakit.mark_unlabeled(train_samples, train_cfg.labeled_fraction, train_cfg.seed)
 
     os.makedirs(args.out, exist_ok=True)
 
@@ -314,7 +312,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     as_json = getattr(args, "json", False)
     try:
-        with np.errstate(over="ignore"):  # an overflow surfaces as a non-finite op output, which names the op
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN or Inf surfaces as an op output naming the op
             result = args.func(args)
     except ConfigError as exc:
         return _emit(CommandResult(EXIT_CONFIG, f"config error: {exc}"), as_json)

@@ -13,7 +13,7 @@ confidence clears the current threshold receive pseudo-labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,22 +195,18 @@ def js_divergence_tensor(p: Tensor, q: Tensor) -> Tensor:
     return nc.mul(nc.add(term_p, term_q), 0.5)
 
 
-@dataclass
-class EpochCurriculumStats:
-    """Per-batch accumulator feeding the epoch diagnostics."""
+class EpochCurriculumStats(list):
+    """An epoch's `batch_confidences` records, one per batch, in batch order."""
 
-    batches: list = field(default_factory=list)  # batch_confidences results
-
-    def record(self, confidences: np.recarray):
-        self.batches.append(confidences)
+    record = list.append
 
 
-def curriculum_diagnostics(stats: EpochCurriculumStats, tau: float, theta: float) -> dict:
-    """Epoch summary of pseudo-label behaviour; the strength is the mean
-    max(p_fuse) of the selected samples."""
-    if not stats.batches:
+def curriculum_diagnostics(batches: list, tau: float, theta: float) -> dict:
+    """Epoch summary of pseudo-label behaviour from its `batch_confidences`
+    records; the strength is the mean max(p_fuse) of the selected samples."""
+    if not batches:
         raise BadEpoch("diagnostics require at least one recorded batch")
-    epoch = np.concatenate(stats.batches)
+    epoch = np.concatenate(batches)
     strength = epoch["p_max"][epoch["selected"]]
     return {
         "mean_confidence": float(np.mean(epoch["c"])),

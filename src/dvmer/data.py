@@ -43,7 +43,6 @@ class Sample:
     track_id: str
     label: int
     pair: FeaturePair
-    labeled: bool = True
 
 
 @dataclass
@@ -205,20 +204,14 @@ def synth_dataset(
     return samples
 
 
-def mark_unlabeled(samples: list[Sample], labeled_fraction: float, seed: int) -> list[Sample]:
-    """Deterministically flag a fraction of samples as unlabeled, stratified
-    by class, for semi-supervised runs."""
-    if not (0.0 < labeled_fraction <= 1.0):
-        raise ConfigError(f"labeled_fraction must be in (0, 1], got {labeled_fraction}")
-    if labeled_fraction == 1.0:
-        return samples
+def labeled_mask(labels, labeled_fraction: float, seed: int) -> np.ndarray:
+    """Which rows keep their label in a semi-supervised run: per class, in order of first
+    appearance, one seeded permutation keeps max(1, round(labeled_fraction * n)) of its n rows."""
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_class.setdefault(s.label, []).append(i)
-    for idxs in by_class.values():
-        order = rng.permutation(len(idxs))
-        n_keep = max(1, int(round(labeled_fraction * len(idxs))))
-        for j, pos in enumerate(order):
-            samples[idxs[pos]].labeled = j < n_keep
-    return samples
+    labels = np.asarray(labels)
+    mask = np.zeros(labels.size, dtype=bool)
+    for label in dict.fromkeys(labels.tolist()):
+        idxs = np.flatnonzero(labels == label)
+        n_keep = max(1, int(round(labeled_fraction * idxs.size)))
+        mask[idxs[rng.permutation(idxs.size)[:n_keep]]] = True
+    return mask

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config finiteness check."""
+
+import math
 
 
 class DvmerError(Exception):
@@ -7,6 +9,13 @@ class DvmerError(Exception):
 
 class ConfigError(DvmerError):
     """Invalid or inconsistent configuration."""
+
+
+def check_finite(config):
+    """Raise ConfigError naming the first float field of the dataclass config that is NaN or infinite."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 class BadFeatureCache(DvmerError):

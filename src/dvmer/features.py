@@ -35,7 +35,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort
+from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort, check_finite
 from .ioutil import atomic_write_bytes, open_framed, pack_array, write_framed
 
 CACHE_MAGIC = b"DMRF"
@@ -75,7 +75,7 @@ class FeatureConfig:
     hop: int | None = None
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        check_finite(self)
         if self.sample_rate != REQUIRED_SAMPLE_RATE:
             raise ConfigError(f"sample_rate must be {REQUIRED_SAMPLE_RATE}, got {self.sample_rate}")
         for name in ("segment_duration", "frame_count", "mel_bands", "coch_channels", "gammatone_order",
@@ -96,8 +96,9 @@ class FeatureConfig:
         for name in ("frame_len", "hop"):
             if getattr(self, name) is not None and not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be at least 1 when set, got {getattr(self, name)}")
-        if not math.isfinite(self.segment_duration * self.sample_rate):
-            raise ConfigError(f"segment_duration must be finite, got {self.segment_duration}")
+        if not math.isfinite((self.segment_start + self.segment_duration) * self.sample_rate):
+            raise ConfigError(f"segment_start + segment_duration must be finite in samples, got "
+                              f"{self.segment_start} + {self.segment_duration}")
         if not (self.frame_size % 2 == 0 and 0 < self.frame_size <= self.segment_len):
             key = "frame_len" if self.frame_len is not None else "hop" if self.hop is not None else "frame_count"
             raise ConfigError(f"{key} gives a frame of {self.frame_size} samples; a frame must be even, nonempty "

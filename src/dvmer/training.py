@@ -23,8 +23,8 @@ import numpy as np
 from . import curriculum
 from . import memory
 from . import nncore as nc
-from .data import Sample, _check_dimension
-from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue
+from .data import Sample, _check_dimension, labeled_mask
+from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue, check_finite
 from .features import FeaturePair
 from .ioutil import BinaryReader, open_framed, pack_array_table, write_framed
 from .model import BranchOutputs, DualViewModel, ModelConfig
@@ -51,8 +51,7 @@ class TrainConfig:
     grad_clip: float = 5.0
     cosine_annealing: bool = True
     seed: int = 0
-    mode: str = "full"              # "full": pseudo-label loss on every sample;
-                                    # "semi": on the unlabeled partition only
+    mode: str = "full"              # "semi": labeled_mask picks the labeled rows, PCL pseudo-labels the rest
     labeled_fraction: float = 1.0
     use_dsaf: bool = True
     use_pcl: bool = True
@@ -73,10 +72,11 @@ class TrainConfig:
     dimension: str = "arousal"
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ConfigError("epochs and batch_size must be positive")
         for name in ("learning_rate", "grad_clip", "contrast_temperature", "tau_min", "tau_max"):
-            if not getattr(self, name) > 0:  # NaN fails too
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.queue_size < 1:
             raise ConfigError(f"queue_size must be at least 1, got {self.queue_size}")
@@ -84,7 +84,7 @@ class TrainConfig:
             raise ConfigError(f"queue_size {self.queue_size} must be at least batch_size {self.batch_size} "
                               "when use_saml is on")
         for name in ("weight_decay", "lambda_cls", "lambda_pl", "lambda_cons", "lambda_cont"):
-            if not getattr(self, name) >= 0:  # NaN fails too
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
         if self.queue_momentum is not None and not 0 <= self.queue_momentum < 1:
             raise ConfigError(f"queue_momentum must lie in [0, 1) when set, got {self.queue_momentum}")
@@ -261,40 +261,38 @@ class TrainResult:
     model_config: ModelConfig
 
 
-def _stack_batch(samples: list[Sample], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _stack_batch(samples: list[Sample], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mel = np.stack([samples[i].pair.mel for i in idx])
     coch = np.stack([samples[i].pair.coch for i in idx])
     labels = np.array([samples[i].label for i in idx], dtype=np.int64)
-    labeled = np.array([samples[i].labeled for i in idx], dtype=bool)
-    return mel, coch, labels, labeled
+    return mel, coch, labels
 
 
 def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueue, config: TrainConfig,
-                batch: tuple, tau: float, theta: float, lr: float, rng: np.random.Generator):
+                batch: tuple, labeled: np.ndarray | None, tau: float, theta: float, lr: float, rng: np.random.Generator):
     """One optimiser step on one batch, then the memory enqueue. Returns
     plain values only, so the batch's graph dies on return: the loss floats
     by name, the `batch_confidences` records (None without PCL), and the
-    counts of correct and of scored fused-head predictions. Semi mode reads
-    the labels of the labeled rows only, so only they are scored."""
-    mel, coch, labels, labeled = batch
-    semi = config.mode == "semi"
-    scored = labeled if semi else np.ones_like(labeled)
+    counts of correct and of scored fused-head predictions. Only the labels
+    of the rows `labeled` marks (every row when it is None) are read and scored."""
+    mel, coch, labels = batch
+    scored = np.ones_like(labels, dtype=bool) if labeled is None else labeled
     outputs = model.forward(mel, coch, rng=rng, training=True)
     p_mel = nc.softmax(outputs.logits_mel, temperature=tau)
     p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
     js = curriculum.js_divergence_tensor(p_mel, p_coch)  # feeds both the consistency loss and the confidences
 
-    terms = {"cls": classification_loss(outputs, labels, mask=labeled if semi else None)}
+    terms = {"cls": classification_loss(outputs, labels, mask=labeled)}
     if config.use_pcl:
         confidences = curriculum.batch_confidences(p_mel.data, p_coch.data, theta, js=js.data)
         terms["pl"] = curriculum.pseudo_label_loss(confidences, outputs.logits_fuse,
-                                                   eligible=~labeled if semi else None)
+                                                   eligible=None if labeled is None else ~labeled)
     else:
         confidences = None
         terms["pl"] = Tensor(0.0, dtype=np.float32)
     terms["cons"] = nc.tmean(js)
     if config.use_saml:
-        kept, kept_labels = memory_rows(labels, labeled, confidences, config.mode)
+        kept, kept_labels = memory_rows(labels, labeled, confidences)
         z_kept = outputs.z_fuse if kept is None else nc.take_rows(outputs.z_fuse, kept)
         terms["cont"] = memory.contrastive_loss(
             nc.l2_normalize(z_kept), kept_labels, queue,
@@ -330,7 +328,7 @@ def _epoch_record(epoch: int, lr: float, tau: float, theta: float, steps: list,
             totals[name] += value
     confidences = [c for c in confidences if c is not None]
     if confidences:
-        diag = curriculum.curriculum_diagnostics(curriculum.EpochCurriculumStats(confidences), tau, theta)
+        diag = curriculum.curriculum_diagnostics(confidences, tau, theta)
     else:
         diag = dict.fromkeys(("mask_ratio", "mean_reliability", "mean_confidence"), 0.0)
     try:
@@ -362,7 +360,8 @@ def run_training(
     there is no per-step hook. A step returns no tensor, so at most one
     batch's autodiff graph is alive at a time. A non-finite loss or tensor
     raises NonFiniteLoss carrying the epoch and batch index. Deterministic
-    given the seed.
+    given the seed, from which semi mode draws, per class, the rows whose
+    labels it reads (`labeled_mask`); full mode reads every label.
     """
     if not train_samples:
         raise EmptySplit("training requires a nonempty sample list")
@@ -379,6 +378,8 @@ def run_training(
     )
 
     n = len(train_samples)
+    labeled = (labeled_mask([s.label for s in train_samples], config.labeled_fraction, config.seed)
+               if config.mode == "semi" else None)
     records: list[EpochRecord] = []
     for epoch in range(config.epochs):
         if config.use_pcl:
@@ -396,9 +397,10 @@ def run_training(
         order = loop_rng.permutation(n)
         steps = []
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            batch = _stack_batch(train_samples, order[start:start + config.batch_size])
+            idx = order[start:start + config.batch_size]
+            batch, rows = _stack_batch(train_samples, idx), None if labeled is None else labeled[idx]
             try:
-                steps.append(_train_step(model, optimizer, queue, config, batch, tau, theta, lr, loop_rng))
+                steps.append(_train_step(model, optimizer, queue, config, batch, rows, tau, theta, lr, loop_rng))
             except NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"non-finite value in the step at epoch {epoch}, batch {batch_index}: {exc}",
@@ -413,14 +415,14 @@ def run_training(
     return TrainResult(model=model, queue=queue, records=records, model_config=model_config)
 
 
-def memory_rows(labels, labeled, confidences, mode) -> tuple[np.ndarray | None, np.ndarray]:
+def memory_rows(labels, labeled, confidences) -> tuple[np.ndarray | None, np.ndarray]:
     """Batch rows that join the memory, both as contrastive queries and as
-    queue keys, and the labels they carry. In full mode every row joins with
-    its ground truth and the rows come back as None, so callers add no
-    gather (one would regroup the float32 gradient sums into z_fuse). In
-    semi mode the labeled rows join with their ground truth and the
-    selected unlabeled rows with their pseudo-labels."""
-    if mode == "full":
+    queue keys, and the labels they carry. With no labeled mask (None) every
+    row joins with its ground truth and the rows come back as None, so
+    callers add no gather (one would regroup the float32 gradient sums into
+    z_fuse). With a mask the labeled rows join with their ground truth and
+    the selected unlabeled rows with their pseudo-labels."""
+    if labeled is None:
         return None, labels
     if confidences is None:
         kept = np.flatnonzero(labeled)
@@ -487,7 +489,7 @@ def embed(model: DualViewModel, samples: list[Sample]) -> Embeddings:
     parts = {f.name: [] for f in fields(Embeddings)}
     with nc.no_grad():
         for start in range(0, len(samples), INFER_BATCH):
-            mel, coch, _, _ = _stack_batch(samples, range(start, min(start + INFER_BATCH, len(samples))))
+            mel, coch, _ = _stack_batch(samples, range(start, min(start + INFER_BATCH, len(samples))))
             outputs = model.forward(mel, coch, training=False)
             for name, chunks in parts.items():
                 chunks.append(getattr(outputs, name).data)

@@ -96,6 +96,24 @@ def test_train_idempotent_given_seed(workspace, trained, tmp_path):
     assert (out2 / "epochs.log").read_text() == (trained / "epochs.log").read_text()
 
 
+def test_semi_train_writes_the_checkpoint_of_a_library_run(workspace, tmp_path):
+    # run_training alone picks the labeled rows, from the config, so a library
+    # call on the split's train samples trains the same model as the command
+    config = tmp_path / "semi.cfg"
+    config.write_text(RUN_CFG + "mode = semi\nlabeled_fraction = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--manifest", str(workspace["manifest"]),
+                 "--features", str(workspace["cache"]), "--out", str(out)]) == 0
+    train_cfg, model_cfg = cfgmod.load_train_configs(config)
+    labels = {r.track_id: r.label(train_cfg.dimension) for r in dk.parse_manifest(workspace["manifest"])}
+    samples = [dk.Sample(i, labels[i], F.read_feature_cache(workspace["cache"] / f"{i}.dmrf"))
+               for i in json.loads((out / "split.json").read_text())["train_ids"]]
+    result = tr.run_training(samples, train_cfg, model_cfg)
+    assert any(r.loss_pl > 0 for r in result.records)  # PCL pseudo-labels the unlabeled half
+    tr.save_checkpoint(tmp_path / "library.dmrc", result, cfgmod.run_config_hash(train_cfg, result.model_config))
+    assert (tmp_path / "library.dmrc").read_bytes() == (out / "checkpoint.dmrc").read_bytes()
+
+
 def test_eval_json_reports_metric_names(workspace, trained, capsys):
     rc = main([
         "eval", "--checkpoint", str(trained / "checkpoint.dmrc"), "--config", str(workspace["config"]),
@@ -373,7 +391,7 @@ def test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys
     "embed_dim = 0", "dropout = 1.5", "heads = 3", "learning_rate = nan", "queue_size = 0",
     "contrast_temperature = 0", "tau_min = 0", "queue_size = 4", "weight_decay = nan",
     "weight_decay = -0.1", "theta_start = nan", "theta_start = 1.5", "theta_min = -0.1", "theta_min = 0.9",
-    "tau_min = 2.0",
+    "tau_min = 2.0", "learning_rate = inf", "grad_clip = inf", "lambda_pl = inf", "tau_max = inf",
 ))
 def test_out_of_range_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line):
     test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line)
@@ -864,14 +882,18 @@ def test_a_checkpoint_that_repeats_a_section_or_a_name_exits_5_naming_it(workspa
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing(workspace, tmp_path, capsys):
     # the second step's forward overflows; then a run whose only step is its
-    # last, so the evaluation at the end of train overflows
-    last_step = RUN_CFG.replace("epochs = 3", "epochs = 1").replace("batch_size = 8", "batch_size = 32")
-    for name, text, want in (
-        ("batch1", RUN_CFG, "non-finite value in the step at epoch 0, batch 1: non-finite value produced by op"),
-        ("last-step", last_step.replace("queue_size = 16", "queue_size = 32"), "non-finite value produced by op"),
+    # last, so the evaluation at the end of train overflows; at 1e100 a
+    # matmul of the second step's forward makes a NaN, not only an overflow
+    last_step = (RUN_CFG.replace("epochs = 3", "epochs = 1").replace("batch_size = 8", "batch_size = 32")
+                 .replace("queue_size = 16", "queue_size = 32"))
+    batch1 = "non-finite value in the step at epoch 0, batch 1: non-finite value produced by op"
+    for name, text, lr, want in (
+        ("batch1", RUN_CFG, "1e30", batch1),
+        ("last-step", last_step, "1e30", "non-finite value produced by op"),
+        ("batch1-nan", RUN_CFG, "1e100", batch1 + " 'linear'"),
     ):
         config = tmp_path / f"{name}.cfg"
-        config.write_text(text + "learning_rate = 1e30\n")
+        config.write_text(text + f"learning_rate = {lr}\n")
         out = tmp_path / name
         rc = main([
             "train", "--config", str(config), "--manifest", str(workspace["manifest"]),
@@ -970,6 +992,7 @@ def test_a_checkpoint_that_does_not_fit_exits_5_naming_it(workspace, trained, tm
     "frame_count = 0", "coch_channels = 0", "gammatone_order = 0", "compression = 0", "log_floor = nan",
     "mel_fmin = 22050", "mel_fmax = 30000", "gt_fmin = 0", "gt_fmax = nan", "preemphasis = 1",
     "frame_len = 0", "hop = 0", "frame_len = 1001", "frame_count = 1", "frame_len = 100000\nsegment_duration = 0.01",
+    "segment_start = inf", "segment_start = 1e305", "log_floor = inf", "compression = inf",
 ))
 def test_bad_feature_config_value_exits_2_naming_the_key(tmp_path, capsys, line):
     wav_dir = tmp_path / "wavs"

@@ -217,15 +217,14 @@ def test_js_tensor_matches_scalar_and_is_differentiable():
 
 def test_diagnostics_require_data():
     with pytest.raises(BadEpoch):
-        cur.curriculum_diagnostics(cur.EpochCurriculumStats(), tau=1.0, theta=0.5)
+        cur.curriculum_diagnostics([], tau=1.0, theta=0.5)
 
 
 def test_diagnostics_strength_over_selected_only():
     p_strong = np.array([[0.95, 0.05]])
     p_weak = np.array([[0.55, 0.45]])
-    stats = cur.EpochCurriculumStats()
-    stats.record(cur.batch_confidences(p_strong, p_strong, theta=0.9))  # selected
-    stats.record(cur.batch_confidences(p_weak, p_weak, theta=0.9))     # not selected
-    diag = cur.curriculum_diagnostics(stats, tau=1.0, theta=0.9)
+    batches = [cur.batch_confidences(p_strong, p_strong, theta=0.9),  # selected
+               cur.batch_confidences(p_weak, p_weak, theta=0.9)]     # not selected
+    diag = cur.curriculum_diagnostics(batches, tau=1.0, theta=0.9)
     assert diag["mask_ratio"] == 0.5
     assert diag["pseudo_label_strength"] == pytest.approx(0.95)

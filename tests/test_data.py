@@ -136,15 +136,39 @@ def test_synth_labels_balanced():
     assert ones == 25
 
 
-def test_mark_unlabeled_deterministic_and_stratified():
-    samples = dk.synth_dataset(n=40, separation=4.0, noise=0.1, seed=3)
-    a = dk.mark_unlabeled([dk.Sample(s.track_id, s.label, s.pair) for s in samples], 0.5, seed=4)
-    b = dk.mark_unlabeled([dk.Sample(s.track_id, s.label, s.pair) for s in samples], 0.5, seed=4)
-    assert [s.labeled for s in a] == [s.labeled for s in b]
+def test_labeled_mask_deterministic_and_stratified():
+    labels = [s.label for s in dk.synth_dataset(n=40, separation=4.0, noise=0.1, seed=3)]
+    a = dk.labeled_mask(labels, 0.5, seed=4)
+    assert a.dtype == bool and a.shape == (40,)
+    assert np.array_equal(a, dk.labeled_mask(labels, 0.5, seed=4))
     for cls in (0, 1):
-        members = [s for s in a if s.label == cls]
-        labeled = sum(1 for s in members if s.labeled)
-        assert labeled == round(0.5 * len(members))
+        members = [i for i, label in enumerate(labels) if label == cls]
+        assert a[members].sum() == round(0.5 * len(members))
+
+
+def _labeled_loop_oracle(labels, fraction, seed):
+    """The draws of a semi-supervised split, one row at a time: per class in
+    order of first appearance, one permutation, whose first
+    max(1, round(fraction * n)) positions keep their label."""
+    rng = np.random.default_rng(seed)
+    by_class = {}
+    for i, label in enumerate(labels):
+        by_class.setdefault(label, []).append(i)
+    keep = [False] * len(labels)
+    for idxs in by_class.values():
+        order = rng.permutation(len(idxs))
+        for j, pos in enumerate(order):
+            keep[idxs[pos]] = j < max(1, int(round(fraction * len(idxs))))
+    return keep
+
+
+@pytest.mark.parametrize("fraction", (0.01, 0.3, 0.5, 1.0))
+def test_labeled_mask_matches_a_plain_loop(fraction):
+    labels = [1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 1]  # class 1 appears first
+    mask = dk.labeled_mask(labels, fraction, seed=7)
+    assert mask.tolist() == _labeled_loop_oracle(labels, fraction, seed=7)
+    assert all(mask[[i for i, label in enumerate(labels) if label == cls]].any() for cls in (0, 1))
+    assert mask.all() == (fraction == 1.0)
 
 
 @settings(max_examples=200, deadline=None)

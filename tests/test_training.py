@@ -177,21 +177,29 @@ def test_run_training_nonfinite_abort_carries_batch_index():
 
 def test_semi_mode_pseudo_loss_only_on_unlabeled():
     samples = dk.synth_dataset(n=32, separation=5.0, noise=0.1, seed=9)
-    samples = dk.mark_unlabeled(samples, labeled_fraction=0.5, seed=9)
-    assert any(not s.labeled for s in samples)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=10, queue_size=8,
                          mode="semi", labeled_fraction=0.5, theta_start=0.99, theta_min=0.99)
+    assert not dk.labeled_mask([s.label for s in samples], cfg.labeled_fraction, cfg.seed).all()
     result = tr.run_training(samples, cfg, TINY_MODEL)
     # thresholds pinned near 1: nothing selected, so the pl term stays zero
     assert all(r.loss_pl == 0.0 for r in result.records)
+    # thresholds at 0 select every row: only the unlabeled ones reach the pl term
+    for fraction, has_unlabeled in ((1.0, False), (0.5, True)):
+        every = replace(cfg, labeled_fraction=fraction, theta_start=0.0, theta_min=0.0)
+        records = tr.run_training(samples, every, TINY_MODEL).records
+        assert all(r.mask_ratio == 1.0 and (r.loss_pl > 0.0) == has_unlabeled for r in records)
 
 
-def test_semi_mode_never_reads_an_unlabeled_label():
-    samples = dk.mark_unlabeled(dk.synth_dataset(n=32, separation=5.0, noise=0.1, seed=9),
-                                labeled_fraction=0.5, seed=9)
-    flipped = [s if s.labeled else replace(s, label=1 - s.label) for s in samples]
+def test_semi_mode_never_reads_an_unlabeled_label(monkeypatch):
+    samples = dk.synth_dataset(n=32, separation=5.0, noise=0.1, seed=9)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=10, queue_size=8, mode="semi", labeled_fraction=0.5,
                          theta_start=0.5, learning_rate=1e-2)
+    labeled = dk.labeled_mask([s.label for s in samples], cfg.labeled_fraction, cfg.seed)
+    assert labeled.any() and not labeled.all()
+    # the mask's draw is stratified, so it reads every label; with the mask
+    # pinned, the steps must read the labeled rows' labels only
+    monkeypatch.setattr(tr, "labeled_mask", lambda labels, fraction, seed: labeled)
+    flipped = [s if keep else replace(s, label=1 - s.label) for s, keep in zip(samples, labeled)]
     runs = [tr.run_training(data, cfg, TINY_MODEL) for data in (samples, flipped)]
     assert any(r.mask_ratio > 0 for r in runs[0].records)  # pseudo-labels stand in for the unlabeled rows
     assert runs[0].records[-1].train_acc > 0.5  # not a constant predictor, whose accuracy a flip keeps
@@ -239,7 +247,7 @@ def test_memory_rows_match_a_plain_loop(case):
     elif case == "all_labeled":
         labeled[:] = True
     confidences = None if case == "no_pcl" else cur.batch_confidences(p_mel, p_coch, theta)
-    kept, kept_labels = tr.memory_rows(labels, labeled, confidences, "semi")
+    kept, kept_labels = tr.memory_rows(labels, labeled, confidences)
     oracle_kept, oracle_labels = _memory_rows_loop_oracle(labels, labeled, confidences)
     assert kept.tolist() == oracle_kept
     assert kept_labels.tolist() == oracle_labels
@@ -251,14 +259,14 @@ def test_memory_rows_match_a_plain_loop(case):
 
 def test_memory_rows_keep_every_row_in_full_mode():
     labels = np.array([1, 0, 1])
-    kept, kept_labels = tr.memory_rows(labels, np.zeros(3, dtype=bool), None, "full")
+    kept, kept_labels = tr.memory_rows(labels, None, None)  # no labeled mask: full mode
     assert kept is None and kept_labels is labels
 
 
-def test_semi_batches_without_memory_rows_leave_the_memory_alone():
+def test_semi_batches_without_memory_rows_leave_the_memory_alone(monkeypatch):
+    # a labeled_fraction above 0 keeps a row of each class, so the mask function is patched to keep none
+    monkeypatch.setattr(tr, "labeled_mask", lambda labels, fraction, seed: np.zeros(len(labels), dtype=bool))
     samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=45)
-    for s in samples:
-        s.labeled = False
     cfg = tr.TrainConfig(epochs=1, batch_size=8, seed=46, queue_size=8, mode="semi",
                          theta_start=0.99, theta_min=0.99)
     result = tr.run_training(samples, cfg, TINY_MODEL)
@@ -269,8 +277,6 @@ def test_semi_batches_without_memory_rows_leave_the_memory_alone():
 @pytest.mark.parametrize("mode", ("full", "semi"))
 def test_same_seed_gives_byte_identical_checkpoints(tmp_path, mode):
     samples = dk.synth_dataset(n=24, separation=5.0, noise=0.1, seed=43)
-    if mode == "semi":
-        samples = dk.mark_unlabeled(samples, labeled_fraction=0.5, seed=43)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=44, queue_size=8, mode=mode, labeled_fraction=0.5)
     blobs = []
     for run in range(2):
@@ -527,6 +533,9 @@ def test_reading_a_checkpoint_holds_the_file_and_its_arrays_but_no_section_copy(
     ("queue_momentum", math.nan), ("queue_momentum", 1.0), ("queue_momentum", 1.5), ("queue_momentum", -1.0),
     ("lambda_cls", -0.1), ("lambda_cls", math.nan), ("lambda_pl", -1.0), ("lambda_pl", math.nan),
     ("lambda_cons", -0.2), ("lambda_cons", math.nan), ("lambda_cont", -0.1), ("lambda_cont", math.nan),
+    ("learning_rate", math.inf), ("weight_decay", math.inf), ("grad_clip", math.inf),
+    ("contrast_temperature", math.inf), ("tau_max", math.inf), ("lambda_cls", math.inf), ("lambda_pl", math.inf),
+    ("lambda_cons", math.inf), ("lambda_cont", math.inf),
 ))
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -590,8 +599,6 @@ def test_run_training_holds_one_batch_graph_at_each_forward(monkeypatch, mode):
 
     monkeypatch.setattr(DualViewModel, "forward", checking_forward)
     samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=5)
-    if mode == "semi":
-        samples = dk.mark_unlabeled(samples, labeled_fraction=0.5, seed=5)
     cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=5, queue_size=8, mode=mode, labeled_fraction=0.5)
     tr.run_training(samples, cfg, TINY_MODEL)
     assert alive == [[False] * k for k in range(8)]
