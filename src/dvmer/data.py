@@ -3,8 +3,9 @@ consistency checking, and synthetic dual-view data for tests.
 
 The on-disk manifest is one tab-separated record per line:
 
-    track_id <TAB> valence <TAB> arousal <TAB> audio_path
+    track_id <TAB> valence <TAB> arousal [<TAB> audio_path]
 
+A fourth column, such as the track's audio path, is accepted and ignored.
 Valence and arousal are continuous values in [-1, 1]; binary class labels
 come from the zero threshold (positive values map to class 1, zero and
 negative values to class 0).
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ClassTooSmall, ConfigError, NoPairs
 from .features import FeaturePair
-from .ioutil import atomic_write_text, text_lines
+from .ioutil import text_lines
 
 DIMENSIONS = ("arousal", "valence")
 TRAIN_FRACTION = 0.7  # of each class, in the train split
@@ -30,7 +31,6 @@ class TrackRecord:
     track_id: str
     valence: float
     arousal: float
-    audio_path: str = ""
 
     def label(self, dimension: str) -> int:
         return binarize_label(getattr(self, _check_dimension(dimension)))
@@ -104,17 +104,8 @@ def parse_manifest(path) -> list[TrackRecord]:
                 f"{path}:{lineno}: valence/arousal magnitudes must be <= 1, "
                 f"got ({valence}, {arousal})"
             )
-        audio_path = parts[3] if len(parts) > 3 else ""
-        records.append(TrackRecord(track_id=track_id, valence=valence, arousal=arousal, audio_path=audio_path))
+        records.append(TrackRecord(track_id=track_id, valence=valence, arousal=arousal))
     return records
-
-
-def write_manifest(path, records: list[TrackRecord]):
-    lines = [
-        f"{r.track_id}\t{r.valence!r}\t{r.arousal!r}\t{r.audio_path}"
-        for r in records
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def stratified_split(records: list[TrackRecord], dimension: str, seed: int = 0) -> SplitManifest:

@@ -2,16 +2,17 @@
 
 Implements exactly the tensor operations the dual-view architecture needs:
 linear maps, temperature softmax, layer norm, GELU, multi-head attention,
-dropout, and the reductions that glue them together. The single-input ops
-(neg, reshape, transpose, tsum, tmean, exp, sqrt, log_clipped, softmax,
-log_softmax, gelu, dropout, select_classes, take_rows) build their node
-through `_unary`, the two-operand ops (add, sub, mul, div, matmul) through
-`_binary`, which computes no gradient for an operand that needs none.
-concat, linear and the fused ops keep their own backward: the attention
-core (scores, softmax, context) keeps one weight array per call, and the
-feed-forward block (linear, GELU, linear) keeps the hidden pre-activation
-and Phi and rebuilds the GELU output. Each fused op gives its primitive
-composite's bytes. A training dropout node keeps a one-byte boolean mask.
+dropout, and the reductions that glue them together. Every op but the two
+fused ones builds its node through `_op`, from one gradient rule per
+parent: only the rules of parents that require a gradient are kept and run,
+and each result is summed over the axes the forward broadcast. The fused
+ops keep their own backward, because several parents' gradients share one
+intermediate array: the attention core (scores, softmax, context) keeps one
+weight array per call and derives dq and dk from one dS; the feed-forward
+block (linear, GELU, linear) keeps the hidden pre-activation and Phi,
+rebuilds the GELU output, and derives dx, dW1 and db1 from one dL/dh with
+`linear`'s rules. Each fused op gives its primitive composite's bytes. A
+training dropout node keeps a one-byte boolean mask.
 Gradients are verified against central finite differences via gradient_check.
 
 Training runs in float32; gradient checking runs in float64. GELU's float64
@@ -207,71 +208,62 @@ def _reduce_to(g, shape):
 # -- elementwise and structural ops -------------------------------------
 
 
-def _binary(a: Tensor, b: Tensor, data, grad_a, grad_b, op_name) -> Tensor:
-    """A two-operand node. Its backward computes grad_a(g), then grad_b(g),
-    only for an operand that requires a gradient, summed over broadcast axes;
-    the rule for an operand that requires none is not kept."""
-    wanted = tuple((t._node, t.data.shape, grad) for t, grad in ((a, grad_a), (b, grad_b)) if t.requires_grad)
+def _op(parents, data, grads, op_name) -> Tensor:
+    """An op output. grads holds one rule per parent, in order, each g ->
+    that parent's share of dL/d(output). The backward adds each rule's
+    result, summed over broadcast axes, into its parent's gradient; only the
+    rules of parents that require a gradient are kept and run."""
+    wanted = tuple((p._node, p.data.shape, grad) for p, grad in zip(parents, grads) if p.requires_grad)
 
     def backward(g):
         for node, shape, grad in wanted:
             _accum(node, _reduce_to(grad(g), shape))
 
-    return _node(data, (a, b), backward, op_name)
-
-
-def _unary(a: Tensor, data, grad, op_name) -> Tensor:
-    """A one-input node. Its backward adds grad(g) into a's gradient."""
-    node = a._node
-
-    def backward(g):
-        _accum(node, grad(g))
-
-    return _node(data, (a,), backward, op_name)
+    return _node(data, parents, backward, op_name)
 
 
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g, "add")
+    return _op((a, b), a.data + b.data, (lambda g: g, lambda g: g), "add")
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g, "sub")
+    return _op((a, b), a.data - b.data, (lambda g: g, lambda g: -g), "sub")
 
 
 def neg(a: Tensor) -> Tensor:
-    return _unary(a, -a.data, lambda g: -g, "neg")
+    return _op((a,), -a.data, (lambda g: -g,), "neg")
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     x, y = a.data, b.data
-    return _binary(a, b, x * y, lambda g: g * y, lambda g: g * x, "mul")
+    return _op((a, b), x * y, (lambda g: g * y, lambda g: g * x), "mul")
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     x, y = a.data, b.data
-    return _binary(a, b, x / y, lambda g: g / y, lambda g: -g * x / (y * y), "div")
+    return _op((a, b), x / y, (lambda g: g / y, lambda g: -g * x / (y * y)), "div")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeMismatch(f"matmul inner dims {a.data.shape} @ {b.data.shape}")
     x, y = a.data, b.data
-    return _binary(a, b, x @ y, lambda g: g @ np.swapaxes(y, -1, -2), lambda g: np.swapaxes(x, -1, -2) @ g, "matmul")
+    return _op((a, b), x @ y, (lambda g: g @ np.swapaxes(y, -1, -2), lambda g: np.swapaxes(x, -1, -2) @ g), "matmul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape_in = a.data.shape
-    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(shape_in), "reshape")
+    return _op((a,), a.data.reshape(shape), (lambda g: g.reshape(shape_in),), "reshape")
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _unary(a, a.data.transpose(axes), lambda g: g.transpose(inv), "transpose")
+    return _op((a,), a.data.transpose(axes), (lambda g: g.transpose(inv),), "transpose")
 
 
 def _spread(g, shape, axis, keepdims):
@@ -283,24 +275,24 @@ def _spread(g, shape, axis, keepdims):
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     shape = a.data.shape
-    return _unary(a, a.data.sum(axis=axis, keepdims=keepdims), lambda g: _spread(g, shape, axis, keepdims), "sum")
+    return _op((a,), a.data.sum(axis=axis, keepdims=keepdims), (lambda g: _spread(g, shape, axis, keepdims),), "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     shape = a.data.shape
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = math.prod(shape[i] for i in (range(a.ndim) if axis is None else np.atleast_1d(axis)))
-    return _unary(a, data, lambda g: _spread(g, shape, axis, keepdims) / count, "mean")
+    return _op((a,), data, (lambda g: _spread(g, shape, axis, keepdims) / count,), "mean")
 
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-    return _unary(a, data, lambda g: g * data, "exp")
+    return _op((a,), data, (lambda g: g * data,), "exp")
 
 
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
-    return _unary(a, data, lambda g: g * (0.5 / data), "sqrt")
+    return _op((a,), data, (lambda g: g * (0.5 / data),), "sqrt")
 
 
 def log_clipped(a: Tensor, floor: float = 1e-12) -> Tensor:
@@ -311,20 +303,18 @@ def log_clipped(a: Tensor, floor: float = 1e-12) -> Tensor:
     """
     x = a.data
     clipped = np.maximum(x, floor)
-    return _unary(a, np.log(clipped), lambda g: np.where(x > floor, g / clipped, 0.0), "log_clipped")
+    return _op((a,), np.log(clipped), (lambda g: np.where(x > floor, g / clipped, 0.0),), "log_clipped")
 
 
 def concat(tensors, axis=-1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
-    nodes = [t._node for t in tensors]
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])
 
-    def backward(g):
-        for node, piece in zip(nodes, np.split(g, offsets, axis=axis)):
-            _accum(node, piece)
+    def part(start, end):  # the rule of the part at [start, end) along axis: that slice of g
+        index = (slice(None),) * (axis % data.ndim) + (slice(start, end),)
+        return lambda g: g[index]
 
-    return _node(data, tuple(tensors), backward, "concat")
+    return _op(tensors, data, [part(end - t.data.shape[axis], end) for t, end in zip(tensors, ends)], "concat")
 
 
 # -- nonlinearities and normalisation ------------------------------------
@@ -338,13 +328,13 @@ def softmax(a: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     data = e / e.sum(axis=axis, keepdims=True)
-    return _unary(a, data, lambda g: (g - (g * data).sum(axis=axis, keepdims=True)) * data / temperature, "softmax")
+    return _op((a,), data, (lambda g: (g - (g * data).sum(axis=axis, keepdims=True)) * data / temperature,), "softmax")
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     data = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    return _unary(a, data, lambda g: g - np.exp(data) * g.sum(axis=axis, keepdims=True), "log_softmax")
+    return _op((a,), data, (lambda g: g - np.exp(data) * g.sum(axis=axis, keepdims=True),), "log_softmax")
 
 
 def _erf32(z: np.ndarray, out: np.ndarray, t: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -417,7 +407,7 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     phi = np.empty(x.shape, x.dtype) if _records((a,)) else None
     data = _gelu_into(x, np.empty(x.shape, x.dtype), phi)
-    return _unary(a, data, lambda g: _gelu_grad_into(x, phi, g, np.empty(x.shape, np.result_type(g, x))), "gelu")
+    return _op((a,), data, (lambda g: _gelu_grad_into(x, phi, g, np.empty(x.shape, np.result_type(g, x))),), "gelu")
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -432,7 +422,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     def scaled_mask():
         return keep.astype(dtype) / (1.0 - p)
 
-    return _unary(a, a.data * scaled_mask(), lambda g: g * scaled_mask(), "dropout")
+    return _op((a,), a.data * scaled_mask(), (lambda g: g * scaled_mask(),), "dropout")
 
 
 def _check_linear(d_in: int, w: Tensor, b: Tensor | None, op_name: str):
@@ -442,15 +432,16 @@ def _check_linear(d_in: int, w: Tensor, b: Tensor | None, op_name: str):
         raise ShapeMismatch(f"{op_name}: bias shape {b.data.shape} vs weight {w.data.shape}")
 
 
-def _linear_grads(g2d: np.ndarray, x: np.ndarray, w: np.ndarray, nodes):
-    """Accumulate the gradients of x W^T + b from g2d, dL/dy as a
-    [rows, d_out] matrix, into nodes, the nodes of x, W and (when there is
-    one) b; dL/dx only when x requires a gradient."""
-    if nodes[0].requires_grad:
-        _accum(nodes[0], (g2d @ w).reshape(x.shape))
-    _accum(nodes[1], g2d.T @ x.reshape(-1, w.shape[1]))
-    if len(nodes) > 2:
-        _accum(nodes[2], g2d.sum(axis=0))
+def _linear_rules(x: np.ndarray, w: np.ndarray):
+    """The gradient rules of x W^T + b for x, W and b, each from dL/dy, whose
+    last axis is W's d_out: dL/dx = dL/dy W, dL/dW = dL/dy^T x and dL/db is
+    the column sum of dL/dy, with any leading axes flattened into rows."""
+    def rows(g):
+        return g.reshape(-1, w.shape[0])
+
+    return (lambda g: (rows(g) @ w).reshape(x.shape),
+            lambda g: rows(g).T @ x.reshape(-1, w.shape[1]),
+            lambda g: rows(g).sum(axis=0))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -462,12 +453,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         data += b.data
     parents = (x, w) if b is None else (x, w, b)
-    x_data, w_data, nodes = x.data, w.data, [t._node for t in parents]
-
-    def backward(g):
-        _linear_grads(g.reshape(-1, d_out), x_data, w_data, nodes)
-
-    return _node(data, parents, backward, "linear")
+    return _op(parents, data, _linear_rules(x.data, w.data)[:len(parents)], "linear")
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -493,8 +479,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     _check_finite(act, "feed_forward")
     data = act @ w2.data.T
     data += b2.data
-    x_data, w1_data, w2_data = x.data, w1.data, w2.data
-    *first_nodes, w2_node, b2_node = [t._node for t in params]
+    w2_data, w2_node, b2_node = w2.data, w2._node, b2._node
+    first = [(t._node, rule) for t, rule in zip(params, _linear_rules(x.data, w1.data)) if t.requires_grad]
 
     def backward(g):
         g = g.reshape(-1, d_out)
@@ -502,7 +488,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         _accum(b2_node, g.sum(axis=0))
         g = g @ w2_data
         _gelu_grad_into(h, phi, g, g)  # dL/dh, in place
-        _linear_grads(g, x_data, w1_data, first_nodes)
+        for node, rule in first:
+            _accum(node, rule(g))
 
     return _node(data.reshape(x.data.shape[:-1] + (d_out,)), params, backward, "feed_forward")
 
@@ -573,7 +560,7 @@ def select_classes(t: Tensor, idx) -> Tensor:
         raise ShapeMismatch(f"select_classes: {t.data.shape} with index {idx.shape}")
     rows = np.arange(t.data.shape[0])
     shape, dtype = t.data.shape, t.dtype
-    return _unary(t, t.data[rows, idx], lambda g: _scatter_add(shape, dtype, (rows, idx), g), "select_classes")
+    return _op((t,), t.data[rows, idx], (lambda g: _scatter_add(shape, dtype, (rows, idx), g),), "select_classes")
 
 
 def take_rows(t: Tensor, idx) -> Tensor:
@@ -581,7 +568,7 @@ def take_rows(t: Tensor, idx) -> Tensor:
     gradients."""
     idx = np.asarray(idx, dtype=np.int64)
     shape, dtype = t.data.shape, t.dtype
-    return _unary(t, t.data[idx], lambda g: _scatter_add(shape, dtype, idx, g), "take_rows")
+    return _op((t,), t.data[idx], (lambda g: _scatter_add(shape, dtype, idx, g),), "take_rows")
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

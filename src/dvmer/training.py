@@ -80,6 +80,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.queue_size < 1:
             raise ConfigError(f"queue_size must be at least 1, got {self.queue_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.use_saml and self.queue_size < self.batch_size:
             raise ConfigError(f"queue_size {self.queue_size} must be at least batch_size {self.batch_size} "
                               "when use_saml is on")

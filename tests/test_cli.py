@@ -49,14 +49,15 @@ def workspace(tmp_path_factory):
     cache = root / "cache"
     cache.mkdir()
     samples = dk.synth_dataset(n=24, separation=6.0, noise=0.05, seed=1)
-    records = []
+    lines = []
     cfg = F.FeatureConfig()
-    for s in samples:
+    for i, s in enumerate(samples):
         F.write_feature_cache(cache / f"{s.track_id}.dmrf", s.pair, s.track_id, cfg)
         value = 0.5 if s.label == 1 else -0.5
-        records.append(dk.TrackRecord(s.track_id, valence=value, arousal=value))
+        # every other line has a fourth column, which parse_manifest ignores
+        lines.append(f"{s.track_id}\t{value!r}\t{value!r}" + (f"\t/audio/{s.track_id}.wav" if i % 2 else ""))
     manifest = root / "manifest.tsv"
-    dk.write_manifest(manifest, records)
+    manifest.write_text("\n".join(lines) + "\n")
     config = root / "run.cfg"
     config.write_text(RUN_CFG)
     return {"root": root, "cache": cache, "manifest": manifest, "config": config}
@@ -391,7 +392,7 @@ def test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys
     "embed_dim = 0", "dropout = 1.5", "heads = 3", "learning_rate = nan", "queue_size = 0",
     "contrast_temperature = 0", "tau_min = 0", "queue_size = 4", "weight_decay = nan",
     "weight_decay = -0.1", "theta_start = nan", "theta_start = 1.5", "theta_min = -0.1", "theta_min = 0.9",
-    "tau_min = 2.0", "learning_rate = inf", "grad_clip = inf", "lambda_pl = inf", "tau_max = inf",
+    "tau_min = 2.0", "learning_rate = inf", "grad_clip = inf", "lambda_pl = inf", "tau_max = inf", "seed = -1",
 ))
 def test_out_of_range_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line):
     test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line)

@@ -269,6 +269,17 @@ def test_views_share_preemphasised_signal():
     assert np.array_equal(pair.coch, coch.values.astype(np.float32))
 
 
+def test_both_views_keep_the_segments_frame_order():
+    """A segment silent in its first half and a 440 Hz tone in its second:
+    the last frames of both views carry more energy than the first."""
+    cfg = F.FeatureConfig(segment_duration=2.0, frame_count=16)
+    t = np.arange(cfg.segment_len) / SR
+    samples = np.where(t >= 1.0, 0.5 * np.sin(2 * np.pi * 440.0 * t), 0.0)
+    pair = F.extract_pair(F.AudioSegment(samples, SR, 15.0), cfg)
+    for view in (pair.mel, pair.coch):
+        assert view[:, -4:].sum() > view[:, :4].sum()
+
+
 def test_mel_frame_grid_matches_coch():
     pair = ec.silence_pair()
     assert pair.mel.shape[1] == pair.coch.shape[1] == 87

@@ -71,6 +71,21 @@ def test_dropout_only_active_in_training():
     assert not np.array_equal(train_a.logits_fuse.data, train_b.logits_fuse.data)
 
 
+@pytest.mark.parametrize("cross_attention", (True, False))
+def test_the_mel_branch_reads_the_cochleagram_only_through_cross_attention(cross_attention):
+    """DSAF's mel-from-coch direction attends to the cochleagram tokens: with
+    it on, z_mel moves when only the cochleagram input changes; with it off,
+    the views are encoded apart and z_mel stays put."""
+    cfg = ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=1, mel_bands=6, coch_channels=5, frame_count=4,
+                      cross_attention=cross_attention)
+    model = DualViewModel(cfg, np.random.default_rng(20))
+    rng = np.random.default_rng(21)
+    mel, coch = rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 5, 4))
+    with nc.no_grad():
+        z_mel = [model.encode(model.tokenize_views(mel, c)).z_mel.data for c in (coch, coch + 1.0)]
+    assert np.array_equal(z_mel[0], z_mel[1]) == (not cross_attention)
+
+
 def test_parameter_names_stable_and_complete():
     cfg = ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=2, mel_bands=6, coch_channels=5, frame_count=4)
     model = DualViewModel(cfg, np.random.default_rng(10))

@@ -308,7 +308,7 @@ def test_two_operand_gradients_match_finite_differences_with_a_broadcast_operand
     assert report.max_rel_error < 1e-5
 
 
-# id -> (op applied to x, x's shape); every op here builds its node through _unary
+# id -> (op applied to x, x's shape); every op here builds its node through _op from one parent
 UNARY_OPS = {
     **{f"{name}_axis{axis}_keepdims{keep}": (lambda x, r=r, axis=axis, keep=keep: r(x, axis=axis, keepdims=keep), (3, 4))
        for name, r in (("tsum", nc.tsum), ("tmean", nc.tmean))
@@ -450,6 +450,16 @@ def test_concat_backward_splits():
     nc.tsum(nc.mul(out, 2.0)).backward()
     np.testing.assert_allclose(a.grad, np.full((2, 3), 2.0))
     np.testing.assert_allclose(b.grad, np.full((2, 2), 2.0))
+    # along axis 0, a constant part keeps no rule: it ends without a gradient,
+    # and the parameter after it gets its own rows of dL/d(out)
+    rng = np.random.default_rng(47)
+    c = Tensor(rng.normal(size=(3, 4)))
+    p = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(5, 4)))
+    report = nc.gradient_check(lambda: nc.tsum(nc.mul(nc.concat([c, p], axis=0), proj)), {"p": p}, op_name="concat")
+    assert report.max_rel_error < 1e-6
+    assert c.grad is None
+    assert np.array_equal(p.grad, proj.data[3:])
 
 
 def test_l2_normalize_unit_norm():
@@ -629,6 +639,32 @@ def test_linear_gives_no_input_gradient_when_the_input_needs_none():
     assert grads[False][0] is None and grads[True][0] is not None
     for got, want in zip(grads[False][1:], grads[True][1:]):
         assert got.tobytes() == want.tobytes()
+    # a constant weight and bias get no gradient; x gets the same one
+    w, b = nc.init_linear_params(5, 6, np.random.default_rng(66))
+    x = Tensor(x_np, requires_grad=True)
+    w_const, b_const = Tensor(w.data), Tensor(b.data)
+    nc.linear(x, w_const, b_const).backward(g)
+    assert w_const.grad is None and b_const.grad is None
+    assert x.grad.tobytes() == grads[True][0].tobytes()
+
+
+def test_feed_forward_computes_no_input_gradient_when_the_input_needs_none():
+    """With a wide input and a narrow hidden layer, dL/dx would be the largest
+    array of the backward; a constant x must never have it allocated."""
+    rng = np.random.default_rng(67)
+    x = Tensor(rng.normal(size=(512, 256)).astype(np.float32))
+    w1, b1 = nc.init_linear_params(4, 256, rng)
+    w2, b2 = nc.init_linear_params(4, 4, rng)
+    out = nc.feed_forward(x, w1, b1, w2, b2)
+    g = np.ones_like(out.data)
+    tracemalloc.start()
+    try:
+        out.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is None and w1.grad is not None
+    assert peak < x.data.nbytes // 2, f"backward peaks at {peak / 1e6:.2f} MB"
 
 
 def _erf32(z):

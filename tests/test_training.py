@@ -535,7 +535,7 @@ def test_reading_a_checkpoint_holds_the_file_and_its_arrays_but_no_section_copy(
     ("lambda_cons", -0.2), ("lambda_cons", math.nan), ("lambda_cont", -0.1), ("lambda_cont", math.nan),
     ("learning_rate", math.inf), ("weight_decay", math.inf), ("grad_clip", math.inf),
     ("contrast_temperature", math.inf), ("tau_max", math.inf), ("lambda_cls", math.inf), ("lambda_pl", math.inf),
-    ("lambda_cons", math.inf), ("lambda_cont", math.inf),
+    ("lambda_cons", math.inf), ("lambda_cont", math.inf), ("seed", -1),
 ))
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
