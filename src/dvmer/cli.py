@@ -12,6 +12,8 @@ is written atomically.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -241,10 +243,12 @@ def cmd_export_embeddings(args) -> CommandResult:
     z_fuse = training.embed(model, list(samples.values())).z_fuse
 
     header = ["track_id", "label"] + [f"f_{i}" for i in range(model_cfg.fusion_dim)]
-    lines = [",".join(header)]
-    for s, vec in zip(samples.values(), z_fuse):
-        lines.append(",".join([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    text = io.StringIO()  # csv quotes a track id that holds a comma or a quote
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]
+                     for s, vec in zip(samples.values(), z_fuse))
+    atomic_write_text(args.out, text.getvalue())
     return CommandResult(
         EXIT_OK,
         f"exported {len(samples)} embedding(s) of width {model_cfg.fusion_dim} to {args.out}",

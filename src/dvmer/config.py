@@ -5,8 +5,8 @@ with '#' are ignored. Values take the type of their field's resolved
 hint; booleans accept true/false/1/0/yes/no, and `none` is accepted only
 where the hint admits None. Unknown keys are rejected so typos fail
 loudly. The training CLI requires `epochs` and `batch_size` to be stated
-explicitly; every other key falls back to its documented default. Every
-error a file causes while it is loaded names the file.
+explicitly; every other key falls back to its documented default. An
+error the file's own values cause names the file; an override's, its key.
 """
 
 from __future__ import annotations
@@ -83,14 +83,21 @@ RUN_CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, ModelConfig) for f i
 def _build(cls, path, values: dict, overrides: dict):
     """cls from the values of the file at path that name its fields, typed by
     the resolved field hints, with the already-typed overrides replacing
-    them; a ConfigError names path."""
+    them. A ConfigError names path when the file's own values fail; one that
+    only the overrides cause names the key and no file."""
     hints = typing.get_type_hints(cls)
     try:
         kwargs = {k: _convert(k, raw, hints[k]) for k, raw in values.items() if k in hints}
-        kwargs.update((k, v) for k, v in overrides.items() if k in hints)
-        return cls(**kwargs)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    try:
+        return cls(**{**kwargs, **{k: v for k, v in overrides.items() if k in hints}})
+    except ConfigError as exc:
+        try:
+            cls(**kwargs)
+        except ConfigError:
+            raise ConfigError(f"{path}: {exc}") from None
+        raise
 
 
 def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig, ModelConfig]:

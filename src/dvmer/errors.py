@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the config finiteness check."""
+"""Exception types shared across the package, and the one range check of every config."""
 
 import math
 
@@ -11,11 +11,23 @@ class ConfigError(DvmerError):
     """Invalid or inconsistent configuration."""
 
 
-def check_finite(config):
-    """Raise ConfigError naming the first float field of the dataclass config that is NaN or infinite."""
+def check_fields(config, positive=(), non_negative=(), below_one=()):
+    """Raise ConfigError naming the first float field of the dataclass config
+    that is NaN or infinite, then the first named field that is not > 0
+    (positive), is < 0 (non_negative) or lies outside [0, 1) (below_one). A
+    field whose default is None is unset when None, and passes; elsewhere
+    None is refused."""
     for name, value in vars(config).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+    for names, holds, rule in ((positive, lambda v: v > 0, "must be positive"),
+                               (non_negative, lambda v: v >= 0, "must not be negative"),
+                               (below_one, lambda v: 0 <= v < 1, "must lie in [0, 1)")):
+        for name in names:
+            value = getattr(config, name)
+            unset = value is None and getattr(type(config), name, 0) is None
+            if not unset and (value is None or not holds(value)):
+                raise ConfigError(f"{name} {rule}, got {value}")
 
 
 class BadFeatureCache(DvmerError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort, check_finite
+from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort, check_fields
 from .ioutil import atomic_write_bytes, open_framed, pack_array, write_framed
 
 CACHE_MAGIC = b"DMRF"
@@ -75,15 +75,11 @@ class FeatureConfig:
     hop: int | None = None
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self, positive=("segment_duration", "frame_count", "mel_bands", "coch_channels",
+                                     "gammatone_order", "compression", "log_floor", "frame_len", "hop"),
+                     non_negative=("segment_start",), below_one=("preemphasis",))
         if self.sample_rate != REQUIRED_SAMPLE_RATE:
             raise ConfigError(f"sample_rate must be {REQUIRED_SAMPLE_RATE}, got {self.sample_rate}")
-        for name in ("segment_duration", "frame_count", "mel_bands", "coch_channels", "gammatone_order",
-                     "compression", "log_floor"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.segment_start >= 0:
-            raise ConfigError(f"segment_start must not be negative, got {self.segment_start}")
         nyquist = self.sample_rate / 2
         if not 0 <= self.mel_fmin < self.mel_fmax <= nyquist:
             raise ConfigError(f"mel_fmin and mel_fmax must satisfy 0 <= mel_fmin < mel_fmax <= {nyquist}, "
@@ -91,11 +87,6 @@ class FeatureConfig:
         if not 0 < self.gt_fmin < self.gt_fmax <= nyquist:
             raise ConfigError(f"gt_fmin and gt_fmax must satisfy 0 < gt_fmin < gt_fmax <= {nyquist}, "
                               f"got {self.gt_fmin} and {self.gt_fmax}")
-        if not 0 <= self.preemphasis < 1:
-            raise ConfigError(f"preemphasis must lie in [0, 1), got {self.preemphasis}")
-        for name in ("frame_len", "hop"):
-            if getattr(self, name) is not None and not getattr(self, name) >= 1:
-                raise ConfigError(f"{name} must be at least 1 when set, got {getattr(self, name)}")
         if not math.isfinite((self.segment_start + self.segment_duration) * self.sample_rate):
             raise ConfigError(f"segment_start + segment_duration must be finite in samples, got "
                               f"{self.segment_start} + {self.segment_duration}")

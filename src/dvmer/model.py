@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nc
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, check_fields
 from .nncore import Tensor
 
 
@@ -44,16 +44,11 @@ class ModelConfig:
     cross_attention: bool = True   # off: views are encoded independently
 
     def __post_init__(self):
-        for name in ("embed_dim", "fusion_dim", "heads", "mel_bands", "coch_channels", "frame_count",
-                     "n_classes", "ffn_expand"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.layers < 0:
-            raise ConfigError(f"layers must not be negative, got {self.layers}")
+        check_fields(self, positive=("embed_dim", "fusion_dim", "heads", "mel_bands", "coch_channels", "frame_count",
+                                     "n_classes", "ffn_expand"),
+                     non_negative=("layers",), below_one=("dropout",))
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} is not divisible by heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from . import curriculum
 from . import memory
 from . import nncore as nc
 from .data import Sample, _check_dimension, labeled_mask
-from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue, check_finite
+from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue, check_fields
 from .features import FeaturePair
 from .ioutil import BinaryReader, open_framed, pack_array_table, write_framed
 from .model import BranchOutputs, DualViewModel, ModelConfig
@@ -72,24 +72,13 @@ class TrainConfig:
     dimension: str = "arousal"
 
     def __post_init__(self):
-        check_finite(self)
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ConfigError("epochs and batch_size must be positive")
-        for name in ("learning_rate", "grad_clip", "contrast_temperature", "tau_min", "tau_max"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.queue_size < 1:
-            raise ConfigError(f"queue_size must be at least 1, got {self.queue_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must not be negative, got {self.seed}")
+        check_fields(self, positive=("epochs", "batch_size", "queue_size", "learning_rate", "grad_clip",
+                                     "contrast_temperature", "tau_min", "tau_max"),
+                     non_negative=("seed", "weight_decay", "lambda_cls", "lambda_pl", "lambda_cons", "lambda_cont"),
+                     below_one=("queue_momentum",))
         if self.use_saml and self.queue_size < self.batch_size:
             raise ConfigError(f"queue_size {self.queue_size} must be at least batch_size {self.batch_size} "
                               "when use_saml is on")
-        for name in ("weight_decay", "lambda_cls", "lambda_pl", "lambda_cons", "lambda_cont"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
-        if self.queue_momentum is not None and not 0 <= self.queue_momentum < 1:
-            raise ConfigError(f"queue_momentum must lie in [0, 1) when set, got {self.queue_momentum}")
         if not 0 <= self.theta_min <= self.theta_start <= 1:
             raise ConfigError(f"theta_min and theta_start must satisfy 0 <= theta_min <= theta_start <= 1, "
                               f"got {self.theta_min} and {self.theta_start}")

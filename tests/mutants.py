@@ -47,6 +47,41 @@ MUTANTS = (
     Mutant("_op adds a gradient without summing it over broadcast axes", "src/dvmer/nncore.py",
            "_accum(node, _reduce_to(grad(g), shape))", "_accum(node, grad(g))",
            "tests/test_nncore.py::test_two_operand_gradients_match_finite_differences_with_a_broadcast_operand"),
+    Mutant("DSAF off although use_dsaf is on", "src/dvmer/training.py",
+           "cross_attention=config.use_dsaf,", "cross_attention=False,",
+           "tests/test_config.py::test_overrides_apply_and_sync_cross_attention"),
+    Mutant("the JS consistency term is dropped from the loss", "src/dvmer/training.py",
+           'terms["cons"] = nc.tmean(js)', 'terms["cons"] = nc.mul(nc.tmean(js), 0.0)',
+           "tests/test_training.py::test_the_consistency_term_alone_moves_the_branches"),
+    Mutant("the SAML queries are not L2-normalised", "src/dvmer/training.py",
+           "nc.l2_normalize(z_kept), kept_labels", "z_kept, kept_labels",
+           "tests/test_training.py::test_every_memory_query_has_unit_norm"),
+    Mutant("the cosine schedule is ignored", "src/dvmer/training.py",
+           "lr = cosine_lr(epoch, config.epochs, config.learning_rate) if config.cosine_annealing "
+           "else config.learning_rate", "lr = config.learning_rate",
+           "tests/test_training.py::test_each_record_carries_its_epochs_schedule"),
+    Mutant("the curriculum is frozen at its start", "src/dvmer/training.py",
+           "tau, theta = state.tau, state.theta", "tau, theta = config.tau_max, config.theta_start",
+           "tests/test_training.py::test_each_record_carries_its_epochs_schedule"),
+    Mutant("the semi-mode memory enqueues every row", "src/dvmer/training.py",
+           "kept = np.flatnonzero(labeled | confidences.selected)", "kept = np.arange(labeled.size)",
+           "tests/test_training.py::test_memory_rows_match_a_plain_loop"),
+    Mutant("PCL pseudo-labels labeled rows", "src/dvmer/training.py",
+           "eligible=None if labeled is None else ~labeled)", "eligible=None)",
+           "tests/test_training.py::test_semi_mode_pseudo_loss_only_on_unlabeled"),
+    Mutant("pseudo_label_loss drops the reliability weight", "src/dvmer/curriculum.py",
+           "return nc.tmean(nc.mul(per_sample, Tensor(weights)))", "return nc.tmean(per_sample)",
+           "tests/test_curriculum.py::test_pseudo_label_loss_detached_from_label_path"),
+    Mutant("labeled_mask ignores its seed", "src/dvmer/data.py",
+           "rng = np.random.default_rng(seed)\n    labels = np.asarray(labels)",
+           "rng = np.random.default_rng(0)\n    labels = np.asarray(labels)",
+           "tests/test_data.py::test_labeled_mask_matches_a_plain_loop"),
+    Mutant("the two grams are swapped at cache load", "src/dvmer/features.py",
+           "return FeaturePair(**grams)", 'return FeaturePair(mel=grams["coch"], coch=grams["mel"])',
+           "tests/test_features.py::test_cache_round_trips_exactly"),
+    Mutant("a Mel span starts one bin late", "src/dvmer/features.py",
+           "spans.append((first, _triangle(", "spans.append((first + 1, _triangle(",
+           "tests/test_features.py::test_mel_spans_scatter_to_the_dense_bank"),
 )
 
 
@@ -57,7 +92,8 @@ def failed_tests(mutant: Mutant | None, test_files: list[str]) -> list[str]:
         tree = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "README.md"):  # test_config reads the README's key list
+            shutil.copy(ROOT / name, tree)
         if mutant is not None:
             target = tree / mutant.path
             text = target.read_text(encoding="utf-8")

@@ -287,24 +287,34 @@ def test_export_embeddings_shape_and_training_effect(workspace, trained, tmp_pat
 
 
 def test_exported_rows_match_a_graph_building_forward(workspace, trained, tmp_path):
-    from dvmer import config as cfgmod
-    from dvmer import training as tr
+    # track ids that hold a comma or a double quote, as WAV names may, come back whole through csv
+    cache, manifest = tmp_path / "cache", tmp_path / "manifest.tsv"
+    shutil.copytree(workspace["cache"], cache)
+    lines = workspace["manifest"].read_text().splitlines()
+    for i, track_id in enumerate(("Artist, Title", 'The "Song"')):
+        old_id, rest = lines[i].split("\t", 1)
+        (cache / f"{old_id}.dmrf").rename(cache / f"{track_id}.dmrf")
+        lines[i] = f"{track_id}\t{rest}"
+    manifest.write_text("\n".join(lines) + "\n")
     emb = tmp_path / "emb.csv"
     rc = main([
         "export-embeddings", "--checkpoint", str(trained / "checkpoint.dmrc"),
-        "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
-        "--features", str(workspace["cache"]), "--out", str(emb),
+        "--config", str(workspace["config"]), "--manifest", str(manifest),
+        "--features", str(cache), "--out", str(emb),
     ])
     assert rc == 0
-    rows = [line.split(",") for line in emb.read_text().strip().splitlines()[1:]]
+    with open(emb, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(r) == len(header) for r in rows)
 
     _, model_cfg = cfgmod.load_train_configs(workspace["config"])
     model, _ = tr.load_model_from_checkpoint(trained / "checkpoint.dmrc", model_cfg)
-    records = dk.parse_manifest(workspace["manifest"])
-    pairs = [F.read_feature_cache(workspace["cache"] / f"{r.track_id}.dmrf") for r in records]
+    records = dk.parse_manifest(manifest)
+    pairs = [F.read_feature_cache(cache / f"{r.track_id}.dmrf") for r in records]
     out = model.forward(np.stack([p.mel for p in pairs]), np.stack([p.coch for p in pairs]))
     assert out.z_fuse._backward is not None  # the reference builds a graph
     assert [r[0] for r in rows] == [r.track_id for r in records]
+    assert rows[0][0] == "Artist, Title" and rows[1][0] == 'The "Song"'
     exported = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float32)
     assert np.array_equal(exported, out.z_fuse.data)
 
@@ -396,6 +406,15 @@ def test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys
 ))
 def test_out_of_range_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line):
     test_bad_run_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys, line)
+
+
+def test_an_out_of_range_flag_exits_2_naming_the_key_and_not_the_run_config(workspace, tmp_path, capsys):
+    rc = main(["train", "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
+               "--features", str(workspace["cache"]), "--out", str(tmp_path / "o"), "--seed", "-1"])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "seed" in out and str(workspace["config"]) not in out
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("features", ("cache", "empty"))

@@ -64,10 +64,20 @@ def test_load_train_configs_rejects_bad_value(tmp_path):
 
 def test_overrides_apply_and_sync_cross_attention(tmp_path):
     path = write(tmp_path, BASE)
+    train_cfg, model_cfg = cfgmod.load_train_configs(path)
+    assert tr.model_config_for(train_cfg, DEFAULT_PAIR, model_cfg).cross_attention is True
     train_cfg, model_cfg = cfgmod.load_train_configs(path, overrides={"use_dsaf": False, "seed": 9})
     assert train_cfg.seed == 9
     assert train_cfg.use_dsaf is False
     assert tr.model_config_for(train_cfg, DEFAULT_PAIR, model_cfg).cross_attention is False
+
+
+def test_an_override_may_mend_a_file_that_fails_alone(tmp_path):
+    path = write(tmp_path, BASE + "queue_size = 4\n")  # below batch_size while the memory is on
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: queue_size 4 must be at least batch_size 8"):
+        cfgmod.load_train_configs(path)
+    train_cfg, _ = cfgmod.load_train_configs(path, overrides={"use_saml": False})
+    assert (train_cfg.queue_size, train_cfg.use_saml) == (4, False)
 
 
 def test_optional_none_value(tmp_path):

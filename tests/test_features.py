@@ -558,6 +558,7 @@ def test_data_that_ends_inside_a_frame_past_the_window_is_malformed(tmp_path):
     ("frame_len", 1001), ("frame_len", 2 * 60 * SR + 2), ("frame_count", 1), ("hop", 60 * SR),
     ("segment_duration", 1e-9), ("segment_duration", math.inf), ("segment_duration", 1e305),
     ("segment_start", math.inf), ("segment_start", 1e305), ("compression", math.inf), ("log_floor", math.inf),
+    ("frame_len", -2),
 ))
 def test_feature_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):

@@ -334,6 +334,7 @@ def test_forward_only_feed_forward_peaks_at_one_hidden_array():
     ("embed_dim", 0), ("fusion_dim", -1), ("heads", 0), ("mel_bands", 0), ("coch_channels", 0),
     ("frame_count", 0), ("n_classes", 0), ("ffn_expand", 0), ("layers", -1),
     ("heads", 3), ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.1), ("dropout", float("nan")),
+    ("dropout", float("inf")),
 ))
 def test_model_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):

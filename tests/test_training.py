@@ -293,6 +293,49 @@ def test_cosine_disabled_keeps_constant_lr():
     assert all(r.lr == cfg.learning_rate for r in result.records)
 
 
+def test_each_record_carries_its_epochs_schedule():
+    # cosine learning rate, and the curriculum's temperature and threshold, at that epoch of the run
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=11)
+    cfg = tr.TrainConfig(epochs=4, batch_size=8, seed=12, queue_size=8)
+    for record in tr.run_training(samples, cfg, TINY_MODEL).records:
+        state = cur.curriculum_state(record.epoch, cfg.epochs, tau_max=cfg.tau_max, tau_min=cfg.tau_min,
+                                     theta_start=cfg.theta_start, theta_min=cfg.theta_min)
+        assert record.lr == tr.cosine_lr(record.epoch, cfg.epochs, cfg.learning_rate)
+        assert (record.tau, record.theta) == (state.tau, state.theta)
+
+
+def test_the_consistency_term_alone_moves_the_branches():
+    # every other loss weight and the weight decay are 0, so a run without the
+    # JS term leaves each parameter at its seeded init
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=15)
+    cfg = tr.TrainConfig(epochs=1, batch_size=8, seed=16, queue_size=8, weight_decay=0.0,
+                         lambda_cls=0.0, lambda_pl=0.0, lambda_cont=0.0)
+    still, moved = (tr.run_training(samples, replace(cfg, lambda_cons=w), TINY_MODEL) for w in (0.0, 0.2))
+    assert moved.records[0].loss_cons > 0
+    before, after = still.model.parameters(), moved.model.parameters()
+    for name in ("mel_proj.w", "coch_proj.w", "layer0.mel_from_coch.attn.wq", "head_mel.w", "head_coch.w"):
+        assert not np.array_equal(before[name].data, after[name].data), name
+    for name in ("fuse.w1", "head_fuse.w"):  # the JS of the two branch heads does not reach them
+        assert np.array_equal(before[name].data, after[name].data), name
+
+
+@pytest.mark.parametrize("mode", ("full", "semi"))
+def test_every_memory_query_has_unit_norm(monkeypatch, mode):
+    norms = []
+    contrastive_loss = memory.contrastive_loss
+
+    def recording_loss(queries, *args, **kwargs):
+        norms.append(np.linalg.norm(queries.data.astype(np.float64), axis=1))
+        return contrastive_loss(queries, *args, **kwargs)
+
+    monkeypatch.setattr(memory, "contrastive_loss", recording_loss)
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=17)
+    tr.run_training(samples, tr.TrainConfig(epochs=2, batch_size=8, seed=18, queue_size=8, mode=mode,
+                                            labeled_fraction=0.5), TINY_MODEL)
+    assert len(norms) == 4 and all(n.size for n in norms)
+    np.testing.assert_allclose(np.concatenate(norms), 1.0, rtol=1e-6)
+
+
 def test_checkpoint_round_trip_and_hash_guard(tmp_path):
     samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=13)
     cfg = tr.TrainConfig(epochs=2, batch_size=8, seed=14, queue_size=8)
@@ -535,7 +578,8 @@ def test_reading_a_checkpoint_holds_the_file_and_its_arrays_but_no_section_copy(
     ("lambda_cons", -0.2), ("lambda_cons", math.nan), ("lambda_cont", -0.1), ("lambda_cont", math.nan),
     ("learning_rate", math.inf), ("weight_decay", math.inf), ("grad_clip", math.inf),
     ("contrast_temperature", math.inf), ("tau_max", math.inf), ("lambda_cls", math.inf), ("lambda_pl", math.inf),
-    ("lambda_cons", math.inf), ("lambda_cont", math.inf), ("seed", -1),
+    ("lambda_cons", math.inf), ("lambda_cont", math.inf), ("seed", -1), ("epochs", 0), ("batch_size", -1),
+    ("seed", None),
 ))
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=field):
