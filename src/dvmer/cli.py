@@ -85,6 +85,16 @@ def _overrides_from_args(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in cfgmod.RUN_CONFIG_KEYS and v is not None}
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """header and rows as CSV at path, each line ending in a bare newline; csv
+    quotes a cell that holds a comma or a quote, and writes a float as its repr."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, text.getvalue())
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -105,17 +115,22 @@ def cmd_extract_features(args) -> CommandResult:
     if not wavs:
         raise FileNotFoundError(f"no .wav files in {in_dir}")
 
-    done, failed = [], []
+    done, failed, wav_of = [], [], {}
     for name in wavs:
         track_id = os.path.splitext(name)[0]
+        if track_id in wav_of:  # Song.WAV and Song.wav: the second would overwrite the first's cache
+            failed.append(track_id)
+            print(f"skipped {track_id}: {wav_of[track_id]} and {name} give the same track id", file=sys.stderr)
+            continue
+        wav_of[track_id] = name
         try:
             _extract_track(os.path.join(in_dir, name), os.path.join(out_dir, f"{track_id}.dmrf"), track_id, cfg)
             done.append(track_id)
         except (TrackTooShort, BadSampleRate, ConfigError) as exc:
-            failed.append((track_id, str(exc)))
+            failed.append(track_id)
             print(f"skipped {track_id}: {exc}", file=sys.stderr)
 
-    payload = {"extracted": done, "failed": [t for t, _ in failed], "config_hash": cfg.config_hash()}
+    payload = {"extracted": done, "failed": failed, "config_hash": cfg.config_hash()}
     if failed:
         return CommandResult(EXIT_DATA, f"extracted {len(done)} track(s), {len(failed)} failed", payload)
     return CommandResult(EXIT_OK, f"extracted {len(done)} track(s) to {out_dir}", payload)
@@ -146,9 +161,9 @@ def cmd_train(args) -> CommandResult:
     training.save_checkpoint(os.path.join(args.out, "checkpoint.dmrc"), result, config_hash)
     atomic_write_text(
         os.path.join(args.out, "epochs.log"),
-        "\n".join(json.dumps(r.to_dict()) for r in result.records) + "\n",
+        "\n".join(json.dumps(asdict(r)) for r in result.records) + "\n",
     )
-    atomic_write_text(os.path.join(args.out, "split.json"), split.to_json())
+    atomic_write_text(os.path.join(args.out, "split.json"), json.dumps(asdict(split), indent=1) + "\n")
     summary = {
         "dimension": train_cfg.dimension,
         "config_hash": config_hash,
@@ -229,10 +244,7 @@ def cmd_diagnose(args) -> CommandResult:
         rows.append(cells.values())
     if not rows:
         raise ValueError(f"{args.log}: no epoch records")
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, columns, rows)
     return CommandResult(EXIT_OK, f"wrote {len(rows)} row(s) to {args.out}", {"rows": len(rows)})
 
 
@@ -243,12 +255,8 @@ def cmd_export_embeddings(args) -> CommandResult:
     z_fuse = training.embed(model, list(samples.values())).z_fuse
 
     header = ["track_id", "label"] + [f"f_{i}" for i in range(model_cfg.fusion_dim)]
-    text = io.StringIO()  # csv quotes a track id that holds a comma or a quote
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]
-                     for s, vec in zip(samples.values(), z_fuse))
-    atomic_write_text(args.out, text.getvalue())
+    _write_csv(args.out, header, ([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]
+                                  for s, vec in zip(samples.values(), z_fuse)))
     return CommandResult(
         EXIT_OK,
         f"exported {len(samples)} embedding(s) of width {model_cfg.fusion_dim} to {args.out}",

@@ -3,10 +3,11 @@
 Format: one `key = value` pair per line; blank lines and lines starting
 with '#' are ignored. Values take the type of their field's resolved
 hint; booleans accept true/false/1/0/yes/no, and `none` is accepted only
-where the hint admits None. Unknown keys are rejected so typos fail
-loudly. The training CLI requires `epochs` and `batch_size` to be stated
-explicitly; every other key falls back to its documented default. An
-error the file's own values cause names the file; an override's, its key.
+where the hint admits None. One reader rejects unknown keys in either file
+so typos fail loudly. The training CLI requires `epochs` and `batch_size`
+to be stated explicitly; every other key falls back to its documented
+default. An error the file's own values cause names the file; an
+override's names its key alone, even when the file also fails alone.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ TRAIN_REQUIRED_KEYS = ("epochs", "batch_size")
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
+_NUMBER = {int: "an integer", float: "a number"}  # each number type, as its error names it
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -61,16 +63,11 @@ def _convert(key: str, raw: str, hint):
         if low in _BOOL_FALSE:
             return False
         raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-    if target_type is int:
+    if target_type in _NUMBER:
         try:
-            return int(raw)
+            return target_type(raw)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+            raise ConfigError(f"key {key!r}: expected {_NUMBER[target_type]}, got {raw!r}") from exc
     return raw
 
 
@@ -83,8 +80,9 @@ RUN_CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, ModelConfig) for f i
 def _build(cls, path, values: dict, overrides: dict):
     """cls from the values of the file at path that name its fields, typed by
     the resolved field hints, with the already-typed overrides replacing
-    them. A ConfigError names path when the file's own values fail; one that
-    only the overrides cause names the key and no file."""
+    them. A ConfigError names path when a file value does not convert or the
+    file alone fails with the same message; any other the overrides cause,
+    and it names the key and no file."""
     hints = typing.get_type_hints(cls)
     try:
         kwargs = {k: _convert(k, raw, hints[k]) for k, raw in values.items() if k in hints}
@@ -95,25 +93,32 @@ def _build(cls, path, values: dict, overrides: dict):
     except ConfigError as exc:
         try:
             cls(**kwargs)
-        except ConfigError:
-            raise ConfigError(f"{path}: {exc}") from None
+        except ConfigError as alone:
+            if str(alone) == str(exc):
+                raise ConfigError(f"{path}: {exc}") from None
         raise
+
+
+def _read(path, keys, kind: str) -> dict[str, str]:
+    """The file's key = value pairs; a key outside keys raises ConfigError naming the file."""
+    values = parse_kv_file(path)
+    unknown = set(values) - keys
+    if unknown:
+        raise ConfigError(f"{path}: unknown {kind} key(s): {', '.join(sorted(unknown))}")
+    return values
 
 
 def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig, ModelConfig]:
     """Parse a run config file into the trainer and model configs; `model_config_for` completes the latter.
 
     overrides (already-typed values, e.g. from CLI flags) replace file
-    values. Missing required keys and unknown keys raise ConfigError.
+    values. Unknown keys and missing required keys raise ConfigError.
     """
-    values = parse_kv_file(path)
+    values = _read(path, RUN_CONFIG_KEYS, "config")
     overrides = overrides or {}
     for key in TRAIN_REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"{path}: missing required config key: {key}")
-    unknown = set(values) - RUN_CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
     bad = set(overrides) - RUN_CONFIG_KEYS
     if bad:
         raise ConfigError(f"unknown override(s): {', '.join(sorted(bad))}")
@@ -122,10 +127,7 @@ def load_train_configs(path, overrides: dict | None = None) -> tuple[TrainConfig
 
 
 def load_feature_config(path=None) -> FeatureConfig:
-    values = parse_kv_file(path) if path else {}
-    unknown = set(values) - {f.name for f in fields(FeatureConfig)}
-    if unknown:
-        raise ConfigError(f"{path}: unknown feature config key(s): {', '.join(sorted(unknown))}")
+    values = _read(path, {f.name for f in fields(FeatureConfig)}, "feature config") if path else {}
     return _build(FeatureConfig, path, values, {})
 
 

@@ -13,7 +13,6 @@ negative values to class 0).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,22 +45,11 @@ class Sample:
 
 
 @dataclass
-class SplitManifest:
-    train_ids: list
-    test_ids: list
+class SplitManifest:  # fields in split.json's key order
     dimension: str
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.dimension,
-                "seed": self.seed,
-                "train_ids": self.train_ids,
-                "test_ids": self.test_ids,
-            },
-            indent=1,
-        ) + "\n"
+    train_ids: list
+    test_ids: list
 
 
 def _check_dimension(dimension: str) -> str:

@@ -16,7 +16,7 @@ thread count changes the bits.
 from __future__ import annotations
 
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -129,9 +129,6 @@ class EpochRecord:
     queue_entropy: float
     queue_coverage: list
     train_acc: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # -- loss pieces -----------------------------------------------------------

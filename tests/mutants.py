@@ -82,6 +82,20 @@ MUTANTS = (
     Mutant("a Mel span starts one bin late", "src/dvmer/features.py",
            "spans.append((first, _triangle(", "spans.append((first + 1, _triangle(",
            "tests/test_features.py::test_mel_spans_scatter_to_the_dense_bank"),
+    Mutant("_build names the run config file for every error", "src/dvmer/config.py",
+           "    except ConfigError as exc:\n        try:\n",
+           '    except ConfigError as exc:\n        raise ConfigError(f"{path}: {exc}") from None\n        try:\n',
+           "tests/test_cli.py::test_an_out_of_range_flag_exits_2_naming_the_key_and_not_the_run_config"),
+    Mutant("SplitManifest lists train_ids first", "src/dvmer/data.py",
+           "    dimension: str\n    seed: int\n    train_ids: list\n    test_ids: list\n",
+           "    train_ids: list\n    test_ids: list\n    dimension: str\n    seed: int\n",
+           "tests/test_cli.py::test_split_json_lists_dimension_seed_then_the_ids"),
+    Mutant("the config reader skips the unknown-key check", "src/dvmer/config.py",
+           "unknown = set(values) - keys", "unknown = set()",
+           "tests/test_config.py::test_feature_config_overrides"),
+    Mutant("extract-features drops the duplicate track id check", "src/dvmer/cli.py",
+           "if track_id in wav_of:", "if False:",
+           "tests/test_cli.py::test_two_wavs_that_give_one_track_id_fail_the_second"),
 )
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import wave
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -84,6 +85,14 @@ def test_train_writes_expected_artifacts(workspace, trained):
     assert set(result["test"]) == {"acc", "f1", "auc"}
     # atomic writes leave no temp files behind
     assert not [p for p in os.listdir(trained) if p.startswith(".tmp-")]
+
+
+def test_split_json_lists_dimension_seed_then_the_ids(workspace, trained):
+    split = dk.stratified_split(dk.parse_manifest(workspace["manifest"]), "arousal", seed=2)
+    ids = {name: ",\n".join(f'  "{i}"' for i in getattr(split, name)) for name in ("train_ids", "test_ids")}
+    assert (trained / "split.json").read_bytes().decode() == (
+        '{\n "dimension": "arousal",\n "seed": 2,\n'
+        f' "train_ids": [\n{ids["train_ids"]}\n ],\n "test_ids": [\n{ids["test_ids"]}\n ]\n}}\n')
 
 
 def test_train_idempotent_given_seed(workspace, trained, tmp_path):
@@ -206,10 +215,10 @@ def test_diagnose_spreads_every_class_of_a_three_class_run(tmp_path):
     model_cfg = ModelConfig(embed_dim=16, fusion_dim=32, heads=2, layers=1, n_classes=3)
     result = tr.run_training(samples, tr.TrainConfig(epochs=2, batch_size=8, seed=3, queue_size=16), model_cfg)
     log = tmp_path / "epochs.log"
-    log.write_text("\n".join(json.dumps(r.to_dict()) for r in result.records) + "\n")
+    log.write_text("\n".join(json.dumps(asdict(r)) for r in result.records) + "\n")
     header, rows = _diagnose_csv(log, tmp_path / "diag.csv")
     assert header == DIAGNOSE_HEADER.replace("coverage_1,", "coverage_1,coverage_2,")
-    assert [{k: float(v) for k, v in row.items()} for row in rows] == [_cells(r.to_dict()) for r in result.records]
+    assert [{k: float(v) for k, v in row.items()} for row in rows] == [_cells(asdict(r)) for r in result.records]
 
 
 def test_diagnose_bad_log_is_data_error(tmp_path):
@@ -219,11 +228,22 @@ def test_diagnose_bad_log_is_data_error(tmp_path):
     assert rc == 3
 
 
-GOOD_RECORD = tr.EpochRecord(
+GOOD_RECORD = asdict(tr.EpochRecord(
     epoch=0, lr=1e-3, tau=1.5, theta=0.65, loss_total=1.0, loss_cls=0.5, loss_pl=0.25, loss_cons=0.125,
     loss_cont=0.0625, mask_ratio=0.0, mean_reliability=0.5, mean_confidence=0.5, queue_entropy=0.0,
     queue_coverage=[0.5, 0.5], train_acc=0.5,
-).to_dict()
+))
+
+
+def test_diagnose_writes_standard_csv_with_each_float_as_its_repr(tmp_path):
+    log = tmp_path / "epochs.log"
+    second = {**GOOD_RECORD, "epoch": 1, "lr": 1e-05, "loss_total": 0.1, "queue_coverage": [0.1, 0.9]}
+    log.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(second) + "\n")
+    assert main(["diagnose", "--log", str(log), "--out", str(tmp_path / "d.csv")]) == 0
+    assert (tmp_path / "d.csv").read_bytes().decode() == (
+        DIAGNOSE_HEADER + "\n"
+        "0,0.001,1.5,0.65,1.0,0.5,0.25,0.125,0.0625,0.0,0.5,0.5,0.0,0.5,0.5,0.5\n"
+        "1,1e-05,1.5,0.65,0.1,0.5,0.25,0.125,0.0625,0.0,0.5,0.5,0.0,0.1,0.9,0.5\n")
 
 
 @pytest.mark.parametrize("record,reason", (
@@ -409,12 +429,15 @@ def test_out_of_range_run_config_value_exits_2_naming_the_key(workspace, tmp_pat
 
 
 def test_an_out_of_range_flag_exits_2_naming_the_key_and_not_the_run_config(workspace, tmp_path, capsys):
-    rc = main(["train", "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
-               "--features", str(workspace["cache"]), "--out", str(tmp_path / "o"), "--seed", "-1"])
-    out = capsys.readouterr().out
-    assert rc == 2
-    assert "seed" in out and str(workspace["config"]) not in out
-    assert not (tmp_path / "o").exists()
+    # the second file fails alone too (queue_size below batch_size), for a reason of its own
+    for name, text in (("run.cfg", RUN_CFG), ("bad.cfg", RUN_CFG.replace("queue_size = 16", "queue_size = 4"))):
+        config = tmp_path / name
+        config.write_text(text)
+        rc = main(["train", "--config", str(config), "--manifest", str(workspace["manifest"]),
+                   "--features", str(workspace["cache"]), "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().out == "config error: seed must not be negative, got -1\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("features", ("cache", "empty"))
@@ -560,6 +583,24 @@ def test_extract_features_from_wavs(tmp_path, capsys):
     assert pair.mel.shape == (128, 87)
     assert pair.coch.shape == (84, 87)
     assert os.path.exists(cache / "low.dmrf.json")
+
+
+def test_two_wavs_that_give_one_track_id_fail_the_second(tmp_path, capsys):
+    wav_dir, cache = tmp_path / "wavs", tmp_path / "cache"
+    wav_dir.mkdir()
+    _write_wav(wav_dir / "Song.wav", 36, 440.0, np.random.default_rng(5))
+    if (wav_dir / "Song.WAV").exists():
+        pytest.skip("the file system folds case: it cannot hold both Song.wav and Song.WAV")
+    _write_wav(wav_dir / "Song.WAV", 36, 880.0, np.random.default_rng(6))
+    rc = main(["extract-features", "--in", str(wav_dir), "--out", str(cache), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    payload = json.loads(captured.out)
+    assert (payload["extracted"], payload["failed"]) == (["Song"], ["Song"])
+    assert "skipped Song: Song.WAV and Song.wav give the same track id" in captured.err
+    cfg = F.FeatureConfig()  # the cache is the first WAV's, in sorted order
+    first = F.extract_pair(F.read_segment(wav_dir / "Song.WAV", cfg), cfg)
+    assert np.array_equal(F.read_feature_cache(cache / "Song.dmrf").mel, first.mel)
 
 
 def test_extract_features_reports_bad_tracks(tmp_path, capsys):

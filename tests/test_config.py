@@ -58,8 +58,13 @@ def test_load_train_configs_rejects_unknown_key(tmp_path):
 
 
 def test_load_train_configs_rejects_bad_value(tmp_path):
-    with pytest.raises(ConfigError, match="epochs"):
-        cfgmod.load_train_configs(write(tmp_path, "epochs = soon\nbatch_size = 8\n"))
+    for key, raw, expected in (("epochs", "soon", "an integer"), ("learning_rate", "fast", "a number"),
+                               ("use_pcl", "maybe", "a boolean")):
+        values = {"epochs": "4", "batch_size": "8", key: raw}
+        path = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+        message = f"{path}: key {key!r}: expected {expected}, got {raw!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cfgmod.load_train_configs(path)
 
 
 def test_overrides_apply_and_sync_cross_attention(tmp_path):
@@ -78,6 +83,9 @@ def test_an_override_may_mend_a_file_that_fails_alone(tmp_path):
         cfgmod.load_train_configs(path)
     train_cfg, _ = cfgmod.load_train_configs(path, overrides={"use_saml": False})
     assert (train_cfg.queue_size, train_cfg.use_saml) == (4, False)
+    # an override that fails for its own reason is blamed, not the file
+    with pytest.raises(ConfigError, match="^seed must not be negative, got -1$"):
+        cfgmod.load_train_configs(path, overrides={"seed": -1})
 
 
 def test_optional_none_value(tmp_path):

@@ -3,7 +3,7 @@ import re
 import struct
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,7 +132,7 @@ def test_run_training_emits_one_record_per_epoch():
     result = tr.run_training(samples, cfg, TINY_MODEL)
     assert [r.epoch for r in result.records] == [0, 1, 2]
     for record in result.records:
-        d = record.to_dict()
+        d = asdict(record)
         assert set(d) == {
             "epoch", "lr", "tau", "theta", "loss_total", "loss_cls", "loss_pl",
             "loss_cons", "loss_cont", "mask_ratio", "mean_reliability",
