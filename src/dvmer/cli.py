@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--manifest", required=True, help="tab-separated track manifest")
     run.add_argument("--features", required=True, help="feature cache directory")
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--dimension", choices=("arousal", "valence"), default=None)
+    run.add_argument("--dimension", choices=datakit.DIMENSIONS, default=None)
     run.add_argument("--no-dsaf", dest="use_dsaf", action="store_const", const=False, default=None,
                      help="encode views independently")
     run.add_argument("--no-pcl", dest="use_pcl", action="store_const", const=False, default=None,

@@ -4,7 +4,8 @@ confidence scoring, pseudo-label selection, and the weighted pseudo-label
 loss.
 
 Temperature descends linearly from tau_max to tau_min and the selection
-threshold from theta_start to theta_min as training progresses.
+threshold from theta_start to theta_min as training progresses, both by one
+rule; an epoch's pair of values is a CurriculumState(tau, theta).
 Cross-view disagreement JS(p, q) is bounded by ln 2 (nats); reliability
 r = exp(-JS) therefore lives in [0.5, 1]. Confidence is c = r * max(p_fuse)
 with p_fuse the mean of the two branch distributions; samples whose
@@ -14,6 +15,7 @@ confidence clears the current threshold receive pseudo-labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +29,9 @@ THETA_START_DEFAULT = 0.65
 THETA_MIN_DEFAULT = 0.35
 
 
-@dataclass
-class CurriculumState:
-    epoch: int
-    total: int
+class CurriculumState(NamedTuple):
+    """One epoch's softmax temperature and selection threshold."""
+
     tau: float
     theta: float
 
@@ -47,23 +48,23 @@ class SampleConfidence:
     selected: bool = False
 
 
-def _check_epoch(t: int, total: int):
+def _descend(t: int, total: int, start: float, end: float) -> float:
+    """Linear descent from start at t=0 to end at t=total."""
     if total <= 0:
         raise BadEpoch(f"total epochs must be positive, got {total}")
     if t < 0 or t > total:
         raise BadEpoch(f"epoch {t} outside [0, {total}]")
+    return start - (start - end) * (t / total)
 
 
 def temperature_at(t: int, total: int, tau_max: float = TAU_MAX_DEFAULT, tau_min: float = TAU_MIN_DEFAULT) -> float:
     """Linear descent from tau_max at t=0 to tau_min at t=total."""
-    _check_epoch(t, total)
-    return tau_max - (tau_max - tau_min) * (t / total)
+    return _descend(t, total, tau_max, tau_min)
 
 
 def threshold_at(t: int, total: int, theta_start: float = THETA_START_DEFAULT, theta_min: float = THETA_MIN_DEFAULT) -> float:
     """Linear descent from theta_start at t=0 to theta_min at t=total."""
-    _check_epoch(t, total)
-    return theta_start - (theta_start - theta_min) * (t / total)
+    return _descend(t, total, theta_start, theta_min)
 
 
 def curriculum_state(epoch: int, total_epochs: int, tau_max=TAU_MAX_DEFAULT, tau_min=TAU_MIN_DEFAULT,
@@ -72,19 +73,15 @@ def curriculum_state(epoch: int, total_epochs: int, tau_max=TAU_MAX_DEFAULT, tau
 
     Epochs are indexed 0..total_epochs-1 and mapped onto the full schedule
     range so the logged trajectory hits both endpoints exactly: the first
-    epoch uses the maximum values and the last epoch the minimums.
+    epoch uses the maximum values and the last epoch the minimums. Unpacks
+    as `tau, theta`.
     """
     if total_epochs <= 0:
         raise BadEpoch(f"total_epochs must be positive, got {total_epochs}")
     if epoch < 0 or epoch >= total_epochs:
         raise BadEpoch(f"epoch {epoch} outside [0, {total_epochs})")
     span = max(total_epochs - 1, 1)
-    return CurriculumState(
-        epoch=epoch,
-        total=total_epochs,
-        tau=temperature_at(epoch, span, tau_max, tau_min),
-        theta=threshold_at(epoch, span, theta_start, theta_min),
-    )
+    return CurriculumState(_descend(epoch, span, tau_max, tau_min), _descend(epoch, span, theta_start, theta_min))
 
 
 def _validate_pair(p, q, names, ndim: int) -> tuple[np.ndarray, np.ndarray]:

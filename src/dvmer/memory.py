@@ -89,17 +89,14 @@ def contrastive_loss(
 
     queries must be L2-normalised [N_q, D]. Keys are constants; gradients
     reach the queries only. With normalized=True each query's positive sum
-    is divided by its positive count.
+    is divided by its positive count. Zero when there are no queries or
+    no valid key.
     """
     if tau_cont <= 0:
         raise BadTemperature(f"contrastive temperature must be positive, got {tau_cont}")
     query_labels = np.asarray(query_labels, dtype=np.int64)
-    n_q = queries.shape[0]
-    if n_q == 0:
-        return Tensor(np.zeros((), dtype=queries.dtype))
-
     valid_idx = np.flatnonzero(queue.valid)
-    if valid_idx.size == 0:
+    if queries.shape[0] == 0 or valid_idx.size == 0:
         return Tensor(np.zeros((), dtype=queries.dtype))
     keys = queue.keys[valid_idx].astype(queries.dtype)
     key_labels = queue.labels[valid_idx]

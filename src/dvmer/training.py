@@ -5,6 +5,8 @@ all three heads, reliability-weighted pseudo-label cross-entropy on the
 fused head, cross-view consistency (mean Jensen-Shannon divergence between
 the temperature-scaled branch distributions), and the supervised contrastive
 loss against the memory queue. Default weights are 1.0 / 0.8 / 0.2 / 0.1.
+With PCL or SAML switched off, its term is one zero scalar, and without PCL
+the temperature is 1 and the threshold 0 in every epoch.
 
 Optimisation is adaptive moment estimation with bias correction and
 decoupled weight decay, cosine-annealed learning rate over the run, and
@@ -186,7 +188,8 @@ ADAM_EPS = 1e-8
 
 class AdamW:
     """Adaptive moment estimation with bias correction and decoupled weight
-    decay applied as p -= lr * (update + wd * p)."""
+    decay applied as p -= lr * (update + wd * p). A step that leaves a
+    parameter non-finite raises NonFiniteValue naming that parameter."""
 
     def __init__(self, params: dict, lr: float = 1e-3, weight_decay: float = 1e-4):
         self.params = params
@@ -214,6 +217,8 @@ class AdamW:
             v_hat = self.v[name] / (1.0 - ADAM_BETA2 ** t)
             update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.data = p.data - lr * (update + self.weight_decay * p.data)
+            if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):  # min and max propagate NaN
+                raise NonFiniteValue(f"the update left parameter {name} non-finite")
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
@@ -264,21 +269,18 @@ def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueu
     counts of correct and of scored fused-head predictions. Only the labels
     of the rows `labeled` marks (every row when it is None) are read and scored."""
     mel, coch, labels = batch
-    scored = np.ones_like(labels, dtype=bool) if labeled is None else labeled
     outputs = model.forward(mel, coch, rng=rng, training=True)
     p_mel = nc.softmax(outputs.logits_mel, temperature=tau)
     p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
     js = curriculum.js_divergence_tensor(p_mel, p_coch)  # feeds both the consistency loss and the confidences
 
-    terms = {"cls": classification_loss(outputs, labels, mask=labeled)}
+    off = Tensor(0.0, dtype=np.float32)  # the term of a module that is switched off
+    terms = {"cls": classification_loss(outputs, labels, mask=labeled), "pl": off, "cons": nc.tmean(js), "cont": off}
+    confidences = None
     if config.use_pcl:
         confidences = curriculum.batch_confidences(p_mel.data, p_coch.data, theta, js=js.data)
         terms["pl"] = curriculum.pseudo_label_loss(confidences, outputs.logits_fuse,
                                                    eligible=None if labeled is None else ~labeled)
-    else:
-        confidences = None
-        terms["pl"] = Tensor(0.0, dtype=np.float32)
-    terms["cons"] = nc.tmean(js)
     if config.use_saml:
         kept, kept_labels = memory_rows(labels, labeled, confidences)
         z_kept = outputs.z_fuse if kept is None else nc.take_rows(outputs.z_fuse, kept)
@@ -287,8 +289,6 @@ def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueu
             tau_cont=config.contrast_temperature,
             normalized=config.contrastive_normalized,
         )
-    else:
-        terms["cont"] = Tensor(0.0, dtype=np.float32)
     loss = total_loss(terms, config.weights())
 
     optimizer.zero_grad()
@@ -299,7 +299,9 @@ def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueu
         queue.enqueue(z_kept.data, kept_labels)
     losses = {name: float(t.data) for name, t in {"total": loss, **terms}.items()}
     hits = np.argmax(outputs.logits_fuse.data, axis=1) == labels
-    return losses, confidences, int(np.sum(hits & scored)), int(scored.sum())
+    if labeled is not None:
+        hits = hits[labeled]
+    return losses, confidences, int(hits.sum()), hits.size
 
 
 def _epoch_record(epoch: int, lr: float, tau: float, theta: float, steps: list,
@@ -370,15 +372,11 @@ def run_training(
                if config.mode == "semi" else None)
     records: list[EpochRecord] = []
     for epoch in range(config.epochs):
-        if config.use_pcl:
-            state = curriculum.curriculum_state(
-                epoch, config.epochs,
-                tau_max=config.tau_max, tau_min=config.tau_min,
-                theta_start=config.theta_start, theta_min=config.theta_min,
-            )
-            tau, theta = state.tau, state.theta
-        else:
-            tau, theta = 1.0, 0.0
+        tau, theta = curriculum.curriculum_state(
+            epoch, config.epochs,
+            tau_max=config.tau_max, tau_min=config.tau_min,
+            theta_start=config.theta_start, theta_min=config.theta_min,
+        ) if config.use_pcl else (1.0, 0.0)
 
         lr = cosine_lr(epoch, config.epochs, config.learning_rate) if config.cosine_annealing else config.learning_rate
 

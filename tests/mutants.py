@@ -51,7 +51,7 @@ MUTANTS = (
            "cross_attention=config.use_dsaf,", "cross_attention=False,",
            "tests/test_config.py::test_overrides_apply_and_sync_cross_attention"),
     Mutant("the JS consistency term is dropped from the loss", "src/dvmer/training.py",
-           'terms["cons"] = nc.tmean(js)', 'terms["cons"] = nc.mul(nc.tmean(js), 0.0)',
+           '"cons": nc.tmean(js)', '"cons": nc.mul(nc.tmean(js), 0.0)',
            "tests/test_training.py::test_the_consistency_term_alone_moves_the_branches"),
     Mutant("the SAML queries are not L2-normalised", "src/dvmer/training.py",
            "nc.l2_normalize(z_kept), kept_labels", "z_kept, kept_labels",
@@ -61,7 +61,7 @@ MUTANTS = (
            "else config.learning_rate", "lr = config.learning_rate",
            "tests/test_training.py::test_each_record_carries_its_epochs_schedule"),
     Mutant("the curriculum is frozen at its start", "src/dvmer/training.py",
-           "tau, theta = state.tau, state.theta", "tau, theta = config.tau_max, config.theta_start",
+           ") if config.use_pcl else (1.0, 0.0)", ") if False else (config.tau_max, config.theta_start)",
            "tests/test_training.py::test_each_record_carries_its_epochs_schedule"),
     Mutant("the semi-mode memory enqueues every row", "src/dvmer/training.py",
            "kept = np.flatnonzero(labeled | confidences.selected)", "kept = np.arange(labeled.size)",
@@ -96,6 +96,18 @@ MUTANTS = (
     Mutant("extract-features drops the duplicate track id check", "src/dvmer/cli.py",
            "if track_id in wav_of:", "if False:",
            "tests/test_cli.py::test_two_wavs_that_give_one_track_id_fail_the_second"),
+    Mutant("a switched-off module's loss term is one, not zero", "src/dvmer/training.py",
+           "off = Tensor(0.0, dtype=np.float32)", "off = Tensor(1.0, dtype=np.float32)",
+           "tests/test_acceptance.py::test_c07_ablation_mechanics"),
+    Mutant("the fused-head hits of unlabeled rows are scored", "src/dvmer/training.py",
+           "hits = hits[labeled]", "hits = hits",
+           "tests/test_training.py::test_semi_mode_never_reads_an_unlabeled_label"),
+    Mutant("AdamW.step leaves a non-finite parameter unchecked", "src/dvmer/training.py",
+           "if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):", "if False:",
+           "tests/test_cli.py::test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing"),
+    Mutant("atomic_write_bytes reports its temp file's name", "src/dvmer/ioutil.py",
+           "raise OSError(exc.errno, exc.strerror, path) from exc", "raise",
+           "tests/test_cli.py::test_an_output_that_cannot_be_written_exits_3_naming_it_and_leaves_no_temp_file"),
 )
 
 

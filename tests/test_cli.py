@@ -546,6 +546,25 @@ def test_a_directory_in_place_of_an_input_file_exits_3_naming_it(workspace, trai
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ("diagnose", "export-embeddings"))
+@pytest.mark.parametrize("where", ("missing-directory", "directory"))
+def test_an_output_that_cannot_be_written_exits_3_naming_it_and_leaves_no_temp_file(workspace, trained, tmp_path,
+                                                                                     capsys, command, where):
+    # the output's directory does not exist, or the output is a directory
+    target = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path / "dir"
+    if where == "directory":
+        target.mkdir()
+    if command == "diagnose":
+        argv = [command, "--log", str(trained / "epochs.log")]
+    else:
+        argv = [command, "--config", str(workspace["config"]), "--manifest", str(workspace["manifest"]),
+                "--features", str(workspace["cache"]), "--checkpoint", str(trained / "checkpoint.dmrc")]
+    assert main(argv + ["--out", str(target)]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("data error: ") and f"'{target}'" in out and ".tmp-" not in out
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
 @pytest.mark.parametrize("command", ("train", "eval"))
 def test_empty_manifest_exits_3(workspace, trained, tmp_path, capsys, command):
     manifest = tmp_path / "empty.tsv"
@@ -942,19 +961,23 @@ def test_a_checkpoint_that_repeats_a_section_or_a_name_exits_5_naming_it(workspa
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing(workspace, tmp_path, capsys):
-    # the second step's forward overflows; then a run whose only step is its
-    # last, so the evaluation at the end of train overflows; at 1e100 a
-    # matmul of the second step's forward makes a NaN, not only an overflow
+    # at a learning rate of 1e30 the parameters stay finite and the second
+    # step's forward overflows; then a run whose only step is its last, so the
+    # evaluation at the end of train overflows; a learning rate of 1e100 or a
+    # weight decay of 1e39 overflows float32, so the first step's update
+    # leaves the parameters non-finite, which the next forward would only see
     last_step = (RUN_CFG.replace("epochs = 3", "epochs = 1").replace("batch_size = 8", "batch_size = 32")
                  .replace("queue_size = 16", "queue_size = 32"))
     batch1 = "non-finite value in the step at epoch 0, batch 1: non-finite value produced by op"
-    for name, text, lr, want in (
-        ("batch1", RUN_CFG, "1e30", batch1),
-        ("last-step", last_step, "1e30", "non-finite value produced by op"),
-        ("batch1-nan", RUN_CFG, "1e100", batch1 + " 'linear'"),
+    update0 = "non-finite value in the step at epoch 0, batch 0: the update left parameter"
+    for name, text, line, want in (
+        ("batch1", RUN_CFG, "learning_rate = 1e30", batch1),
+        ("last-step", last_step, "learning_rate = 1e30", "non-finite value produced by op"),
+        ("lr-update", RUN_CFG, "learning_rate = 1e100", update0),
+        ("decay-update", RUN_CFG, "weight_decay = 1e39", update0),
     ):
         config = tmp_path / f"{name}.cfg"
-        config.write_text(text + f"learning_rate = {lr}\n")
+        config.write_text(text + line + "\n")
         out = tmp_path / name
         rc = main([
             "train", "--config", str(config), "--manifest", str(workspace["manifest"]),

@@ -17,7 +17,7 @@ from dvmer import ioutil
 from dvmer import memory
 from dvmer import nncore as nc
 from dvmer import training as tr
-from dvmer.errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss
+from dvmer.errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss, NonFiniteValue
 from dvmer.model import DualViewModel, ModelConfig
 from dvmer.nncore import Tensor
 
@@ -51,6 +51,15 @@ def test_adamw_weight_decay_is_decoupled():
     p.grad = np.zeros(1)
     opt.step()
     np.testing.assert_allclose(p.data, [2.0 - 0.5 * 0.1 * 2.0], rtol=1e-12)
+
+
+def test_adamw_step_that_leaves_a_parameter_non_finite_names_it():
+    finite = Tensor(np.array([2.0]), dtype=np.float64, requires_grad=True)
+    p = Tensor(np.array([2.0, 1e300]), dtype=np.float64, requires_grad=True)
+    opt = tr.AdamW({"finite": finite, "p": p}, lr=0.5, weight_decay=1e10)
+    finite.grad, p.grad = np.zeros(1), np.zeros(2)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="the update left parameter p non-finite"):
+        opt.step()
 
 
 def test_clip_grad_norm_contract():
