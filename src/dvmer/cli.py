@@ -61,20 +61,44 @@ def _emit(result: CommandResult, as_json: bool) -> int:
     return result.exit_code
 
 
+def _read_pair(track_id: str, path: str, shapes: tuple | None) -> feats.FeaturePair:
+    """A track's cache, read and checked: nonempty grams with one frame count, shaped as
+    shapes, the first track's (mel, coch) gram shapes; None, for the first track, takes any."""
+    pair = feats.read_feature_cache(path)
+    mel, coch = pair.mel.shape, pair.coch.shape
+    if (mel, coch) != (shapes or (mel, coch)) or mel[1] != coch[1] or 0 in mel + coch:
+        raise ValueError(f"track {track_id}: Mel gram {mel} and cochleagram {coch}; every track needs "
+                         "nonempty grams with one frame count, shaped like the first track's")
+    return pair
+
+
+@dataclass(frozen=True)
+class _CachedSample:
+    """A manifest track whose grams stay on disk: each read of `pair` reads
+    and checks its cache again, so memory holds only the batch in use."""
+
+    track_id: str
+    label: int
+    path: str
+    shapes: tuple
+
+    @property
+    def pair(self) -> feats.FeaturePair:
+        return _read_pair(self.track_id, self.path, self.shapes)
+
+
 def _load_run(args) -> tuple:
-    """The run flags' configs, manifest records and cached samples by track id. Every track needs the
-    first one's nonempty (mel, coch) gram shapes, with one frame count; they resolve the ModelConfig."""
+    """The run flags' configs, manifest records and cache-backed samples by track id. Every
+    cache is read and checked here, before any work; only the first track's pair, which
+    resolves the ModelConfig, is kept, and each sample reads its cache again when used."""
     train_cfg, model_cfg = cfgmod.load_train_configs(args.config, overrides=_overrides_from_args(args))
     records = datakit.parse_manifest(args.manifest)
-    samples, first = {}, None
+    samples, first, shapes = {}, None, None
     for rec in records:
-        pair = feats.read_feature_cache(os.path.join(args.features, f"{rec.track_id}.dmrf"))
-        first = first or pair
-        mel, coch = pair.mel.shape, pair.coch.shape
-        if (mel, coch) != (first.mel.shape, first.coch.shape) or mel[1] != coch[1] or 0 in mel + coch:
-            raise ValueError(f"track {rec.track_id}: Mel gram {mel} and cochleagram {coch}; every track needs "
-                             "nonempty grams with one frame count, shaped like the first track's")
-        samples[rec.track_id] = datakit.Sample(track_id=rec.track_id, label=rec.label(train_cfg.dimension), pair=pair)
+        path = os.path.join(args.features, f"{rec.track_id}.dmrf")
+        pair = _read_pair(rec.track_id, path, shapes)
+        first, shapes = first or pair, shapes or (pair.mel.shape, pair.coch.shape)
+        samples[rec.track_id] = _CachedSample(rec.track_id, rec.label(train_cfg.dimension), path, shapes)
     if first is None:
         raise EmptySplit(f"manifest has no tracks: {args.manifest}")
     return train_cfg, training.model_config_for(train_cfg, first, model_cfg), records, samples

@@ -255,8 +255,9 @@ class TrainResult:
 
 
 def _stack_batch(samples: list[Sample], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mel = np.stack([samples[i].pair.mel for i in idx])
-    coch = np.stack([samples[i].pair.coch for i in idx])
+    pairs = [samples[i].pair for i in idx]  # one read per sample: a cache-backed sample reads its file anew
+    mel = np.stack([p.mel for p in pairs])
+    coch = np.stack([p.coch for p in pairs])
     labels = np.array([samples[i].label for i in idx], dtype=np.int64)
     return mel, coch, labels
 

@@ -105,6 +105,9 @@ MUTANTS = (
     Mutant("AdamW.step leaves a non-finite parameter unchecked", "src/dvmer/training.py",
            "if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):", "if False:",
            "tests/test_cli.py::test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing"),
+    Mutant("a cache-backed sample memoises its grams, so every track stays resident", "src/dvmer/cli.py",
+           "    @property\n    def pair(self)", '    @__import__("functools").cached_property\n    def pair(self)',
+           "tests/test_cli.py::test_a_command_holds_one_batch_of_grams_and_reads_a_cache_once_per_use"),
     Mutant("atomic_write_bytes reports its temp file's name", "src/dvmer/ioutil.py",
            "raise OSError(exc.errno, exc.strerror, path) from exc", "raise",
            "tests/test_cli.py::test_an_output_that_cannot_be_written_exits_3_naming_it_and_leaves_no_temp_file"),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import wave
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dvmer import cli
 from dvmer import config as cfgmod
 from dvmer import data as dk
 from dvmer import features as F
@@ -1006,6 +1008,101 @@ def test_a_cache_holding_nan_exits_3_naming_it_before_train_writes(workspace, tm
     assert rc == 3
     assert f"{cache / victim}.dmrf: the coch gram holds a non-finite value" in capsys.readouterr().out
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def forty(workspace):
+    """40 tracks of 12 x 10 Mel and 9 x 10 cochleagram grams: their cache directory, the
+    run flags but --features, their split and a checkpoint trained on them."""
+    root = workspace["root"] / "forty"
+    cache = root / "cache"
+    cache.mkdir(parents=True)
+    samples = dk.synth_dataset(n=40, separation=6.0, noise=0.05, seed=3, mel_shape=(12, 10), coch_shape=(9, 10))
+    for s in samples:
+        F.write_feature_cache(cache / f"{s.track_id}.dmrf", s.pair, s.track_id, F.FeatureConfig())
+    manifest = root / "manifest.tsv"
+    manifest.write_text("".join(f"{s.track_id}\t{s.label - 0.5}\t{s.label - 0.5}\n" for s in samples))
+    run = ["--config", str(workspace["config"]), "--manifest", str(manifest)]
+    assert main(["train", *run, "--features", str(cache), "--out", str(root / "run")]) == 0
+    split = dk.stratified_split(dk.parse_manifest(manifest), "arousal", seed=2)  # RUN_CFG's dimension and seed
+    return {"run": run, "cache": cache, "checkpoint": str(root / "run" / "checkpoint.dmrc"), "split": split,
+            "n": len(samples)}
+
+
+def _argv(command, forty, out, cache=None):
+    argv = [command, *forty["run"], "--features", str(cache or forty["cache"])]
+    argv += ["--checkpoint", forty["checkpoint"]] if command != "train" else []
+    return argv + (["--out", str(out)] if command != "eval" else [])
+
+
+def test_a_command_holds_one_batch_of_grams_and_reads_a_cache_once_per_use(forty, tmp_path, monkeypatch):
+    # every FeaturePair a cache read returns is counted while it lives
+    counts = {"live": 0, "peak": 0, "reads": 0}
+
+    def dead():
+        counts["live"] -= 1
+
+    def counted_read(path, real=F.read_feature_cache):
+        pair = real(path)
+        counts["live"] += 1
+        counts["reads"] += 1
+        counts["peak"] = max(counts["peak"], counts["live"])
+        weakref.finalize(pair, dead)
+        return pair
+
+    monkeypatch.setattr(F, "read_feature_cache", counted_read)
+    n, n_train, n_test = forty["n"], len(forty["split"].train_ids), len(forty["split"].test_ids)
+    epochs = 3  # RUN_CFG's, at batch_size 8 below INFER_BATCH
+    # the up-front check reads every cache once; then each use reads it once,
+    # for both views; train also resolves its model from its first sample
+    reads = {"train": n + 1 + epochs * n_train + n_train + n_test, "eval": n + n_test, "export-embeddings": 2 * n}
+    for command, want in reads.items():
+        counts.update(live=0, peak=0, reads=0)
+        assert main(_argv(command, forty, tmp_path / command)) == 0
+        assert counts["peak"] <= tr.INFER_BATCH + 1, command  # one batch plus the first track
+        assert (counts["reads"], counts["live"]) == (want, 0), command
+
+
+@pytest.mark.parametrize("command", ("train", "eval", "export-embeddings"))
+def test_a_cache_that_changes_after_the_check_exits_3_naming_the_track(forty, tmp_path, capsys, monkeypatch,
+                                                                         command):
+    cache = tmp_path / "cache"
+    shutil.copytree(forty["cache"], cache)
+    split = forty["split"]
+    victim = split.train_ids[-1] if command == "train" else split.test_ids[-1]
+    path = cache / f"{victim}.dmrf"
+    pair = F.read_feature_cache(path)
+
+    def delete():
+        path.unlink()
+
+    def cut():
+        path.write_bytes(path.read_bytes()[:12])
+
+    def nan():
+        pair.mel[...] = np.nan
+        F.write_feature_cache(path, pair, victim, F.FeatureConfig())
+
+    def reshape():
+        F.write_feature_cache(path, F.FeaturePair(pair.mel[:, :9], pair.coch[:, :9]), victim, F.FeatureConfig())
+
+    real_load = cli._load_run
+    for change in (delete, cut, nan, reshape):
+        shutil.copy(forty["cache"] / path.name, path)
+
+        def load_then_change(args):
+            loaded = real_load(args)
+            change()
+            return loaded
+
+        monkeypatch.setattr(cli, "_load_run", load_then_change)
+        out = tmp_path / f"{command}-{change.__name__}"
+        assert main(_argv(command, forty, out, cache)) == 3, change.__name__
+        text = capsys.readouterr().out
+        assert text.startswith("data error: ") and victim in text, change.__name__
+        if command == "train":
+            assert list(out.iterdir()) == [], change.__name__
+        assert not out.is_file() and not list(tmp_path.glob(".tmp-*")), change.__name__
 
 
 @pytest.mark.parametrize("command", ("eval", "export-embeddings"))
