@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -34,7 +33,7 @@ from .errors import (
     NonFiniteValue,
     TrackTooShort,
 )
-from .ioutil import atomic_write_text, text_lines
+from .ioutil import atomic_open, atomic_write_text, text_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,13 +109,13 @@ def _overrides_from_args(args) -> dict:
 
 
 def _write_csv(path, header: list, rows) -> None:
-    """header and rows as CSV at path, each line ending in a bare newline; csv
-    quotes a cell that holds a comma or a quote, and writes a float as its repr."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, text.getvalue())
+    """header and rows as UTF-8 CSV at path, each line ending in a bare
+    newline, written row by row as rows yields them; csv quotes a cell that
+    holds a comma or a quote, and writes a float as its repr."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- commands -----------------------------------------------------------------

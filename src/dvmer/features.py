@@ -52,6 +52,9 @@ FFT_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # complex spectrum bytes per block: one frame at the default geometry, many
 # rows for small frames so that no geometry pays one task per frame
 FFT_BLOCK_BYTES = 1 << 20
+# WAV frames decoded per read: the window's raw bytes and int32 channel sum
+# exist one chunk at a time, never whole
+WAV_CHUNK_FRAMES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -402,7 +405,10 @@ def _decode_wav(path, start: int = 0, count: int | None = None) -> tuple[np.ndar
     """count samples from frame start on as read_wav gives them, zero-padded
     past the track's end (all frames when count is None); the sample rate;
     and the number of whole frames the file holds. Only those frames are
-    read, but a file whose data ends inside a frame anywhere is refused."""
+    read, but a file whose data ends inside a frame anywhere is refused.
+    The window is decoded straight into the zero-padded result,
+    WAV_CHUNK_FRAMES frames at a time, so no other buffer is larger than
+    one chunk; a read that comes back empty early leaves the rest zero."""
     try:
         with open(path, "rb") as fh, wave.open(fh) as wf:
             if wf.getsampwidth() != 2:
@@ -421,21 +427,23 @@ def _decode_wav(path, start: int = 0, count: int | None = None) -> tuple[np.ndar
             frames = held // (2 * channels)
             start = min(start, frames)
             wf.setpos(start)
-            raw = wf.readframes(frames - start if count is None else min(count, frames - start))
+            data = np.zeros(frames - start if count is None else count)
+            n = min(data.shape[0], frames - start)
+            for at in range(0, n, WAV_CHUNK_FRAMES):
+                raw = wf.readframes(min(WAV_CHUNK_FRAMES, n - at))
+                if not raw:
+                    break
+                pcm = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
+                # the exact integer channel sum, rounded once by the division:
+                # the bytes of the float mean of samples / 32768
+                total = pcm[:, 0].astype(np.int32)
+                for ch in range(1, channels):
+                    total += pcm[:, ch]
+                np.divide(total, channels * 32768.0, out=data[at:at + total.shape[0]])
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past its chunk
         raise ConfigError(f"{path}: malformed WAV: {str(exc) or 'cut or inconsistent header'}") from exc
-    pcm = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
-    del raw  # pcm keeps the buffer until the channel sum replaces it
-    # the exact integer channel sum, rounded once by the division: the bytes
-    # of the float mean of samples / 32768
-    total = pcm[:, 0].astype(np.int32)
-    for ch in range(1, channels):
-        total += pcm[:, ch]
-    del pcm
-    data = np.zeros(total.shape[0] if count is None else count)
-    np.divide(total, channels * 32768.0, out=data[:total.shape[0]])
     return data, rate, frames
 
 

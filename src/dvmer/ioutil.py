@@ -10,6 +10,7 @@ little-endian."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -34,15 +35,17 @@ def text_lines(path, error):
             raise error(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def atomic_write_bytes(path, data: bytes):
-    """Write data to path through a hidden temp file beside it; an OSError
-    names path, not the temp file, which is removed."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """The open hidden temp file beside path, renamed onto path once the
+    block ends; on an error it is removed instead, and an OSError names
+    path, not the temp file. mode and kwargs are those of open."""
     path = str(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -50,6 +53,11 @@ def atomic_write_bytes(path, data: bytes):
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def atomic_write_bytes(path, data: bytes):
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path, text: str):

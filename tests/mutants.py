@@ -108,7 +108,20 @@ MUTANTS = (
     Mutant("a cache-backed sample memoises its grams, so every track stays resident", "src/dvmer/cli.py",
            "    @property\n    def pair(self)", '    @__import__("functools").cached_property\n    def pair(self)',
            "tests/test_cli.py::test_a_command_holds_one_batch_of_grams_and_reads_a_cache_once_per_use"),
-    Mutant("atomic_write_bytes reports its temp file's name", "src/dvmer/ioutil.py",
+    Mutant("each decoded WAV chunk is written at the segment's start", "src/dvmer/features.py",
+           "out=data[at:at + total.shape[0]]", "out=data[:total.shape[0]]",
+           "tests/test_features.py::test_read_wav_is_the_bytes_of_the_float_channel_mean"),
+    Mutant("the last partial WAV chunk is dropped", "src/dvmer/features.py",
+           "for at in range(0, n, WAV_CHUNK_FRAMES):", "for at in range(0, n - n % WAV_CHUNK_FRAMES, WAV_CHUNK_FRAMES):",
+           "tests/test_features.py::test_read_wav_is_the_bytes_of_the_float_channel_mean"),
+    Mutant("run_training ignores its seed", "src/dvmer/training.py",
+           "np.random.SeedSequence(config.seed)", "np.random.SeedSequence(0)",
+           "tests/test_training.py::test_another_seed_gives_another_checkpoint"),
+    Mutant("stratified_split ignores its seed", "src/dvmer/data.py",
+           "rng = np.random.default_rng(seed)\n    train_ids, test_ids = [], []",
+           "rng = np.random.default_rng(0)\n    train_ids, test_ids = [], []",
+           "tests/test_data.py::test_another_seed_gives_another_split"),
+    Mutant("an atomic write reports its temp file's name", "src/dvmer/ioutil.py",
            "raise OSError(exc.errno, exc.strerror, path) from exc", "raise",
            "tests/test_cli.py::test_an_output_that_cannot_be_written_exits_3_naming_it_and_leaves_no_temp_file"),
 )

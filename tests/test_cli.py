@@ -308,6 +308,30 @@ def test_export_embeddings_shape_and_training_effect(workspace, trained, tmp_pat
     assert emb.read_bytes() != emb2.read_bytes()
 
 
+def test_write_csv_streams_its_rows_and_peaks_below_the_csv_size(tmp_path):
+    """_write_csv writes each row as it comes, so at 2,000 embedding rows
+    its traced peak stays below the CSV it writes; the bytes are those of
+    the csv module's text, encoded as UTF-8."""
+    vectors = np.random.default_rng(4).normal(size=(2000, 64))
+    header = ["track_id", "label"] + [f"f_{i}" for i in range(vectors.shape[1])]
+
+    def rows():
+        return ([f"t,{i}", str(i % 2)] + [repr(float(v)) for v in vec] for i, vec in enumerate(vectors))
+
+    path = tmp_path / "emb.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(path, header, rows())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size, f"peak {peak / 1e6:.2f} MB, CSV {size / 1e6:.2f} MB"
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows()])
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
+
+
 def test_exported_rows_match_a_graph_building_forward(workspace, trained, tmp_path):
     # track ids that hold a comma or a double quote, as WAV names may, come back whole through csv
     cache, manifest = tmp_path / "cache", tmp_path / "manifest.tsv"
@@ -907,7 +931,9 @@ def test_damaged_wav_reads_its_window_as_the_whole_track_or_is_refused_by_name(t
         mp.setattr(F, "MIN_TRACK_SECONDS", 0.01)
         window = _segment_or_error(lambda: F.read_segment(path, WAV_FUZZ_CFG))
         whole = _segment_or_error(lambda: F.select_segment(*F.read_wav(path), WAV_FUZZ_CFG))
-    assert window == whole
+        mp.setattr(F, "WAV_CHUNK_FRAMES", 7)  # a cut track ends inside a chunk
+        chunked = _segment_or_error(lambda: F.read_segment(path, WAV_FUZZ_CFG))
+    assert window == whole == chunked
     if isinstance(whole, tuple) and whole[0] is ConfigError:
         assert whole[1].startswith(f"{path}: ")
 

@@ -39,6 +39,12 @@ def test_split_is_partition():
     assert train | test == {r.track_id for r in records}
 
 
+def test_another_seed_gives_another_split():
+    records = [dk.TrackRecord(f"t{i}", valence=(-1) ** i * 0.4, arousal=0.2) for i in range(37)]
+    first, second = (dk.stratified_split(records, "valence", seed=seed) for seed in (5, 6))
+    assert first.train_ids != second.train_ids and first.test_ids != second.test_ids
+
+
 def test_split_stratification_within_one_sample():
     rng = np.random.default_rng(1)
     for trial in range(10):

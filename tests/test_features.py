@@ -440,8 +440,14 @@ def _write_pcm(path, pcm, channels):
         wf.writeframes(pcm.astype("<i2").tobytes())
 
 
+# WAV chunk lengths the decoder is read at: 1 and 7 frames put chunk
+# boundaries inside a window, at its end and at the track's end
+# (44100 = 7 * 6300); the default reads a short track in one chunk
+WAV_CHUNKS = (1, 7, F.WAV_CHUNK_FRAMES)
+
+
 @pytest.mark.parametrize("channels", (1, 2, 3, 6))
-def test_read_wav_is_the_bytes_of_the_float_channel_mean(tmp_path, channels):
+def test_read_wav_is_the_bytes_of_the_float_channel_mean(tmp_path, monkeypatch, channels):
     rng = np.random.default_rng(channels)
     pcm = rng.integers(-32768, 32768, size=(4001, channels))
     pcm[:3] = [[-32768] * channels, [32767] * channels, [-32768, 32767] * (channels // 2) + [1] * (channels % 2)]
@@ -450,9 +456,30 @@ def test_read_wav_is_the_bytes_of_the_float_channel_mean(tmp_path, channels):
     want = pcm.reshape(-1).astype("<i2").astype(np.float64) / 32768
     if channels > 1:
         want = want.reshape(-1, channels).mean(axis=1)
-    data, rate = F.read_wav(path)
-    assert rate == SR and data.dtype == np.float64
-    assert data.tobytes() == want.tobytes()
+    for chunk in WAV_CHUNKS:
+        monkeypatch.setattr(F, "WAV_CHUNK_FRAMES", chunk)
+        data, rate = F.read_wav(path)
+        assert rate == SR and data.dtype == np.float64
+        assert data.tobytes() == want.tobytes(), f"{chunk}-frame chunks"
+
+
+def test_a_read_that_ends_early_leaves_the_rest_of_the_track_zero(tmp_path, monkeypatch):
+    """The header's frame count sizes the result; if the file yields fewer
+    frames than that, the decode stops at the first empty read."""
+    path = tmp_path / "track.wav"
+    pcm = np.random.default_rng(3).integers(-32768, 32768, size=(100, 2))
+    _write_pcm(path, pcm, 2)
+    real, calls = wave.Wave_read.readframes, []
+
+    def first_chunk_only(self, n):
+        calls.append(n)
+        return real(self, n) if len(calls) == 1 else b""
+
+    monkeypatch.setattr(F, "WAV_CHUNK_FRAMES", 7)
+    monkeypatch.setattr(wave.Wave_read, "readframes", first_chunk_only)
+    data, _ = F.read_wav(path)
+    assert calls == [7, 7]
+    assert data.tobytes() == np.concatenate([pcm[:7].sum(axis=1) / 65536.0, np.zeros(93)]).tobytes()
 
 
 def test_stereo_read_wav_peaks_below_the_interleaved_float64_size(tmp_path):
@@ -512,15 +539,35 @@ def test_read_wav_malformed_file_is_a_config_error_naming_it(tmp_path, defect):
 
 @pytest.mark.parametrize("seconds,channels,start", ((40, 1, 15.0), (90, 2, 15.0), (31, 3, 15.0), (80, 1, 50.0),
                                                     (40, 2, 45.0)))
-def test_read_segment_is_select_segment_of_read_wav(tmp_path, seconds, channels, start):
+def test_read_segment_is_select_segment_of_read_wav(tmp_path, monkeypatch, seconds, channels, start):
     """Reading only the window gives the segment's bytes, whether the track
-    covers the window, ends inside it or ends before it starts."""
+    covers the window, ends inside it or ends before it starts, and wherever
+    the chunk boundaries fall (1-frame reads of a 60 s window would take
+    seconds; read_wav's test covers them)."""
     path = tmp_path / "track.wav"
     _write_pcm(path, np.random.default_rng(seconds).integers(-32768, 32768, size=(seconds * SR, channels)), channels)
     cfg = F.FeatureConfig(segment_start=start)
-    seg = F.read_segment(path, cfg)
-    assert seg.samples.tobytes() == F.select_segment(*F.read_wav(path), cfg).samples.tobytes()
-    assert seg.start_offset == start
+    want = F.select_segment(*F.read_wav(path), cfg).samples.tobytes()
+    for chunk in WAV_CHUNKS[1:]:
+        monkeypatch.setattr(F, "WAV_CHUNK_FRAMES", chunk)
+        seg = F.read_segment(path, cfg)
+        assert seg.samples.tobytes() == want, f"{chunk}-frame chunks"
+        assert seg.start_offset == start
+
+
+def test_read_segment_peaks_at_its_segment_plus_one_chunk(tmp_path):
+    """A stereo track's window is decoded chunk by chunk into the segment:
+    no track- or window-sized buffer beside it."""
+    path = tmp_path / "stereo.wav"
+    _write_pcm(path, np.random.default_rng(9).integers(-32768, 32768, size=(90 * SR, 2)), 2)
+    tracemalloc.start()
+    try:
+        seg = F.read_segment(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    limit = seg.samples.nbytes + (1 << 20)
+    assert peak <= limit, f"peak {peak / 1e6:.2f} MB, segment plus 1 MiB {limit / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("rate,seconds", ((SR, 29.99), (22050, 40)))

@@ -295,6 +295,19 @@ def test_same_seed_gives_byte_identical_checkpoints(tmp_path, mode):
     assert blobs[0] == blobs[1]
 
 
+def test_another_seed_gives_another_checkpoint(tmp_path):
+    """The seed reaches both the init and the loop generators: full mode
+    draws from nothing else."""
+    samples = dk.synth_dataset(n=24, separation=5.0, noise=0.1, seed=43)
+    blobs = []
+    for seed in (44, 45):
+        path = tmp_path / f"seed{seed}.dmrc"
+        cfg = tr.TrainConfig(epochs=1, batch_size=8, seed=seed, queue_size=8)
+        tr.save_checkpoint(path, tr.run_training(samples, cfg, TINY_MODEL), config_hash="h")
+        blobs.append(path.read_bytes())
+    assert blobs[0] != blobs[1]
+
+
 def test_cosine_disabled_keeps_constant_lr():
     samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=11)
     cfg = tr.TrainConfig(epochs=3, batch_size=8, seed=12, queue_size=8, cosine_annealing=False)
