@@ -200,9 +200,11 @@ class EpochCurriculumStats(list):
 
 def curriculum_diagnostics(batches: list, tau: float, theta: float) -> dict:
     """Epoch summary of pseudo-label behaviour from its `batch_confidences`
-    records; the strength is the mean max(p_fuse) of the selected samples."""
+    records (0.0 for every statistic with none, as without PCL); the
+    strength is the mean max(p_fuse) of the selected samples."""
     if not batches:
-        raise BadEpoch("diagnostics require at least one recorded batch")
+        return {**dict.fromkeys(("mean_confidence", "std_confidence", "mean_reliability", "std_reliability",
+                                 "mask_ratio", "pseudo_label_strength"), 0.0), "tau": tau, "theta": theta}
     epoch = np.concatenate(batches)
     strength = epoch["p_max"][epoch["selected"]]
     return {

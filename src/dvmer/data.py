@@ -6,6 +6,7 @@ The on-disk manifest is one tab-separated record per line:
     track_id <TAB> valence <TAB> arousal [<TAB> audio_path]
 
 A fourth column, such as the track's audio path, is accepted and ignored.
+A track id names one file of the flat feature directory: nonempty, no path separator.
 Valence and arousal are continuous values in [-1, 1]; binary class labels
 come from the zero threshold (positive values map to class 1, zero and
 negative values to class 0).
@@ -13,6 +14,7 @@ negative values to class 0).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,8 @@ def parse_manifest(path) -> list[TrackRecord]:
         if len(parts) < 3:
             raise ConfigError(f"{path}:{lineno}: expected id, valence, arousal[, audio_path]")
         track_id = parts[0]
+        if not track_id or "/" in track_id or os.sep in track_id:
+            raise ConfigError(f"{path}:{lineno}: track_id {track_id!r} must name one file: nonempty, no path separator")
         try:
             valence, arousal = float(parts[1]), float(parts[2])
         except ValueError:

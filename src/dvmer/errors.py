@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one range check of every config."""
+"""Exception types shared across the package, the one range check of every config and the one NaN/Inf check."""
 
 import math
 
@@ -28,6 +28,13 @@ def check_fields(config, positive=(), non_negative=(), below_one=()):
             unset = value is None and getattr(type(config), name, 0) is None
             if not unset and (value is None or not holds(value)):
                 raise ConfigError(f"{name} {rule}, got {value}")
+
+
+def check_finite(values, error, message):
+    """Raise error(message) if the array values holds a NaN or an infinity; an empty array passes.
+    min and max propagate NaN and show +-inf without a mask the size of values."""
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise error(message)
 
 
 class BadFeatureCache(DvmerError):
@@ -77,10 +84,6 @@ class NotADistribution(DvmerError):
 
 class BatchTooLarge(DvmerError):
     """Enqueued batch exceeds the queue capacity."""
-
-
-class EmptyQueue(DvmerError):
-    """Queue diagnostics requested with no valid entries."""
 
 
 class ClassTooSmall(DvmerError):

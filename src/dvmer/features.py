@@ -35,7 +35,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort, check_fields
+from .errors import BadFeatureCache, BadSampleRate, ConfigError, ShapeMismatch, TrackTooShort, check_fields, check_finite
 from .ioutil import atomic_write_bytes, open_framed, pack_array, write_framed
 
 CACHE_MAGIC = b"DMRF"
@@ -478,8 +478,7 @@ def read_feature_cache(path) -> FeaturePair:
     grams = {name: reader.array(_CACHE_DTYPES, name) for name in ("mel", "coch")}
     reader.done("the second gram")
     for name, gram in grams.items():
-        if not np.isfinite(gram).all():
-            raise BadFeatureCache(f"{path}: the {name} gram holds a non-finite value")
+        check_finite(gram, BadFeatureCache, f"{path}: the {name} gram holds a non-finite value")
     try:
         return FeaturePair(**grams)
     except ShapeMismatch as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nncore as nc
-from .errors import BadTemperature, BatchTooLarge, EmptyQueue, NonFiniteValue
+from .errors import BadTemperature, BatchTooLarge, NonFiniteValue, check_finite
 from .nncore import Tensor
 
 CONTRAST_TEMPERATURE_DEFAULT = 0.07
@@ -55,8 +55,7 @@ class MemoryQueue:
             raise BatchTooLarge(f"batch {batch} exceeds queue capacity {self.capacity}")
         if labels.shape != (batch,):
             raise BatchTooLarge(f"labels shape {labels.shape} does not match batch {batch}")
-        if not np.all(np.isfinite(features)):
-            raise NonFiniteValue("queue features must be finite")
+        check_finite(features, NonFiniteValue, "queue features must be finite")
 
         pos = (self.write_index + np.arange(batch)) % self.capacity
         norms = np.linalg.norm(features, axis=1)
@@ -113,10 +112,11 @@ def contrastive_loss(
 
 
 def queue_diagnostics(queue: MemoryQueue) -> dict:
-    """Label entropy (nats) and per-class coverage of the valid keys."""
+    """Label entropy (nats) and per-class coverage of the valid keys; with
+    no valid key, an entropy of 0.0 and a coverage of 0.0 per class."""
     valid_idx = np.flatnonzero(queue.valid)
     if valid_idx.size == 0:
-        raise EmptyQueue("queue has no valid entries")
+        return {"label_entropy": 0.0, "class_coverage": (0.0,) * queue.n_classes}
     labels = queue.labels[valid_idx]
 
     coverage = np.zeros(queue.n_classes)

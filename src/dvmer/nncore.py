@@ -47,6 +47,7 @@ from .errors import (
     HeadDivisibility,
     NonFiniteValue,
     ShapeMismatch,
+    check_finite,
 )
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -76,9 +77,7 @@ def no_grad():
 
 
 def _check_finite(data, op_name):
-    # min and max propagate NaN and show +-inf without a mask the size of data
-    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        raise NonFiniteValue(f"non-finite value produced by op '{op_name}'")
+    check_finite(data, NonFiniteValue, f"non-finite value produced by op '{op_name}'")
 
 
 class _Node:

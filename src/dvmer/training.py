@@ -26,7 +26,7 @@ from . import curriculum
 from . import memory
 from . import nncore as nc
 from .data import Sample, _check_dimension, labeled_mask
-from .errors import CheckpointMismatch, ConfigError, EmptyQueue, EmptySplit, NonFiniteLoss, NonFiniteValue, check_fields
+from .errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss, NonFiniteValue, check_fields, check_finite
 from .features import FeaturePair
 from .ioutil import BinaryReader, open_framed, pack_array_table, write_framed
 from .model import BranchOutputs, DualViewModel, ModelConfig
@@ -217,8 +217,7 @@ class AdamW:
             v_hat = self.v[name] / (1.0 - ADAM_BETA2 ** t)
             update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.data = p.data - lr * (update + self.weight_decay * p.data)
-            if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):  # min and max propagate NaN
-                raise NonFiniteValue(f"the update left parameter {name} non-finite")
+            check_finite(p.data, NonFiniteValue, f"the update left parameter {name} non-finite")
 
 
 def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
@@ -309,29 +308,21 @@ def _epoch_record(epoch: int, lr: float, tau: float, theta: float, steps: list,
                   queue: memory.MemoryQueue) -> EpochRecord:
     """An epoch's record from its steps' returns, in batch order, and the
     queue after its last step. Each loss mean adds one batch at a time: a
-    compensated `sum()`, as in Python 3.12, would give other bits. Without
-    PCL the curriculum figures are 0, and with an empty queue so are its
-    entropy and coverage."""
+    compensated `sum()`, as in Python 3.12, would give other bits. The two
+    diagnostics give the curriculum and queue figures, and zeros without PCL or SAML."""
     losses, confidences, correct, scored = zip(*steps)
     totals = dict.fromkeys(losses[0], 0.0)
     for batch in losses:
         for name, value in batch.items():
             totals[name] += value
-    confidences = [c for c in confidences if c is not None]
-    if confidences:
-        diag = curriculum.curriculum_diagnostics(confidences, tau, theta)
-    else:
-        diag = dict.fromkeys(("mask_ratio", "mean_reliability", "mean_confidence"), 0.0)
-    try:
-        qdiag = memory.queue_diagnostics(queue)
-        queue_entropy, queue_coverage = qdiag["label_entropy"], list(qdiag["class_coverage"])
-    except EmptyQueue:
-        queue_entropy, queue_coverage = 0.0, [0.0] * queue.n_classes
+    diag = curriculum.curriculum_diagnostics([c for c in confidences if c is not None], tau, theta)
+    qdiag = memory.queue_diagnostics(queue)
     return EpochRecord(
         epoch=epoch, lr=lr, tau=tau, theta=theta,
         **{f"loss_{name}": total / len(steps) for name, total in totals.items()},
         mask_ratio=diag["mask_ratio"], mean_reliability=diag["mean_reliability"],
-        mean_confidence=diag["mean_confidence"], queue_entropy=queue_entropy, queue_coverage=queue_coverage,
+        mean_confidence=diag["mean_confidence"], queue_entropy=qdiag["label_entropy"],
+        queue_coverage=list(qdiag["class_coverage"]),
         train_acc=sum(correct) / sum(scored) if sum(scored) else 0.0,
     )
 
@@ -503,8 +494,6 @@ def predict_scores(model: DualViewModel, samples: list[Sample],
 
 
 def evaluate(model: DualViewModel, samples: list[Sample], ensemble: bool = False) -> Metrics:
-    if not samples:
-        raise EmptySplit("evaluation split is empty")
     labels, scores, preds = predict_scores(model, samples, ensemble=ensemble)
     return Metrics(
         acc=accuracy_score(labels, preds),
@@ -584,7 +573,6 @@ def load_model_from_checkpoint(path, model_config: ModelConfig, expected_hash: s
         arr = np.asarray(stored[name], dtype=p.data.dtype)
         if arr.shape != p.data.shape:
             raise CheckpointMismatch(f"{path}: shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-        if not np.isfinite(arr).all():
-            raise CheckpointMismatch(f"{path}: parameter {name} holds a non-finite value")
+        check_finite(arr, CheckpointMismatch, f"{path}: parameter {name} holds a non-finite value")
         p.data = arr  # the payload's own fresh array: a copy would only add a transient
     return model, payload

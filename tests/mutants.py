@@ -103,7 +103,7 @@ MUTANTS = (
            "hits = hits[labeled]", "hits = hits",
            "tests/test_training.py::test_semi_mode_never_reads_an_unlabeled_label"),
     Mutant("AdamW.step leaves a non-finite parameter unchecked", "src/dvmer/training.py",
-           "if not (np.isfinite(p.data.min()) and np.isfinite(p.data.max())):", "if False:",
+           'check_finite(p.data, NonFiniteValue, f"the update left parameter {name} non-finite")', "pass",
            "tests/test_cli.py::test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing"),
     Mutant("a cache-backed sample memoises its grams, so every track stays resident", "src/dvmer/cli.py",
            "    @property\n    def pair(self)", '    @__import__("functools").cached_property\n    def pair(self)',
@@ -124,6 +124,24 @@ MUTANTS = (
     Mutant("an atomic write reports its temp file's name", "src/dvmer/ioutil.py",
            "raise OSError(exc.errno, exc.strerror, path) from exc", "raise",
            "tests/test_cli.py::test_an_output_that_cannot_be_written_exits_3_naming_it_and_leaves_no_temp_file"),
+    Mutant("read_feature_cache accepts a NaN gram", "src/dvmer/features.py",
+           'check_finite(gram, BadFeatureCache, f"{path}: the {name} gram holds a non-finite value")', "pass",
+           "tests/test_cli.py::test_a_cache_holding_nan_exits_3_naming_it_before_train_writes"),
+    Mutant("load_model_from_checkpoint accepts a non-finite parameter", "src/dvmer/training.py",
+           'check_finite(arr, CheckpointMismatch, f"{path}: parameter {name} holds a non-finite value")', "pass",
+           "tests/test_cli.py::test_a_checkpoint_parameter_holding_nan_exits_5_naming_it"),
+    Mutant("MemoryQueue.enqueue accepts a non-finite feature", "src/dvmer/memory.py",
+           'check_finite(features, NonFiniteValue, "queue features must be finite")', "pass",
+           "tests/test_memory.py::test_enqueue_rejects_non_finite_features"),
+    Mutant("the finiteness check reads only the minimum", "src/dvmer/errors.py",
+           "math.isfinite(values.min()) and math.isfinite(values.max())", "math.isfinite(values.min())",
+           "tests/test_nncore.py::test_every_non_finite_entry_trips"),
+    Mutant("an empty queue reports a negative-zero entropy", "src/dvmer/memory.py",
+           '{"label_entropy": 0.0,', '{"label_entropy": -0.0,',
+           "tests/test_cli.py::test_ablation_flags_reach_the_log"),
+    Mutant("parse_manifest accepts an empty track id", "src/dvmer/data.py",
+           'if not track_id or "/" in track_id', 'if "/" in track_id',
+           "tests/test_data.py::test_manifest_refuses_a_track_id_that_is_not_one_file_name"),
 )
 
 

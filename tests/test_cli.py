@@ -421,11 +421,17 @@ def test_ablation_flags_reach_the_log(workspace, tmp_path):
         "--features", str(workspace["cache"]), "--out", str(out), "--no-saml", "--no-pcl",
     ])
     assert rc == 0
-    for line in (out / "epochs.log").read_text().strip().splitlines():
+    lines = (out / "epochs.log").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines:
         rec = json.loads(line)
         assert rec["loss_cont"] == 0.0
         assert rec["loss_pl"] == 0.0
-        assert rec["mask_ratio"] == 0.0
+        # the empty curriculum and queue summaries, read as text: -0.0 == 0.0 would pass
+        for field in ('"mask_ratio": 0.0,', '"mean_reliability": 0.0,', '"mean_confidence": 0.0,',
+                      '"queue_entropy": 0.0,', '"queue_coverage": [0.0, 0.0],'):
+            assert field in line
+        assert "-0.0" not in line
 
 
 @pytest.mark.parametrize("line", ("epochs = none", "batch_size = none", "seed = none", "cross_attention = false",
@@ -743,6 +749,19 @@ def test_non_numeric_manifest_value_is_a_config_error(workspace, trained, tmp_pa
     ])
     assert rc == 2
     assert f"{manifest}:{len(lines) + 1}: valence and arousal must be numbers" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("track_id", ("", "../t0"), ids=("empty", "parent-dir"))
+def test_a_manifest_track_id_that_is_not_one_file_name_is_a_config_error(workspace, trained, tmp_path, capsys, track_id):
+    lines = workspace["manifest"].read_text().splitlines()
+    manifest = tmp_path / "ids.tsv"
+    manifest.write_text("\n".join(lines + [f"{track_id}\t0.5\t0.5"]) + "\n")
+    rc = main([
+        "eval", "--checkpoint", str(trained / "checkpoint.dmrc"), "--config", str(workspace["config"]),
+        "--manifest", str(manifest), "--features", str(workspace["cache"]),
+    ])
+    assert rc == 2
+    assert f"{manifest}:{len(lines) + 1}: track_id {track_id!r} must name one file" in capsys.readouterr().out
 
 
 def _text_input_argv(workspace, root, kind, path):

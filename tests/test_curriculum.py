@@ -215,9 +215,12 @@ def test_js_tensor_matches_scalar_and_is_differentiable():
     assert report.max_rel_error < 1e-4
 
 
-def test_diagnostics_require_data():
-    with pytest.raises(BadEpoch):
-        cur.curriculum_diagnostics([], tau=1.0, theta=0.5)
+def test_diagnostics_of_no_batch_are_zero():
+    diag = cur.curriculum_diagnostics([], tau=1.5, theta=0.25)
+    assert diag == {"mean_confidence": 0.0, "std_confidence": 0.0, "mean_reliability": 0.0,
+                    "std_reliability": 0.0, "mask_ratio": 0.0, "pseudo_label_strength": 0.0,
+                    "tau": 1.5, "theta": 0.25}
+    assert all(math.copysign(1.0, value) == 1.0 for value in diag.values())  # 0.0, not -0.0
 
 
 def test_diagnostics_strength_over_selected_only():

@@ -1,3 +1,4 @@
+import os
 import re
 from dataclasses import asdict
 
@@ -124,6 +125,14 @@ def test_manifest_rejects_duplicate_track_id(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("# header\nt0\t0.5\t0.5\t\nt1\t-0.5\t0.5\t\nt0\t-0.5\t-0.5\t\n")
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:4: duplicate track_id 't0', first on line 2$"):
+        dk.parse_manifest(path)
+
+
+@pytest.mark.parametrize("track_id", ("", "sub/t1", f"sub{os.sep}t1"), ids=("empty", "slash", "os-sep"))
+def test_manifest_refuses_a_track_id_that_is_not_one_file_name(tmp_path, track_id):
+    path = tmp_path / "ids.tsv"
+    path.write_text(f"t0\t0.5\t0.5\t\n{track_id}\t0.5\t0.5\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: track_id {re.escape(repr(track_id))} must name one file"):
         dk.parse_manifest(path)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dvmer import memory as mem
 from dvmer import nncore as nc
-from dvmer.errors import BadTemperature, BatchTooLarge, EmptyQueue
+from dvmer.errors import BadTemperature, BatchTooLarge
 from dvmer.nncore import Tensor
 
 import example_checks as ec
@@ -242,9 +242,10 @@ def test_momentum_mode_blends_overwrites():
     assert queue.labels[0] == 1
 
 
-def test_diagnostics_empty_queue_raises():
-    with pytest.raises(EmptyQueue):
-        mem.queue_diagnostics(mem.MemoryQueue(capacity=3, dim=2))
+def test_diagnostics_of_an_empty_queue_are_zero():
+    diag = mem.queue_diagnostics(mem.MemoryQueue(capacity=3, dim=2, n_classes=3))
+    assert diag == {"label_entropy": 0.0, "class_coverage": (0.0, 0.0, 0.0)}
+    assert math.copysign(1.0, diag["label_entropy"]) == 1.0  # 0.0, not -0.0
 
 
 

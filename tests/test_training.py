@@ -131,7 +131,7 @@ def test_ensemble_eval_averages_heads():
 
 def test_evaluate_empty_split_rejected():
     model = DualViewModel(TINY_MODEL, np.random.default_rng(2))
-    with pytest.raises(EmptySplit):
+    with pytest.raises(EmptySplit, match="^no samples to embed$"):  # embed's check, the only one
         tr.evaluate(model, [])
 
 
