@@ -123,7 +123,7 @@ def queue_diagnostics(queue: MemoryQueue) -> dict:
     for cls in range(queue.n_classes):
         coverage[cls] = float(np.mean(labels == cls))
     probs = coverage[coverage > 0]
-    entropy = float(-np.sum(probs * np.log(probs)))
+    entropy = float(0.0 - np.sum(probs * np.log(probs)))  # +0.0 for one class, where negation gives -0.0
 
     return {
         "label_entropy": entropy,

@@ -204,19 +204,28 @@ class AdamW:
             p.zero_grad()
 
     def step(self, lr: float | None = None):
+        """Update each parameter that holds a gradient. `p.data`, `m` and `v`
+        are written in place, so they keep their arrays for the whole run; the
+        element operations run in the order of the out-of-place formula, so
+        the bits are its bits."""
         lr = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[name] / (1.0 - ADAM_BETA1 ** t)
-            v_hat = self.v[name] / (1.0 - ADAM_BETA2 ** t)
-            update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            p.data = p.data - lr * (update + self.weight_decay * p.data)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            update = m / (1.0 - ADAM_BETA1 ** t)
+            denom = np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
+            denom += ADAM_EPS
+            update /= denom
+            update += self.weight_decay * p.data
+            update *= lr
+            p.data -= update
             check_finite(p.data, NonFiniteValue, f"the update left parameter {name} non-finite")
 
 
@@ -263,12 +272,14 @@ def _stack_batch(samples: list[Sample], idx) -> tuple[np.ndarray, np.ndarray, np
 
 def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueue, config: TrainConfig,
                 batch: tuple, labeled: np.ndarray | None, tau: float, theta: float, lr: float, rng: np.random.Generator):
-    """One optimiser step on one batch, then the memory enqueue. Returns
+    """One optimiser step on one batch, then the memory enqueue: clear the
+    gradients, forward, losses, backward, clipping, AdamW, enqueue. Returns
     plain values only, so the batch's graph dies on return: the loss floats
     by name, the `batch_confidences` records (None without PCL), and the
     counts of correct and of scored fused-head predictions. Only the labels
     of the rows `labeled` marks (every row when it is None) are read and scored."""
     mel, coch, labels = batch
+    optimizer.zero_grad()  # the last step's gradients die before this step's graph is built
     outputs = model.forward(mel, coch, rng=rng, training=True)
     p_mel = nc.softmax(outputs.logits_mel, temperature=tau)
     p_coch = nc.softmax(outputs.logits_coch, temperature=tau)
@@ -291,7 +302,6 @@ def _train_step(model: DualViewModel, optimizer: AdamW, queue: memory.MemoryQueu
         )
     loss = total_loss(terms, config.weights())
 
-    optimizer.zero_grad()
     loss.backward()
     clip_grad_norm(optimizer.params, config.grad_clip)
     optimizer.step(lr=lr)

@@ -1,17 +1,18 @@
 """Mutants the test suite must kill.
 
 Each mutant replaces one exact piece of text in one file of a temporary copy
-of the tree, then runs the test file of the test expected to kill it there.
-A mutant is killed when that test fails. Run from anywhere:
+of the tree, then runs there the one test expected to kill it, with all its
+parametrisations. A mutant is killed when that test fails. Run from anywhere:
 
     python tests/mutants.py
 
-First the killers' test files run on an unmutated copy, and the script exits
-2 if an expected killer fails there. Then it prints each mutant with the
-tests that failed, and exits 1 if any mutant survives. A mutant whose text is
-no longer found exactly once in its file stops the run: the list is out of
-date. pytest does not collect this file: its name does not start with
-`test_`. Only the standard library and pytest are used.
+First every killer runs on an unmutated copy, and the script exits 2 if one
+fails there. Then it prints each mutant with the tests that failed, and exits
+1 if any mutant survives; a killer that names no test fails nothing, so its
+mutant survives. A mutant whose text is no longer found exactly once in its
+file stops the run: the list is out of date. pytest does not collect this
+file: its name does not start with `test_`. Only the standard library and
+pytest are used.
 """
 
 from __future__ import annotations
@@ -142,12 +143,30 @@ MUTANTS = (
     Mutant("parse_manifest accepts an empty track id", "src/dvmer/data.py",
            'if not track_id or "/" in track_id', 'if "/" in track_id',
            "tests/test_data.py::test_manifest_refuses_a_track_id_that_is_not_one_file_name"),
+    Mutant("AdamW.step rebinds each parameter instead of updating it in place", "src/dvmer/training.py",
+           "p.data -= update", "p.data = p.data - update",
+           "tests/test_training.py::test_adamw_step_keeps_every_parameter_and_moment_array"),
+    Mutant("the step clears its gradients after its forward", "src/dvmer/training.py",
+           "    optimizer.zero_grad()  # the last step's gradients die before this step's graph is built\n"
+           "    outputs = model.forward(mel, coch, rng=rng, training=True)\n",
+           "    outputs = model.forward(mel, coch, rng=rng, training=True)\n    optimizer.zero_grad()\n",
+           "tests/test_training.py::test_no_parameter_holds_a_gradient_at_any_training_forward"),
+    Mutant("a single-class queue reports a negative-zero entropy", "src/dvmer/memory.py",
+           "entropy = float(0.0 - np.sum(", "entropy = float(-np.sum(",
+           "tests/test_memory.py::test_diagnostics_of_a_single_class_queue_are_a_positive_zero_entropy"),
+    Mutant("load_model_from_checkpoint skips the hash comparison", "src/dvmer/training.py",
+           'if expected_hash is not None and payload["config_hash"] != expected_hash:', "if False:",
+           "tests/test_cli.py::test_eval_rejects_mismatched_config"),
+    Mutant("a re-read skips the shape rule", "src/dvmer/cli.py",
+           "return _read_pair(self.track_id, self.path, self.shapes)",
+           "return _read_pair(self.track_id, self.path, None)",
+           "tests/test_cli.py::test_a_cache_that_changes_after_the_check_exits_3_naming_the_track"),
 )
 
 
-def failed_tests(mutant: Mutant | None, test_files: list[str]) -> list[str]:
-    """Node ids of the tests in test_files that fail or error on a temporary
-    copy of the tree, with mutant applied unless it is None."""
+def failed_tests(mutant: Mutant | None, tests: list[str]) -> list[str]:
+    """Node ids of the given tests (pytest node ids) that fail or error on a
+    temporary copy of the tree, with mutant applied unless it is None."""
     with tempfile.TemporaryDirectory(prefix="dvmer-mutant-") as tmp:
         tree = Path(tmp)
         for part in ("src", "tests"):
@@ -161,7 +180,7 @@ def failed_tests(mutant: Mutant | None, test_files: list[str]) -> list[str]:
                 raise SystemExit(f"{mutant.name}: {mutant.path} holds {text.count(mutant.old)} copies of "
                                  f"{mutant.old!r}")
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *test_files],
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
                              cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
                              capture_output=True, text=True)
     return re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, flags=re.MULTILINE)
@@ -172,15 +191,13 @@ def _same_test(test: str, node_id: str) -> bool:
 
 
 def main() -> int:
-    killers = [m.killer for m in MUTANTS]
-    broken = [t for t in failed_tests(None, sorted({k.split("::")[0] for k in killers}))
-              if any(_same_test(t, k) for k in killers)]
+    broken = failed_tests(None, sorted({m.killer for m in MUTANTS}))
     if broken:  # a killer that fails on the unmutated tree shows nothing
         print("expected killers that fail without a mutant:", *broken, sep="\n  ")
         return 2
     survivors = 0
     for mutant in MUTANTS:
-        failed = failed_tests(mutant, [mutant.killer.split("::")[0]])
+        failed = failed_tests(mutant, [mutant.killer])
         killed = any(_same_test(t, mutant.killer) for t in failed)
         survivors += not killed
         print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name} ({mutant.path})")

@@ -1124,9 +1124,8 @@ def test_a_cache_that_changes_after_the_check_exits_3_naming_the_track(forty, tm
     def cut():
         path.write_bytes(path.read_bytes()[:12])
 
-    def nan():
-        pair.mel[...] = np.nan
-        F.write_feature_cache(path, pair, victim, F.FeatureConfig())
+    def nan():  # a new array: the reshape case below must cut finite grams
+        F.write_feature_cache(path, F.FeaturePair(np.full_like(pair.mel, np.nan), pair.coch), victim, F.FeatureConfig())
 
     def reshape():
         F.write_feature_cache(path, F.FeaturePair(pair.mel[:, :9], pair.coch[:, :9]), victim, F.FeatureConfig())

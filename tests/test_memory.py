@@ -248,6 +248,13 @@ def test_diagnostics_of_an_empty_queue_are_zero():
     assert math.copysign(1.0, diag["label_entropy"]) == 1.0  # 0.0, not -0.0
 
 
+def test_diagnostics_of_a_single_class_queue_are_a_positive_zero_entropy():
+    queue = mem.MemoryQueue(capacity=4, dim=2)
+    queue.enqueue(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]))
+    diag = mem.queue_diagnostics(queue)
+    assert diag == {"label_entropy": 0.0, "class_coverage": (1.0, 0.0)}
+    assert math.copysign(1.0, diag["label_entropy"]) == 1.0  # 0.0, not -0.0: epochs.log would write -0.0
+
 
 def test_diagnostics_report_entropy_and_coverage_only():
     queue = mem.MemoryQueue(capacity=4, dim=2, n_classes=3, dtype=np.float64)

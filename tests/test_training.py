@@ -62,6 +62,60 @@ def test_adamw_step_that_leaves_a_parameter_non_finite_names_it():
         opt.step()
 
 
+def test_adamw_step_keeps_every_parameter_and_moment_array():
+    # m, v and p.data live for the whole run: a step writes them, never rebinds them
+    rng = np.random.default_rng(3)
+    params = {"w": Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True),
+              "b": Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)}
+    opt = tr.AdamW(params, lr=0.1, weight_decay=0.01)
+    before = {name: (p.data, opt.m[name], opt.v[name], p.data.copy()) for name, p in params.items()}
+    for _ in range(3):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+        opt.step()
+    for name, p in params.items():
+        data, m, v, start = before[name]
+        assert p.data is data and opt.m[name] is m and opt.v[name] is v
+        assert not np.array_equal(p.data, start)
+
+
+def _adamw_out_of_place(p, g, m, v, t, lr, weight_decay):
+    """The out-of-place AdamW formula, one parameter, one step: (p, m, v) after it."""
+    m = tr.ADAM_BETA1 * m + (1.0 - tr.ADAM_BETA1) * g
+    v = tr.ADAM_BETA2 * v + (1.0 - tr.ADAM_BETA2) * (g * g)
+    m_hat = m / (1.0 - tr.ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - tr.ADAM_BETA2 ** t)
+    update = m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
+    return p - lr * (update + weight_decay * p), m, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]),
+       weight_decay=st.one_of(st.just(0.0), st.floats(1e-6, 0.5)),
+       lrs=st.lists(st.floats(1e-5, 1.0), min_size=1, max_size=6),
+       b_has_grad=st.lists(st.booleans(), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_adamw_in_place_steps_give_the_out_of_place_bits(dtype, weight_decay, lrs, b_has_grad, seed):
+    rng = np.random.default_rng(seed)
+    start = {"a": rng.normal(size=(2, 3)).astype(dtype), "b": rng.normal(size=5).astype(dtype)}
+    params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in start.items()}
+    opt = tr.AdamW(params, weight_decay=weight_decay)
+    expected = {name: (arr, np.zeros_like(arr), np.zeros_like(arr)) for name, arr in start.items()}
+    for t, (lr, b_has) in enumerate(zip(lrs, b_has_grad), start=1):
+        for name, p in params.items():
+            p.grad = (rng.normal(scale=10.0, size=p.shape).astype(dtype)
+                      if name == "a" or b_has else None)  # "b" has no gradient in some steps
+            if p.grad is not None:
+                was_p, was_m, was_v = expected[name]
+                expected[name] = _adamw_out_of_place(was_p, p.grad, was_m, was_v, t, lr, weight_decay)
+        opt.step(lr=lr)
+        for name, p in params.items():
+            want_p, want_m, want_v = expected[name]
+            assert p.data.dtype == want_p.dtype == dtype
+            assert np.array_equal(p.data, want_p)
+            assert np.array_equal(opt.m[name], want_m) and np.array_equal(opt.v[name], want_v)
+
+
 def test_clip_grad_norm_contract():
     rng = np.random.default_rng(0)
     params = {f"p{i}": Tensor(np.zeros(4), dtype=np.float64, requires_grad=True) for i in range(3)}
@@ -668,6 +722,23 @@ def test_run_training_holds_one_batch_graph_at_each_forward(monkeypatch, mode):
     cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=5, queue_size=8, mode=mode, labeled_fraction=0.5)
     tr.run_training(samples, cfg, TINY_MODEL)
     assert alive == [[False] * k for k in range(8)]
+
+
+@pytest.mark.parametrize("mode", ("full", "semi"))
+def test_no_parameter_holds_a_gradient_at_any_training_forward(monkeypatch, mode):
+    # the last step's gradients must die before the next graph is built, not under it
+    held = []  # at each training forward, the parameters that hold a gradient
+    forward = DualViewModel.forward
+
+    def checking_forward(self, *args, **kwargs):
+        held.append(sorted(name for name, p in self.parameters().items() if p.grad is not None))
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualViewModel, "forward", checking_forward)
+    samples = dk.synth_dataset(n=16, separation=5.0, noise=0.1, seed=5)
+    cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=5, queue_size=8, mode=mode, labeled_fraction=0.5)
+    tr.run_training(samples, cfg, TINY_MODEL)
+    assert held == [[]] * 8
 
 
 def test_training_step_scores_confidences_with_its_consistency_js(monkeypatch):
