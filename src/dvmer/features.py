@@ -17,9 +17,9 @@ count n = ceil(segment_len / hop); the signal tail is zero-padded to cover
 the last frame.
 
 The spectra are computed in blocks of frames on a few threads. Each block
-pre-emphasises and zero-pads only the samples its own frames cover, so the
-segment is never copied whole; the bytes are those of pre-emphasising and
-framing the whole segment at once.
+converts, pre-emphasises and zero-pads only the samples its own frames
+cover, so the segment is never copied whole; the bytes are those of
+pre-emphasising and framing the whole segment at once.
 """
 
 from __future__ import annotations
@@ -133,14 +133,25 @@ class FeatureConfig:
 
 @dataclass
 class AudioSegment:
+    """The analysis window: its signal is samples / scale. Integer samples
+    (a WAV's int32 channel sums) are kept as they are, at half the bytes of
+    float64; any other samples become float64."""
+
     samples: np.ndarray
     sample_rate: int
     start_offset: float
+    scale: float = 1.0
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        self.samples = samples if samples.dtype.kind in "iu" else samples.astype(np.float64, copy=False)
         if self.sample_rate != REQUIRED_SAMPLE_RATE:
             raise BadSampleRate(f"segment must be {REQUIRED_SAMPLE_RATE} Hz, got {self.sample_rate}")
+
+    def signal(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The float64 signal samples[lo:hi] / scale: one rounded division
+        per sample, so x / 1.0 leaves float samples as they are."""
+        return self.samples[lo:hi] / self.scale
 
 
 @dataclass
@@ -184,14 +195,16 @@ def select_segment(track, sample_rate: int, cfg: FeatureConfig | None = None) ->
 
 
 def read_segment(path, cfg: FeatureConfig | None = None) -> AudioSegment:
-    """The analysis window of a WAV file, read without the rest of the track:
-    the samples and errors of select_segment(*read_wav(path), cfg)."""
+    """The analysis window of a WAV file, read without the rest of the track
+    and held as its int32 channel sums: the signal and errors of
+    select_segment(*read_wav(path), cfg)."""
     cfg = cfg or FeatureConfig()
-    segment, rate, frames = _decode_wav(path, cfg.segment_offset, cfg.segment_len)
-    return _checked_segment(segment, frames, rate, cfg)
+    sums, scale, rate, frames = _decode_wav(path, cfg.segment_offset, cfg.segment_len)
+    return _checked_segment(sums, frames, rate, cfg, scale)
 
 
-def _checked_segment(segment: np.ndarray, track_len: int, sample_rate: int, cfg: FeatureConfig) -> AudioSegment:
+def _checked_segment(segment: np.ndarray, track_len: int, sample_rate: int, cfg: FeatureConfig,
+                     scale: float = 1.0) -> AudioSegment:
     """The zero-padded segment as an AudioSegment, once the sample rate and
     the whole track's length in samples pass the checks."""
     if sample_rate != REQUIRED_SAMPLE_RATE:
@@ -199,7 +212,7 @@ def _checked_segment(segment: np.ndarray, track_len: int, sample_rate: int, cfg:
     duration = track_len / sample_rate
     if duration < MIN_TRACK_SECONDS:
         raise TrackTooShort(f"track is {duration:.2f} s, minimum is {MIN_TRACK_SECONDS:.0f} s")
-    return AudioSegment(samples=segment, sample_rate=sample_rate, start_offset=cfg.segment_start)
+    return AudioSegment(samples=segment, sample_rate=sample_rate, start_offset=cfg.segment_start, scale=scale)
 
 
 def pre_emphasis(x, coeff: float = 0.97) -> np.ndarray:
@@ -230,25 +243,26 @@ def windowed_power_spectra(seg: AudioSegment, cfg: FeatureConfig) -> np.ndarray:
 
     Row blocks of about FFT_BLOCK_BYTES of spectrum are transformed and
     squared on FFT_WORKERS threads straight into the one output array. Each
-    block pre-emphasises and zero-pads only the samples its own frames
-    cover, so no whole-signal copy is made; pre-emphasis is elementwise, so
+    block converts to float64, pre-emphasises and zero-pads only the samples
+    its own frames cover, so no whole-signal copy is made; pre-emphasis is elementwise, so
     every row equals np.abs(np.fft.rfft(...)) ** 2 of the whole frame array,
     whatever the block size or worker count."""
-    x = seg.samples
-    if cfg.frame_size > x.shape[0]:
-        raise ConfigError(f"frame_len {cfg.frame_size} exceeds segment length {x.shape[0]}")
+    length = seg.samples.shape[0]
+    if cfg.frame_size > length:
+        raise ConfigError(f"frame_len {cfg.frame_size} exceeds segment length {length}")
     frame_len, hop = cfg.frame_size, cfg.hop_len
     window = np.hamming(frame_len)
     n_bins = cfg.n_fft // 2 + 1
-    power = np.empty((cfg.n_frames(x.shape[0]), n_bins))
+    power = np.empty((cfg.n_frames(length), n_bins))
     rows = max(1, FFT_BLOCK_BYTES // (16 * n_bins))
 
     def transform(start: int):
         block = power[start:start + rows]
         lo, end = start * hop, (start + block.shape[0] - 1) * hop + frame_len
         # the span starts one sample early so its first y[n] reads x[n-1];
-        # at lo = 0 it starts at x[0], which keeps the x[-1] = 0 rule
-        span = pre_emphasis(x[max(lo - 1, 0):end], cfg.preemphasis)[min(lo, 1):]
+        # at lo = 0 it starts at x[0], which keeps the x[-1] = 0 rule; only
+        # this span of the window is ever float64
+        span = pre_emphasis(seg.signal(max(lo - 1, 0), end), cfg.preemphasis)[min(lo, 1):]
         # neither the span nor its padded frames outlive the windowing, so the
         # FFT output is the block's only other large allocation
         windowed = frame_signal(span, frame_len, hop)[:block.shape[0]] * window
@@ -397,16 +411,17 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     samples in [-1, 1] and the sample rate. A file that cannot be opened
     (a directory, say), is not RIFF/WAVE, has a cut header or ends inside a
     frame raises ConfigError naming it."""
-    data, rate, _ = _decode_wav(path)
-    return data, rate
+    sums, scale, rate, _ = _decode_wav(path)
+    return sums / scale, rate
 
 
-def _decode_wav(path, start: int = 0, count: int | None = None) -> tuple[np.ndarray, int, int]:
-    """count samples from frame start on as read_wav gives them, zero-padded
-    past the track's end (all frames when count is None); the sample rate;
-    and the number of whole frames the file holds. Only those frames are
-    read, but a file whose data ends inside a frame anywhere is refused.
-    The window is decoded straight into the zero-padded result,
+def _decode_wav(path, start: int = 0, count: int | None = None) -> tuple[np.ndarray, float, int, int]:
+    """The int32 channel sums of count frames from frame start on,
+    zero-padded past the track's end (all frames when count is None); the
+    divisor channels * 32768.0 that turns them into read_wav's samples; the
+    sample rate; and the number of whole frames the file holds. Only those
+    frames are read, but a file whose data ends inside a frame anywhere is
+    refused. The sums are decoded straight into the zero-padded result,
     WAV_CHUNK_FRAMES frames at a time, so no other buffer is larger than
     one chunk; a read that comes back empty early leaves the rest zero."""
     try:
@@ -427,24 +442,25 @@ def _decode_wav(path, start: int = 0, count: int | None = None) -> tuple[np.ndar
             frames = held // (2 * channels)
             start = min(start, frames)
             wf.setpos(start)
-            data = np.zeros(frames - start if count is None else count)
-            n = min(data.shape[0], frames - start)
+            sums = np.zeros(frames - start if count is None else count, dtype=np.int32)
+            n = min(sums.shape[0], frames - start)
             for at in range(0, n, WAV_CHUNK_FRAMES):
                 raw = wf.readframes(min(WAV_CHUNK_FRAMES, n - at))
                 if not raw:
                     break
                 pcm = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
-                # the exact integer channel sum, rounded once by the division:
-                # the bytes of the float mean of samples / 32768
-                total = pcm[:, 0].astype(np.int32)
+                # the exact integer channel sum (|sum| <= 65,535 * 32,768 < 2**31),
+                # which one division by the divisor rounds to the float mean of
+                # samples / 32768
+                total = sums[at:at + pcm.shape[0]]
+                total[:] = pcm[:, 0]
                 for ch in range(1, channels):
                     total += pcm[:, ch]
-                np.divide(total, channels * 32768.0, out=data[at:at + total.shape[0]])
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except (wave.Error, EOFError, RuntimeError) as exc:  # RuntimeError: a chunk size past its chunk
         raise ConfigError(f"{path}: malformed WAV: {str(exc) or 'cut or inconsistent header'}") from exc
-    return data, rate, frames
+    return sums, channels * 32768.0, rate, frames
 
 
 # -- feature cache on disk ---------------------------------------------------

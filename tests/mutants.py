@@ -110,7 +110,7 @@ MUTANTS = (
            "    @property\n    def pair(self)", '    @__import__("functools").cached_property\n    def pair(self)',
            "tests/test_cli.py::test_a_command_holds_one_batch_of_grams_and_reads_a_cache_once_per_use"),
     Mutant("each decoded WAV chunk is written at the segment's start", "src/dvmer/features.py",
-           "out=data[at:at + total.shape[0]]", "out=data[:total.shape[0]]",
+           "total = sums[at:at + pcm.shape[0]]", "total = sums[:pcm.shape[0]]",
            "tests/test_features.py::test_read_wav_is_the_bytes_of_the_float_channel_mean"),
     Mutant("the last partial WAV chunk is dropped", "src/dvmer/features.py",
            "for at in range(0, n, WAV_CHUNK_FRAMES):", "for at in range(0, n - n % WAV_CHUNK_FRAMES, WAV_CHUNK_FRAMES):",
@@ -161,6 +161,41 @@ MUTANTS = (
            "return _read_pair(self.track_id, self.path, self.shapes)",
            "return _read_pair(self.track_id, self.path, None)",
            "tests/test_cli.py::test_a_cache_that_changes_after_the_check_exits_3_naming_the_track"),
+    Mutant("read_segment keeps the float64 window", "src/dvmer/features.py",
+           "return _checked_segment(sums, frames, rate, cfg, scale)",
+           "return _checked_segment(sums / scale, frames, rate, cfg)",
+           "tests/test_features.py::test_read_segment_holds_the_window_as_int32_channel_sums"),
+    Mutant("an FFT block reads its span without the window's scale", "src/dvmer/features.py",
+           "pre_emphasis(seg.signal(max(lo - 1, 0), end), cfg.preemphasis)",
+           "pre_emphasis(seg.samples[max(lo - 1, 0):end], cfg.preemphasis)",
+           "tests/test_features.py::test_the_int32_window_gives_the_spectra_and_grams_of_the_float_window"),
+    Mutant("the window holds float32 channel means", "src/dvmer/features.py",
+           "return _checked_segment(sums, frames, rate, cfg, scale)",
+           "return _checked_segment((sums / scale).astype(np.float32), frames, rate, cfg)",
+           "tests/test_features.py::test_the_int32_window_gives_the_spectra_and_grams_of_the_float_window"),
+    Mutant("train writes its checkpoint before its evaluation (README: 'train runs that evaluation before it "
+           "writes any file')", "src/dvmer/cli.py",
+           "    train_metrics = training.evaluate(result.model, train_samples, ensemble=train_cfg.ensemble_eval)\n"
+           "    test_metrics = training.evaluate(result.model, test_samples, ensemble=train_cfg.ensemble_eval)\n\n"
+           "    config_hash = cfgmod.run_config_hash(train_cfg, result.model_config)\n"
+           '    training.save_checkpoint(os.path.join(args.out, "checkpoint.dmrc"), result, config_hash)\n',
+           "    config_hash = cfgmod.run_config_hash(train_cfg, result.model_config)\n"
+           '    training.save_checkpoint(os.path.join(args.out, "checkpoint.dmrc"), result, config_hash)\n'
+           "    train_metrics = training.evaluate(result.model, train_samples, ensemble=train_cfg.ensemble_eval)\n"
+           "    test_metrics = training.evaluate(result.model, test_samples, ensemble=train_cfg.ensemble_eval)\n\n",
+           "tests/test_cli.py::test_a_diverging_run_exits_4_naming_the_batch_and_writes_nothing"),
+    Mutant("atomic_write_bytes writes in place (README: 'All file outputs are written atomically')",
+           "src/dvmer/ioutil.py", "    with atomic_open(path) as fh:\n        fh.write(data)",
+           '    with open(path, "wb") as fh:\n        fh.write(data)',
+           "tests/test_cli.py::test_an_atomic_write_replaces_the_output_so_a_reader_of_the_old_file_reads_it_whole"),
+    Mutant("parse_manifest accepts an arousal magnitude above 1 (README: 'valence/arousal are continuous in "
+           "[-1, 1]')", "src/dvmer/data.py",
+           "abs(valence) <= 1.0 and abs(arousal) <= 1.0", "abs(valence) <= 1.0",
+           "tests/test_data.py::test_manifest_rejects_out_of_range_labels"),
+    Mutant("--json prints a second object (README: '--json makes any command emit a single machine-readable "
+           "object')", "src/dvmer/cli.py",
+           "        print(json.dumps(body))\n", "        print(json.dumps(body))\n        print(json.dumps(body))\n",
+           "tests/test_cli.py::test_eval_json_reports_metric_names"),
 )
 
 

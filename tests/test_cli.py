@@ -597,6 +597,22 @@ def test_an_output_that_cannot_be_written_exits_3_naming_it_and_leaves_no_temp_f
     assert not list(tmp_path.rglob(".tmp-*"))
 
 
+def test_an_atomic_write_replaces_the_output_so_a_reader_of_the_old_file_reads_it_whole(tmp_path):
+    """Temp file + rename: a reader that opened the output before a write
+    still reads the old bytes, the path then holds the new ones, and a write
+    that fails halfway leaves the last file as it was and no temp file."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old bytes\n")
+    with open(path, "rb") as reader:
+        ioutil.atomic_write_bytes(path, b"new\n")
+        assert reader.read() == b"old bytes\n"
+    assert path.read_bytes() == b"new\n"
+    with pytest.raises(TypeError):
+        ioutil.atomic_write_bytes(path, "text, not bytes")
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 @pytest.mark.parametrize("command", ("train", "eval"))
 def test_empty_manifest_exits_3(workspace, trained, tmp_path, capsys, command):
     manifest = tmp_path / "empty.tsv"
@@ -931,7 +947,7 @@ WAV_FUZZ_CFG = F.FeatureConfig(segment_start=0.0, segment_duration=0.02)
 
 def _segment_or_error(read):
     try:
-        return read().samples.tobytes()
+        return read().signal().tobytes()
     except (ConfigError, BadSampleRate, TrackTooShort) as exc:
         return type(exc), str(exc)
 

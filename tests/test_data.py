@@ -111,6 +111,11 @@ def test_manifest_rejects_out_of_range_labels(tmp_path):
     path.write_text("t0\t1.5\t0.0\t\n")
     with pytest.raises(ConfigError):
         dk.parse_manifest(path)
+    # either magnitude above 1 is refused by line; 1 itself is in range
+    for valence, arousal in ((0.0, 1.5), (-1.0000001, 0.0), (0.0, -1.0000001)):
+        path.write_text(f"t0\t1.0\t-1.0\t\nt1\t{valence}\t{arousal}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: valence/arousal magnitudes must be <= 1"):
+            dk.parse_manifest(path)
 
 
 @pytest.mark.parametrize("line", ("t1\tabc\t0.5", "t1\t0.5\t", "t1\t0.5\t1e"))

@@ -547,12 +547,59 @@ def test_read_segment_is_select_segment_of_read_wav(tmp_path, monkeypatch, secon
     path = tmp_path / "track.wav"
     _write_pcm(path, np.random.default_rng(seconds).integers(-32768, 32768, size=(seconds * SR, channels)), channels)
     cfg = F.FeatureConfig(segment_start=start)
-    want = F.select_segment(*F.read_wav(path), cfg).samples.tobytes()
+    want = F.select_segment(*F.read_wav(path), cfg).signal().tobytes()
     for chunk in WAV_CHUNKS[1:]:
         monkeypatch.setattr(F, "WAV_CHUNK_FRAMES", chunk)
         seg = F.read_segment(path, cfg)
-        assert seg.samples.tobytes() == want, f"{chunk}-frame chunks"
+        assert seg.signal().tobytes() == want, f"{chunk}-frame chunks"
         assert seg.start_offset == start
+
+
+@pytest.mark.parametrize("channels", (1, 2, 3, 6))
+def test_read_segment_holds_the_window_as_int32_channel_sums(tmp_path, monkeypatch, channels):
+    """The window is the exact integer sum over channels, zero-padded past
+    the track's end, at 4 bytes a sample; the signal divides it by
+    channels * 32768."""
+    cfg = F.FeatureConfig(segment_start=0.01, segment_duration=0.1)
+    pcm = np.random.default_rng(channels).integers(-32768, 32768, size=(3000, channels))
+    pcm[:2] = [[-32768] * channels, [32767] * channels]
+    path = tmp_path / "track.wav"
+    _write_pcm(path, pcm, channels)
+    monkeypatch.setattr(F, "MIN_TRACK_SECONDS", 0.01)
+    seg = F.read_segment(path, cfg)
+    assert seg.samples.dtype == np.int32 and seg.samples.nbytes == 4 * cfg.segment_len
+    assert seg.scale == channels * 32768.0
+    covered = pcm.shape[0] - cfg.segment_offset
+    assert np.array_equal(seg.samples[:covered], pcm[cfg.segment_offset:].sum(axis=1))
+    assert not seg.samples[covered:].any()
+
+
+# a 4,410-sample window in 8 frames of 1,104 samples, small enough for many
+# examples; with a 1-byte block each frame is its own FFT block, so every
+# block but the first reads its span from inside the window
+SMALL_WAV_CFG = F.FeatureConfig(segment_start=0.01, segment_duration=0.1, frame_count=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels=st.integers(1, 6), frames=st.integers(441, 6000), seed=st.integers(0, 2**32 - 1))
+@example(channels=3, frames=5000, seed=0)  # the float32 mean of 3 or 6 channels is not the float64 one
+@example(channels=6, frames=2000, seed=1)
+def test_the_int32_window_gives_the_spectra_and_grams_of_the_float_window(tmp_path_factory, channels, frames,
+                                                                           seed):
+    pcm = np.random.default_rng(seed).integers(-32768, 32768, size=(frames, channels))
+    pcm[:2] = [[-32768] * channels, [32767] * channels]
+    path = tmp_path_factory.mktemp("wav") / "track.wav"
+    _write_pcm(path, pcm, channels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "MIN_TRACK_SECONDS", 0.01)
+        mp.setattr(F, "FFT_BLOCK_BYTES", 1)
+        window = F.read_segment(path, SMALL_WAV_CFG)
+        whole = F.select_segment(*F.read_wav(path), SMALL_WAV_CFG)
+        spectra = [F.windowed_power_spectra(seg, SMALL_WAV_CFG) for seg in (window, whole)]
+        pairs = [F.extract_pair(seg, SMALL_WAV_CFG) for seg in (window, whole)]
+    assert spectra[0].tobytes() == spectra[1].tobytes()
+    assert pairs[0].mel.tobytes() == pairs[1].mel.tobytes()
+    assert pairs[0].coch.tobytes() == pairs[1].coch.tobytes()
 
 
 def test_read_segment_peaks_at_its_segment_plus_one_chunk(tmp_path):
