@@ -176,7 +176,9 @@ def cmd_train(args) -> CommandResult:
 
     result = training.run_training(train_samples, train_cfg, model_cfg, on_epoch=log_epoch)
     # both splits' forward passes run before any file is written, so a model
-    # that diverges there leaves --out as empty as a diverging step does
+    # that diverges there leaves --out as empty as a diverging step does; they
+    # run on one stream, since a helper thread's malloc arena would stay
+    # resident beside the next training run's heap
     train_metrics = training.evaluate(result.model, train_samples, ensemble=train_cfg.ensemble_eval)
     test_metrics = training.evaluate(result.model, test_samples, ensemble=train_cfg.ensemble_eval)
 
@@ -211,7 +213,7 @@ def cmd_eval(args) -> CommandResult:
     split = datakit.stratified_split(records, train_cfg.dimension, seed=train_cfg.seed)
     ids = split.train_ids if args.split == "train" else split.test_ids
     subset = [samples[i] for i in ids]
-    metrics = training.evaluate(model, subset, ensemble=train_cfg.ensemble_eval)
+    metrics = training.evaluate(model, subset, ensemble=train_cfg.ensemble_eval, streams=training.INFER_STREAMS)
 
     payload = {
         "dimension": train_cfg.dimension,
@@ -275,7 +277,7 @@ def cmd_export_embeddings(args) -> CommandResult:
     train_cfg, model_cfg, _, samples = _load_run(args)
     expected_hash = cfgmod.run_config_hash(train_cfg, model_cfg)
     model, _ = training.load_model_from_checkpoint(args.checkpoint, model_cfg, expected_hash=expected_hash)
-    z_fuse = training.embed(model, list(samples.values())).z_fuse
+    z_fuse = training.embed(model, list(samples.values()), streams=training.INFER_STREAMS).z_fuse
 
     header = ["track_id", "label"] + [f"f_{i}" for i in range(model_cfg.fusion_dim)]
     _write_csv(args.out, header, ([s.track_id, str(s.label)] + [repr(float(v)) for v in vec]

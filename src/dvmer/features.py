@@ -24,6 +24,8 @@ pre-emphasising and framing the whole segment at once.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import hashlib
 import json
@@ -44,17 +46,57 @@ CACHE_VERSION = 1
 REQUIRED_SAMPLE_RATE = 44100
 MIN_TRACK_SECONDS = 30.0
 
+# the cores the process may run on; macOS and Windows have no
+# os.sched_getaffinity, and there the CPU count stands in for the mask
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # np.fft releases the GIL, so frame blocks transform in parallel on threads;
 # each row's bits do not depend on the block or thread that computed it.
-# macOS and Windows have no os.sched_getaffinity; there the CPU count stands
-# in for the affinity mask.
-FFT_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4)
+FFT_WORKERS = min(CORES, 4)
 # complex spectrum bytes per block: one frame at the default geometry, many
 # rows for small frames so that no geometry pays one task per frame
 FFT_BLOCK_BYTES = 1 << 20
 # WAV frames decoded per read: the window's raw bytes and int32 channel sum
 # exist one chunk at a time, never whole
 WAV_CHUNK_FRAMES = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def openblas_threads():
+    """(set, get) for the thread count of the OpenBLAS that numpy loaded, or
+    None where none is mapped (macOS, another BLAS). Looked up on first use,
+    so importing the package reads no /proc file."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in map(ctypes.CDLL, libs):
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            set_n, get_n = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None) for op in ("set", "get"))
+            if set_n is not None and get_n is not None:
+                set_n.argtypes, set_n.restype = [ctypes.c_int], None
+                get_n.argtypes, get_n.restype = [], ctypes.c_int
+                return set_n, get_n
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block and restore its count on
+    exit, also when the block raises; without OpenBLAS it does nothing. An
+    idle OpenBLAS thread spins on a core for a while after each parallel
+    GEMM, so a block that runs its own threads beside BLAS calls holds it."""
+    calls = openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_n, get_n = calls
+    before = get_n()
+    set_n(1)
+    try:
+        yield
+    finally:
+        set_n(before)
 
 
 @dataclass(frozen=True)
@@ -397,10 +439,12 @@ def cochleagram(seg: AudioSegment, cfg: FeatureConfig | None = None) -> CochGram
 
 def extract_pair(seg: AudioSegment, cfg: FeatureConfig | None = None) -> FeaturePair:
     """Both views from one segment, sharing the pre-emphasised signal and
-    windowed spectra."""
+    windowed spectra. OpenBLAS is held at one thread throughout, so no BLAS
+    thread spins beside the FFT workers."""
     cfg = cfg or FeatureConfig()
-    power = windowed_power_spectra(seg, cfg)
-    return FeaturePair(mel=_mel_view(power, cfg), coch=_coch_view(power, cfg))
+    with one_blas_thread():
+        power = windowed_power_spectra(seg, cfg)
+        return FeaturePair(mel=_mel_view(power, cfg), coch=_coch_view(power, cfg))
 
 
 # -- WAV ingestion ---------------------------------------------------------

@@ -17,7 +17,9 @@ thread count changes the bits.
 
 from __future__ import annotations
 
+import contextvars
 import struct
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from . import memory
 from . import nncore as nc
 from .data import Sample, _check_dimension, labeled_mask
 from .errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss, NonFiniteValue, check_fields, check_finite
-from .features import FeaturePair
+from .features import CORES, FeaturePair, one_blas_thread, openblas_threads
 from .ioutil import BinaryReader, open_framed, pack_array_table, write_framed
 from .model import BranchOutputs, DualViewModel, ModelConfig
 from .nncore import Tensor
@@ -262,8 +264,13 @@ class TrainResult:
     model_config: ModelConfig
 
 
-def _stack_batch(samples: list[Sample], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pairs = [samples[i].pair for i in idx]  # one read per sample: a cache-backed sample reads its file anew
+def _stack_batch(samples: list[Sample], idx, rows: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grams and labels of samples[idx]. Each pair is read once: a
+    cache-backed sample reads its file anew. With rows, the grams are padded
+    to rows rows with copies of the last pair, which is not read again."""
+    pairs = [samples[i].pair for i in idx]
+    if rows is not None:
+        pairs += pairs[-1:] * (rows - len(pairs))
     mel = np.stack([p.mel for p in pairs])
     coch = np.stack([p.coch for p in pairs])
     labels = np.array([samples[i].label for i in idx], dtype=np.int64)
@@ -465,34 +472,80 @@ class Embeddings:
     logits_fuse: np.ndarray
 
 
-# the training batch: inference's peak memory is one such batch's activations
-INFER_BATCH = 16
+# rows per inference forward. A final batch that falls short is padded to it,
+# so every forward has one shape: BLAS picks other kernels for 4 rows or
+# fewer, and a row's bits would depend on how many tracks follow it
+INFER_BATCH = 8
+# inference streams for eval and export-embeddings: the calling thread plus,
+# on two or more cores, one helper
+INFER_STREAMS = min(CORES, 2)
 
 
-def embed(model: DualViewModel, samples: list[Sample]) -> Embeddings:
-    """Inference forward pass over samples in batches of INFER_BATCH, building
-    no autodiff graph, so only one batch's activations are alive at a time."""
+def _infer_batch(model: DualViewModel, samples: list[Sample], start: int) -> dict:
+    """The Embeddings fields of samples[start:start + INFER_BATCH], from one
+    forward over the batch padded to INFER_BATCH rows; the padded rows'
+    outputs are dropped."""
+    idx = range(start, min(start + INFER_BATCH, len(samples)))
+    mel, coch, _ = _stack_batch(samples, idx, rows=INFER_BATCH)
+    outputs = model.forward(mel, coch, training=False)
+    return {f.name: getattr(outputs, f.name).data[:len(idx)] for f in fields(Embeddings)}
+
+
+def embed(model: DualViewModel, samples: list[Sample], streams: int = 1) -> Embeddings:
+    """Inference forward pass over samples in batches of INFER_BATCH rows,
+    inside `nncore.no_grad()`, so only the running batches' activations are
+    alive. OpenBLAS is held at one thread throughout: some of its kernel
+    sets give other bits at two threads. So a row's bytes depend only on its
+    sample and its place in its batch, the row index modulo INFER_BATCH, and
+    not on its batch-mates, the list's length, the stream or the BLAS
+    thread count.
+
+    The calling thread and streams - 1 helpers each take the next batch from
+    one shared iterator. A helper runs in a copy of the caller's context, so
+    it keeps the caller's np.errstate. The first error of any stream stops
+    the others at their next batch and is raised here. Without OpenBLAS one
+    stream runs: nothing would stop a BLAS of its own threads competing."""
     if not samples:
         raise EmptySplit("no samples to embed")
-    parts = {f.name: [] for f in fields(Embeddings)}
-    with nc.no_grad():
-        for start in range(0, len(samples), INFER_BATCH):
-            mel, coch, _ = _stack_batch(samples, range(start, min(start + INFER_BATCH, len(samples))))
-            outputs = model.forward(mel, coch, training=False)
-            for name, chunks in parts.items():
-                chunks.append(getattr(outputs, name).data)
-    return Embeddings(**{name: np.concatenate(chunks) for name, chunks in parts.items()})
+    if openblas_threads() is None:
+        streams = 1
+    starts, lock = iter(range(0, len(samples), INFER_BATCH)), threading.Lock()
+    done, errors = {}, []
+
+    def stream():
+        while not errors:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            try:
+                done[start] = _infer_batch(model, samples, start)
+            except BaseException as exc:  # raised by the caller once every stream has stopped
+                errors.append(exc)
+
+    with one_blas_thread(), nc.no_grad():
+        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(stream,))
+                   for _ in range(streams - 1)]
+        for helper in helpers:
+            helper.start()
+        stream()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return Embeddings(**{f.name: np.concatenate([done[s][f.name] for s in sorted(done)]) for f in fields(Embeddings)})
 
 
-def predict_scores(model: DualViewModel, samples: list[Sample],
-                   ensemble: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positive-class probabilities and argmax predictions for a sample list.
+def predict_scores(model: DualViewModel, samples: list[Sample], ensemble: bool = False,
+                   streams: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positive-class probabilities and argmax predictions for a sample list,
+    from `embed` on that many streams.
 
     Uses the fused head; ensemble mode averages the three heads'
     temperature-1 probabilities.
     """
     labels = np.array([s.label for s in samples], dtype=np.int64)
-    out = embed(model, samples)
+    out = embed(model, samples, streams=streams)
     probs = nc.softmax(Tensor(out.logits_fuse)).data
     if ensemble:
         probs = (
@@ -503,8 +556,8 @@ def predict_scores(model: DualViewModel, samples: list[Sample],
     return labels, probs[:, 1].astype(np.float64), np.argmax(probs, axis=1)
 
 
-def evaluate(model: DualViewModel, samples: list[Sample], ensemble: bool = False) -> Metrics:
-    labels, scores, preds = predict_scores(model, samples, ensemble=ensemble)
+def evaluate(model: DualViewModel, samples: list[Sample], ensemble: bool = False, streams: int = 1) -> Metrics:
+    labels, scores, preds = predict_scores(model, samples, ensemble=ensemble, streams=streams)
     return Metrics(
         acc=accuracy_score(labels, preds),
         f1=f1_score(labels, preds),

@@ -196,6 +196,46 @@ MUTANTS = (
            "object')", "src/dvmer/cli.py",
            "        print(json.dumps(body))\n", "        print(json.dumps(body))\n        print(json.dumps(body))\n",
            "tests/test_cli.py::test_eval_json_reports_metric_names"),
+    Mutant("the helper inference stream runs without the caller's context, so without its np.errstate",
+           "src/dvmer/training.py",
+           "threading.Thread(target=contextvars.copy_context().run, args=(stream,))",
+           "threading.Thread(target=stream)",
+           "tests/test_cli.py::test_an_overflow_in_the_helper_streams_batch_exits_4_naming_the_op"),
+    Mutant("one_blas_thread leaves OpenBLAS at one thread", "src/dvmer/features.py",
+           "    try:\n        yield\n    finally:\n        set_n(before)\n", "    yield\n",
+           "tests/test_training.py::test_openblas_is_held_at_one_thread_inside_and_restored_after"),
+    Mutant("the final inference batch runs unpadded (README: 'a track's bytes depend only on its grams and its "
+           "place in its batch')", "src/dvmer/training.py",
+           "        pairs += pairs[-1:] * (rows - len(pairs))\n", "        pass\n",
+           "tests/test_training.py::test_every_inference_forward_sees_a_full_batch_and_padding_reads_no_sample_again"),
+    Mutant("train evaluates the train split on the inference streams", "src/dvmer/cli.py",
+           "train_metrics = training.evaluate(result.model, train_samples, ensemble=train_cfg.ensemble_eval)",
+           "train_metrics = training.evaluate(result.model, train_samples, ensemble=train_cfg.ensemble_eval, "
+           "streams=training.INFER_STREAMS)",
+           "tests/test_cli.py::test_train_evaluates_on_one_stream_and_eval_on_infer_streams"),
+    Mutant("synth_dataset's default noise is 1.1", "src/dvmer/data.py",
+           "noise: float = 0.1,", "noise: float = 1.1,",
+           "tests/test_data.py::test_synth_dataset_default_bytes_are_pinned"),
+    Mutant("synth_dataset's class offset flips sign", "src/dvmer/data.py",
+           "np.where(labels[:, None] == 1, 0.5, -0.5)", "np.where(labels[:, None] != 1, 0.5, -0.5)",
+           "tests/test_data.py::test_synth_dataset_default_bytes_are_pinned"),
+    Mutant("synth_dataset refuses a separation up to 1", "src/dvmer/data.py",
+           "if separation <= 0:", "if separation <= 1:",
+           "tests/test_data.py::test_synth_dataset_refuses_only_a_separation_at_or_below_zero"),
+    Mutant("MemoryQueue.enqueue accepts a 2-d batch of the wrong width", "src/dvmer/memory.py",
+           "if features.ndim != 2 or features.shape[1] != self.dim:",
+           "if features.ndim != 2 and features.shape[1] != self.dim:",
+           "tests/test_memory.py::test_enqueue_refuses_a_batch_of_the_wrong_width_by_name"),
+)
+
+# Mutants no test can kill, because they do not change behaviour; each is
+# (name, path, old, new, reason). They are not run, but their text must
+# still be found exactly once, like a mutant's.
+EQUIVALENT = (
+    ("stratified_split keeps at least 2 training ids per class", "src/dvmer/data.py",
+     "min(max(n_train, 1), len(ids) - 1)", "min(max(n_train, 2), len(ids) - 1)",
+     "n_train = floor(0.7 n + 0.5) is 2 or more for every class of n >= 3, and a class of 2 is capped at "
+     "n - 1 = 1 either way; smaller classes are refused"),
 )
 
 
@@ -226,6 +266,10 @@ def _same_test(test: str, node_id: str) -> bool:
 
 
 def main() -> int:
+    for name, path, old, _, _ in EQUIVALENT:
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            raise SystemExit(f"{name}: {path} holds {count} copies of {old!r}")
     broken = failed_tests(None, sorted({m.killer for m in MUTANTS}))
     if broken:  # a killer that fails on the unmutated tree shows nothing
         print("expected killers that fail without a mutant:", *broken, sep="\n  ")
@@ -239,6 +283,8 @@ def main() -> int:
         print(f"  expected killer: {mutant.killer}")
         for test in failed:
             print(f"  failed: {test}")
+    for name, path, _, _, reason in EQUIVALENT:
+        print(f"equivalent, not run: {name} ({path}): {reason}")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 

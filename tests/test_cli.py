@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 import wave
 import weakref
@@ -24,6 +26,7 @@ from dvmer import config as cfgmod
 from dvmer import data as dk
 from dvmer import features as F
 from dvmer import ioutil
+from dvmer import nncore as nc
 from dvmer import training as tr
 from dvmer.cli import main
 from dvmer.errors import BadFeatureCache, BadSampleRate, CheckpointMismatch, ConfigError, TrackTooShort
@@ -357,12 +360,16 @@ def test_exported_rows_match_a_graph_building_forward(workspace, trained, tmp_pa
     model, _ = tr.load_model_from_checkpoint(trained / "checkpoint.dmrc", model_cfg)
     records = dk.parse_manifest(manifest)
     pairs = [F.read_feature_cache(cache / f"{r.track_id}.dmrf") for r in records]
-    out = model.forward(np.stack([p.mel for p in pairs]), np.stack([p.coch for p in pairs]))
-    assert out.z_fuse._backward is not None  # the reference builds a graph
     assert [r[0] for r in rows] == [r.track_id for r in records]
     assert rows[0][0] == "Artist, Title" and rows[1][0] == 'The "Song"'
     exported = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float32)
-    assert np.array_equal(exported, out.z_fuse.data)
+    for start in range(0, len(pairs), tr.INFER_BATCH):  # the batches inference runs, the last one padded
+        batch = pairs[start:start + tr.INFER_BATCH]
+        batch += batch[-1:] * (tr.INFER_BATCH - len(batch))
+        with F.one_blas_thread():
+            out = model.forward(np.stack([p.mel for p in batch]), np.stack([p.coch for p in batch]))
+        assert out.z_fuse._backward is not None  # the reference builds a graph
+        assert np.array_equal(exported[start:start + tr.INFER_BATCH], out.z_fuse.data[:len(exported) - start])
 
 
 @pytest.mark.parametrize("command", ("eval", "export-embeddings"))
@@ -1097,31 +1104,79 @@ def _argv(command, forty, out, cache=None):
 
 
 def test_a_command_holds_one_batch_of_grams_and_reads_a_cache_once_per_use(forty, tmp_path, monkeypatch):
-    # every FeaturePair a cache read returns is counted while it lives
-    counts = {"live": 0, "peak": 0, "reads": 0}
+    # every FeaturePair a cache read returns is counted while it lives; two
+    # inference streams read at once, so the counts update under a lock
+    counts, lock = {"live": 0, "peak": 0, "reads": 0}, threading.Lock()
 
     def dead():
-        counts["live"] -= 1
+        with lock:
+            counts["live"] -= 1
 
     def counted_read(path, real=F.read_feature_cache):
         pair = real(path)
-        counts["live"] += 1
-        counts["reads"] += 1
-        counts["peak"] = max(counts["peak"], counts["live"])
+        with lock:
+            counts["live"] += 1
+            counts["reads"] += 1
+            counts["peak"] = max(counts["peak"], counts["live"])
         weakref.finalize(pair, dead)
         return pair
 
     monkeypatch.setattr(F, "read_feature_cache", counted_read)
     n, n_train, n_test = forty["n"], len(forty["split"].train_ids), len(forty["split"].test_ids)
-    epochs = 3  # RUN_CFG's, at batch_size 8 below INFER_BATCH
+    epochs = 3  # RUN_CFG's, at batch_size 8, no more than INFER_BATCH
     # the up-front check reads every cache once; then each use reads it once,
-    # for both views; train also resolves its model from its first sample
+    # for both views, and padding a final batch reads none again; train also
+    # resolves its model from its first sample
     reads = {"train": n + 1 + epochs * n_train + n_train + n_test, "eval": n + n_test, "export-embeddings": 2 * n}
     for command, want in reads.items():
         counts.update(live=0, peak=0, reads=0)
         assert main(_argv(command, forty, tmp_path / command)) == 0
-        assert counts["peak"] <= tr.INFER_BATCH + 1, command  # one batch plus the first track
+        # one batch per inference stream, plus the first track
+        assert counts["peak"] <= tr.INFER_STREAMS * tr.INFER_BATCH + 1, command
         assert (counts["reads"], counts["live"]) == (want, 0), command
+
+
+@pytest.mark.parametrize("command", ("train", "eval"))
+def test_train_evaluates_on_one_stream_and_eval_on_infer_streams(forty, tmp_path, monkeypatch, command):
+    """train's closing evaluation runs on the calling thread alone: a helper
+    thread's malloc arena would stay resident beside the next training run."""
+    seen, real = [], tr.evaluate
+
+    def evaluate(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["streams"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "evaluate", evaluate)
+    monkeypatch.setattr(tr, "INFER_STREAMS", 2)  # as on two cores or more
+    assert main(_argv(command, forty, tmp_path / command)) == 0
+    assert seen == ([1, 1] if command == "train" else [2])
+
+
+@pytest.mark.skipif(F.openblas_threads() is None, reason="no OpenBLAS: inference runs one stream")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ("eval", "export-embeddings"))
+def test_an_overflow_in_the_helper_streams_batch_exits_4_naming_the_op(forty, tmp_path, capsys, monkeypatch,
+                                                                         command):
+    """The helper runs in the caller's context, so under main's errstate an
+    overflow there is an inf that the op's check names, as on the caller's
+    thread, and no RuntimeWarning."""
+    helper_done, real = threading.Event(), nc.add
+
+    def add(a, b):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_done.wait(timeout=30)  # the caller holds its first batch until the helper's has run
+            return real(a, b)
+        helper_done.set()
+        big = nc.Tensor(np.full(a.data.shape, np.finfo(a.data.dtype).max, a.data.dtype))
+        return real(big, big)
+
+    monkeypatch.setattr(tr, "INFER_STREAMS", 2)
+    monkeypatch.setattr(nc, "add", add)
+    assert main(_argv(command, forty, tmp_path / "emb.csv")) == 4
+    assert "numeric error: non-finite value produced by op 'add'" in capsys.readouterr().out
+    assert not (tmp_path / "emb.csv").exists()
 
 
 @pytest.mark.parametrize("command", ("train", "eval", "export-embeddings"))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 from dataclasses import asdict
@@ -146,6 +147,26 @@ def test_synth_rejects_tiny_or_degenerate():
         dk.synth_dataset(n=3)
     with pytest.raises(ConfigError):
         dk.synth_dataset(n=8, separation=0.0)
+
+
+def test_synth_dataset_refuses_only_a_separation_at_or_below_zero():
+    for separation in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="separation must be positive"):
+            dk.synth_dataset(n=8, separation=separation)
+    for separation in (0.5, 1.0):
+        assert len(dk.synth_dataset(n=8, separation=separation)) == 8
+
+
+def test_synth_dataset_default_bytes_are_pinned():
+    """The bench inputs are built from synth_dataset's defaults, so the noise
+    level and each class's side of the offset are pinned by the float32 grams'
+    sha256 (the same under OpenBLAS's Haswell, Sandybridge, Prescott, Zen and
+    SkylakeX kernels, at 1 and 2 threads)."""
+    digest = hashlib.sha256()
+    for s in dk.synth_dataset():
+        for part in (s.track_id.encode(), bytes([s.label]), s.pair.mel.tobytes(), s.pair.coch.tobytes()):
+            digest.update(part)
+    assert digest.hexdigest() == "956c19d110a0f6b1c270757a270d1349d46dd2296ad2c282176f1d3e1da30cfb"
 
 
 def test_synth_labels_balanced():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ def test_enqueue_rejects_oversized_batch():
     queue = mem.MemoryQueue(capacity=2, dim=2)
     with pytest.raises(BatchTooLarge):
         queue.enqueue(np.ones((3, 2)), np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("width", (3, 5))
+def test_enqueue_refuses_a_batch_of_the_wrong_width_by_name(width):
+    queue = mem.MemoryQueue(capacity=4, dim=4)
+    with pytest.raises(BatchTooLarge, match=re.escape(f"features must be [B, 4], got (2, {width})")):
+        queue.enqueue(np.ones((2, width)), np.zeros(2, dtype=np.int64))
+    assert len(queue) == 0
 
 
 def test_enqueue_rejects_non_finite_features():

@@ -1,18 +1,21 @@
 import math
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvmer import curriculum as cur
 from dvmer import data as dk
+from dvmer import features as F
 from dvmer import ioutil
 from dvmer import memory
 from dvmer import nncore as nc
@@ -448,23 +451,155 @@ def test_loading_a_checkpoint_draws_no_random_number(tmp_path, monkeypatch):
 def test_predict_scores_and_embed_match_a_graph_building_forward():
     model = DualViewModel(TINY_MODEL, np.random.default_rng(30))
     samples = dk.synth_dataset(n=2 * tr.INFER_BATCH + 6, separation=5.0, noise=0.1, seed=31)  # two full batches and a part
-    labels, scores, preds = tr.predict_scores(model, samples)
-    _, ens_scores, ens_preds = tr.predict_scores(model, samples, ensemble=True)
+    for streams in (1, 2):
+        labels, scores, preds = tr.predict_scores(model, samples, streams=streams)
+        _, ens_scores, ens_preds = tr.predict_scores(model, samples, ensemble=True, streams=streams)
+        emb = tr.embed(model, samples, streams=streams)
+        assert np.array_equal(labels, [s.label for s in samples])
+        for start in range(0, len(samples), tr.INFER_BATCH):
+            batch = samples[start:start + tr.INFER_BATCH]
+            rows, n = slice(start, start + len(batch)), len(batch)
+            padded = batch + batch[-1:] * (tr.INFER_BATCH - n)  # the final batch runs padded
+            with F.one_blas_thread():  # as embed runs
+                out = model.forward(np.stack([s.pair.mel for s in padded]), np.stack([s.pair.coch for s in padded]))
+            assert out.z_fuse._backward is not None  # the reference builds a graph
+            for name in ("z_fuse", "logits_mel", "logits_coch", "logits_fuse"):
+                assert np.array_equal(getattr(emb, name)[rows], getattr(out, name).data[:n])
+            probs = nc.softmax(out.logits_fuse).data[:n]
+            assert np.array_equal(scores[rows], probs[:, 1])
+            assert np.array_equal(preds[rows], np.argmax(probs, axis=1))
+            ens = (nc.softmax(out.logits_mel).data[:n] + nc.softmax(out.logits_coch).data[:n] + probs) / 3.0
+            assert np.array_equal(ens_scores[rows], ens[:, 1])
+            assert np.array_equal(ens_preds[rows], np.argmax(ens, axis=1))
+
+
+_POOL = dk.synth_dataset(n=40, separation=5.0, noise=0.1, seed=37)
+_POOL_MODEL = DualViewModel(TINY_MODEL, np.random.default_rng(38))
+_FEW = {}  # (pool index, place) -> embed of that sample at that place in a list of place + 1 samples
+
+
+@settings(max_examples=25, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=40), streams=st.sampled_from([1, 2]))
+@example(picks=list(range(9)), streams=1)  # a full batch, then a final batch of one row
+@example(picks=[0, 1], streams=2)
+def test_a_tracks_inference_bytes_depend_only_on_its_grams_and_its_place_in_its_batch(picks, streams):
+    """Row i of embed(samples) has the bytes of row i % INFER_BATCH of a
+    list that holds other tracks before samples[i] and none after it: the
+    final batch runs padded, so every forward has INFER_BATCH rows, and the
+    batch-mates, the list's length and the stream do not matter."""
+    emb = tr.embed(_POOL_MODEL, [_POOL[j] for j in picks], streams=streams)
+    for i, j in enumerate(picks):
+        place = i % tr.INFER_BATCH
+        if (j, place) not in _FEW:
+            filler = [_POOL[(j + 1 + k) % len(_POOL)] for k in range(place)]
+            _FEW[j, place] = tr.embed(_POOL_MODEL, filler + [_POOL[j]])
+        for f in fields(tr.Embeddings):
+            assert getattr(emb, f.name)[i].tobytes() == getattr(_FEW[j, place], f.name)[place].tobytes(), (i, f.name)
+
+
+def test_every_inference_forward_sees_a_full_batch_and_padding_reads_no_sample_again(monkeypatch):
+    model = DualViewModel(TINY_MODEL, np.random.default_rng(39))
+    reads = []
+
+    class Counted:
+        def __init__(self, i, sample):
+            self.i, self.sample, self.label = i, sample, sample.label
+
+        @property
+        def pair(self):
+            reads.append(self.i)
+            return self.sample.pair
+
+    samples = [Counted(i, s) for i, s in enumerate(dk.synth_dataset(n=tr.INFER_BATCH + 3, seed=40))]
+    rows, real = [], model.forward
+    monkeypatch.setattr(model, "forward", lambda mel, coch, **kw: rows.append(mel.shape[0]) or real(mel, coch, **kw))
     emb = tr.embed(model, samples)
-    assert np.array_equal(labels, [s.label for s in samples])
-    for start in range(0, len(samples), tr.INFER_BATCH):
-        batch = samples[start:start + tr.INFER_BATCH]
-        rows = slice(start, start + len(batch))
-        out = model.forward(np.stack([s.pair.mel for s in batch]), np.stack([s.pair.coch for s in batch]))
-        assert out.z_fuse._backward is not None  # the reference builds a graph
-        for name in ("z_fuse", "logits_mel", "logits_coch", "logits_fuse"):
-            assert np.array_equal(getattr(emb, name)[rows], getattr(out, name).data)
-        probs = nc.softmax(out.logits_fuse).data
-        assert np.array_equal(scores[rows], probs[:, 1])
-        assert np.array_equal(preds[rows], np.argmax(probs, axis=1))
-        ens = (nc.softmax(out.logits_mel).data + nc.softmax(out.logits_coch).data + probs) / 3.0
-        assert np.array_equal(ens_scores[rows], ens[:, 1])
-        assert np.array_equal(ens_preds[rows], np.argmax(ens, axis=1))
+    assert rows == [tr.INFER_BATCH, tr.INFER_BATCH]
+    assert sorted(reads) == list(range(len(samples)))
+    assert emb.z_fuse.shape[0] == len(samples)
+
+
+def test_embed_on_more_streams_than_cores_runs_each_batch_once(monkeypatch):
+    """Streams share one batch iterator: with four streams and a short switch
+    interval, each batch still runs once and every row lands in its place."""
+    model = DualViewModel(TINY_MODEL, np.random.default_rng(41))
+    samples = dk.synth_dataset(n=5 * tr.INFER_BATCH + 2, seed=42)
+    serial = tr.embed(model, samples)
+    starts, real = [], tr._infer_batch
+    monkeypatch.setattr(tr, "_infer_batch", lambda m, s, start: starts.append(start) or real(m, s, start))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        emb = tr.embed(model, samples, streams=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(starts) == list(range(0, len(samples), tr.INFER_BATCH))
+    for f in fields(tr.Embeddings):
+        assert np.array_equal(getattr(emb, f.name), getattr(serial, f.name))
+
+
+@pytest.mark.skipif(F.openblas_threads() is None, reason="no OpenBLAS: embed runs one stream")
+def test_an_error_in_one_stream_stops_the_other_at_its_next_batch(monkeypatch):
+    model = DualViewModel(TINY_MODEL, np.random.default_rng(43))
+    samples = dk.synth_dataset(n=6 * tr.INFER_BATCH, seed=44)
+    failed, calls, real = threading.Event(), [], tr._infer_batch
+
+    def infer_batch(m, s, start):
+        calls.append(start)
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=30)  # a batch the caller holds ends after the helper's failed
+            return real(m, s, start)
+        failed.set()
+        raise NonFiniteValue("non-finite value produced by op 'gelu'")
+
+    monkeypatch.setattr(tr, "_infer_batch", infer_batch)
+    with pytest.raises(NonFiniteValue, match="op 'gelu'"):
+        tr.embed(model, samples, streams=2)
+    # the helper's one batch, and the caller's batch in flight if it took one first
+    assert len(calls) <= 2
+
+
+@pytest.mark.skipif(F.openblas_threads() is None, reason="no OpenBLAS to hold")
+@pytest.mark.parametrize("raises", (False, True))
+@pytest.mark.parametrize("call", ("embed", "extract_pair"))
+def test_openblas_is_held_at_one_thread_inside_and_restored_after(monkeypatch, call, raises):
+    set_n, get_n = F.openblas_threads()
+    before = get_n()
+    set_n(2)
+    try:
+        if get_n() != 2:
+            pytest.skip("OpenBLAS does not take 2 threads here")
+        inside = []
+        if call == "embed":
+            model = DualViewModel(TINY_MODEL, np.random.default_rng(45))
+            real = model.forward
+
+            def forward(mel, coch, **kw):
+                inside.append(get_n())
+                if raises:
+                    raise NonFiniteValue("non-finite value produced by op 'linear'")
+                return real(mel, coch, **kw)
+
+            monkeypatch.setattr(model, "forward", forward)
+            run = lambda: tr.embed(model, dk.synth_dataset(n=2 * tr.INFER_BATCH, seed=46), streams=2)
+            error = NonFiniteValue
+        else:
+            real_coch = F.coch_energies_from_spectra
+            monkeypatch.setattr(F, "coch_energies_from_spectra",
+                                lambda power, cfg: inside.append(get_n()) or real_coch(power, cfg))
+            cfg = F.FeatureConfig(segment_duration=1.0, frame_count=8)
+            seg = F.AudioSegment(np.zeros(100 if raises else cfg.segment_len), 44100, 0.0)
+            run = lambda: F.extract_pair(seg, cfg)  # a segment shorter than a frame raises inside the hold
+            error = ConfigError
+        if raises:
+            with pytest.raises(error):
+                run()
+        else:
+            run()
+            assert inside and set(inside) == {1}
+        assert get_n() == 2
+    finally:
+        set_n(before)
 
 
 def test_embed_rejects_an_empty_sample_list():
