@@ -18,9 +18,11 @@ Gradients are verified against central finite differences via gradient_check.
 Training runs in float32; gradient checking runs in float64. GELU's float64
 erf is math.erf, within 3 ulp of the exact erf; float32 uses the Abramowitz &
 Stegun 7.1.26 erf, whose largest error against the float64 erf is about 6e-7.
-Inside `with no_grad():` ops still compute and check their outputs but record
-no graph, so forward-only passes free each intermediate as soon as it is
-dead.
+Every op output is checked for NaN/Inf once, in `_node`, naming the op; a
+fused node checks a value inside it only where a later step could make it
+finite: attention's scores, since softmax weighs a -inf score 0. Inside `with
+no_grad():` ops still compute and check their outputs but record no graph,
+so forward-only passes free each intermediate as soon as it is dead.
 
 The graph holds nodes, not Tensors: a Tensor is its data and its `_Node`
 (gradient, backward closure, parents' nodes), and a backward closure keeps
@@ -103,7 +105,6 @@ class Tensor:
     """Array with its node in a dynamically built computation graph.
 
     data is float32 by default; pass float64 arrays for gradient checking.
-    Every op validates its output for NaN/Inf.
     """
 
     __slots__ = ("data", "_node")
@@ -459,15 +460,14 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     """linear(gelu(linear(x, w1, b1)), w2, b2) as one node, with the
     composite's bytes. The node keeps x, the hidden pre-activation h and Phi;
     its backward rebuilds the GELU output h * Phi for dW2 and drops it
-    before dL/d(gelu output) is allocated. h, the GELU output and the output
-    are each checked for non-finite values, as the composite checks them.
-    Without a graph the GELU output overwrites h."""
+    before dL/d(gelu output) is allocated. Only the output is checked: GELU
+    and the second GEMM keep a non-finite h non-finite, also through a zero
+    weight. Without a graph the GELU output overwrites h."""
     _check_linear(x.data.shape[-1], w1, b1, "feed_forward")
     _check_linear(w1.data.shape[0], w2, b2, "feed_forward")
     d_in, d_out = w1.data.shape[1], w2.data.shape[0]
     h = x.data.reshape(-1, d_in) @ w1.data.T
     h += b1.data
-    _check_finite(h, "feed_forward")
     params = (x, w1, b1, w2, b2)
     if _records(params):
         phi = np.empty_like(h)
@@ -475,7 +475,6 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     else:
         phi = None
         act = _gelu_into(h, h)
-    _check_finite(act, "feed_forward")
     data = act @ w2.data.T
     data += b2.data
     w2_data, w2_node, b2_node = w2.data, w2._node, b2._node
@@ -506,10 +505,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d_h)) v as one node, over [B, N_q, D]
     queries and [B, N_k, D] keys and values; returns the merged [B, N_q, D]
-    context. The scores are checked once, after the q k^T GEMM, then scaled
-    and softmaxed in place; the node keeps its inputs and the weights P. The
-    backward, dS = (dP - rowsum(dP * P)) * P * scale, runs the primitive
-    composite's operations in its order, so it gives that composite's bytes."""
+    context. The scores are checked after the q k^T GEMM, as softmax would
+    weigh a -inf score 0, then scaled and softmaxed in place; the node keeps
+    its inputs and weights P. Its backward, dS = (dP - rowsum(dP * P)) * P *
+    scale, runs the primitive composite's ops in order: the same bytes."""
     if not (q.ndim == k.ndim == v.ndim == 3 and k.shape == v.shape and q.shape[::2] == k.shape[::2]):
         raise ShapeMismatch(f"attention expects [B, N_q, D], [B, N_k, D], [B, N_k, D]: {q.shape}, {k.shape}, {v.shape}")
     batch, n_q, dim = q.shape

@@ -48,6 +48,10 @@ MUTANTS = (
     Mutant("_op adds a gradient without summing it over broadcast axes", "src/dvmer/nncore.py",
            "_accum(node, _reduce_to(grad(g), shape))", "_accum(node, grad(g))",
            "tests/test_nncore.py::test_two_operand_gradients_match_finite_differences_with_a_broadcast_operand"),
+    Mutant("attention skips its score check (README: 'softmax gives a -inf score a weight of 0, so the output "
+           "cannot show it')", "src/dvmer/nncore.py",
+           '    _check_finite(p, "attention")\n', "",
+           "tests/test_nncore.py::test_attention_rejects_non_finite_scores_and_values"),
     Mutant("DSAF off although use_dsaf is on", "src/dvmer/training.py",
            "cross_attention=config.use_dsaf,", "cross_attention=False,",
            "tests/test_config.py::test_overrides_apply_and_sync_cross_attention"),

@@ -1179,6 +1179,29 @@ def test_an_overflow_in_the_helper_streams_batch_exits_4_naming_the_op(forty, tm
     assert not (tmp_path / "emb.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ("train", "eval", "export-embeddings"))
+def test_a_nan_inside_the_feed_forward_block_exits_4_naming_it(forty, tmp_path, capsys, monkeypatch, command):
+    """A NaN in a GELU output is caught by the feed_forward node's output
+    check: the second GEMM carries it into its row."""
+    real = nc._gelu_into
+
+    def gelu_into(x, out, phi=None):
+        real(x, out, phi)
+        out.reshape(-1)[5] = np.nan
+        return out
+
+    monkeypatch.setattr(nc, "_gelu_into", gelu_into)
+    out = tmp_path / ("run" if command == "train" else "emb.csv")
+    assert main(_argv(command, forty, out)) == 4
+    said = capsys.readouterr().out  # train's message also names the step
+    assert said.startswith("numeric error: ") and "non-finite value produced by op 'feed_forward'" in said
+    if command == "train":
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ("train", "eval", "export-embeddings"))
 def test_a_cache_that_changes_after_the_check_exits_3_naming_the_track(forty, tmp_path, capsys, monkeypatch,
                                                                          command):

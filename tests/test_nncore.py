@@ -15,6 +15,7 @@ from dvmer import nncore as nc
 from dvmer.errors import BadFeatureCache, BadTemperature, CheckpointMismatch, HeadDivisibility, NonFiniteValue, ShapeMismatch
 from dvmer.nncore import Tensor
 
+import blas_build
 import example_checks as ec
 
 NC_EXAMPLES = [(n, f) for n, f in ec.EXAMPLES if n.startswith("nncore.")]
@@ -117,6 +118,12 @@ def test_attention_rejects_non_finite_scores_and_values():
     big = Tensor(np.full((1, 2, 4), 1e20, dtype=np.float32))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="attention"):
         nc.attention(big, big, Tensor(ones), heads=2)  # q k^T overflows float32 to inf
+    # one score overflows to -inf and the other is finite: softmax gives the
+    # -inf a weight of 0 and the output is finite, so only the score check sees it
+    q = Tensor(np.full((1, 1, 4), 1e20, dtype=np.float32))
+    k = Tensor(np.array([[[-1e20] * 4, [1e-30] * 4]], dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match="attention"):
+        nc.attention(q, k, Tensor(ones), heads=2)
     v = ones.copy()
     v[0, 1, 3] = np.nan
     with pytest.raises(NonFiniteValue, match="attention"):
@@ -184,18 +191,29 @@ def test_feed_forward_is_the_bytes_of_the_primitive_composite(dtype, x_shape, hi
 
 
 def test_feed_forward_rejects_non_finite_hidden_and_output():
+    """The output check alone catches a bad hidden unit: GELU keeps +inf and
+    turns -inf and NaN into NaN, and the second GEMM carries a non-finite
+    input into its row, also through a zero weight (inf * 0 is NaN)."""
     x = Tensor(np.ones((1, 2, 4), dtype=np.float32))
-    w1, b1 = Tensor(np.ones((8, 4), dtype=np.float32)), Tensor(np.zeros(8, dtype=np.float32))
-    w2, b2 = Tensor(np.ones((4, 8), dtype=np.float32)), Tensor(np.zeros(4, dtype=np.float32))
+    w1 = Tensor(np.ones((8, 4), dtype=np.float32), requires_grad=True)
+    w2, b2 = Tensor(np.ones((4, 8), dtype=np.float32), requires_grad=True), Tensor(np.zeros(4, dtype=np.float32))
     big = Tensor(np.full((1, 2, 4), 1e38, dtype=np.float32))
     huge_w2 = Tensor(np.full((4, 8), 1e38, dtype=np.float32))
+    w2_zero_column = Tensor(np.ones((4, 8), dtype=np.float32))
+    w2_zero_column.data[:, 3] = 0.0
     for grad_mode in (contextlib.nullcontext, nc.no_grad):
-        with grad_mode(), np.errstate(over="ignore"):
+        with grad_mode(), np.errstate(over="ignore", invalid="ignore"):  # as cli.main runs a command
+            b1 = Tensor(np.zeros(8, dtype=np.float32))
             with pytest.raises(NonFiniteValue, match="feed_forward"):
                 nc.feed_forward(big, w1, b1, w2, b2)  # the hidden pre-activation overflows
             with pytest.raises(NonFiniteValue, match="feed_forward"):
                 nc.feed_forward(x, w1, b1, huge_w2, b2)  # the output overflows
-    assert np.isfinite(nc.feed_forward(x, w1, b1, w2, b2).data).all()
+            for bad in (np.inf, -np.inf, np.nan):
+                b1.data[3] = bad  # hidden unit 3 of every row
+                for w in (w2, w2_zero_column):
+                    with pytest.raises(NonFiniteValue, match="feed_forward"):
+                        nc.feed_forward(x, w1, b1, w, b2)
+    assert np.isfinite(nc.feed_forward(x, w1, Tensor(np.zeros(8, dtype=np.float32)), w2, b2).data).all()
 
 
 def test_feed_forward_shape_errors():
@@ -599,17 +617,27 @@ def test_no_grad_nests():
 # -- linear as one GEMM, blocked GELU -------------------------------------
 
 
-def _batched_linear(x, w, b, g):
-    """Forward, dx, dw and db as linear computed them with a batched matmul
-    over the leading axes."""
+def _flat_linear(x, w, b, g):
+    """Forward, dx, dw and db as one 2-D GEMM each over the leading axes
+    flattened into rows, as linear documents."""
     d_out, d_in = w.shape
-    g2 = g.reshape(-1, d_out)
-    return x @ w.T + b, g @ w, g2.T @ x.reshape(-1, d_in), g2.sum(axis=0)
+    x2, g2 = x.reshape(-1, d_in), g.reshape(-1, d_out)
+    return (x2 @ w.T + b).reshape(g.shape), (g2 @ w).reshape(x.shape), g2.T @ x2, g2.sum(axis=0)
+
+
+def _batched_linear(x, w, b, g):
+    """Forward and dx with a batched matmul over the leading axes; dw and db
+    as _flat_linear computes them."""
+    return (x @ w.T + b, g @ w) + _flat_linear(x, w, b, g)[2:]
 
 
 @pytest.mark.parametrize("layout", ("contiguous", "token_view"))
 @pytest.mark.parametrize("d_in,d_out", ((128, 512), (512, 128), (128, 128)))
 def test_linear_matches_the_batched_form_bit_for_bit(layout, d_in, d_out):
+    """linear has the bytes of its flattened 2-D GEMMs under every kernel set,
+    and those of the batched product under OpenBLAS's SkylakeX kernels, where
+    README claims them; under the Haswell and Zen kernels a row's bits in a
+    batched product depend on its place in the batch."""
     rng = np.random.default_rng(60)
     if layout == "contiguous":
         x_np = rng.normal(size=(16, 87, d_in)).astype(np.float32)
@@ -621,9 +649,11 @@ def test_linear_matches_the_batched_form_bit_for_bit(layout, d_in, d_out):
     x, w, b = (Tensor(a, requires_grad=True) for a in (x_np, w_np, b_np))
     out = nc.linear(x, w, b)
     out.backward(g)
-    for got, want in zip((out.data, x.grad, w.grad, b.grad), _batched_linear(x_np, w_np, b_np, g)):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    forms = [_flat_linear] + ([_batched_linear] if blas_build.kernel_set() == "SkylakeX" else [])
+    for form in forms:
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), form(x_np, w_np, b_np, g)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), form.__name__
 
 
 def test_linear_gives_no_input_gradient_when_the_input_needs_none():
