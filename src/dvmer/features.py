@@ -16,23 +16,25 @@ overlap: hop = ceil(segment_len / 87), frame_len = 2 * hop, and the frame
 count n = ceil(segment_len / hop); the signal tail is zero-padded to cover
 the last frame.
 
-The spectra are computed in blocks of frames on a few threads. Each block
-converts, pre-emphasises and zero-pads only the samples its own frames
-cover, so the segment is never copied whole; the bytes are those of
-pre-emphasising and framing the whole segment at once.
+The spectra are computed in blocks of frames on the threads of `run_blocks`,
+which also runs the inference batches. Each block converts, pre-emphasises
+and zero-pads only the samples its own frames cover, so the segment is never
+copied whole; the bytes are those of pre-emphasising and framing the whole
+segment at once. `openblas` is the package's one search for numpy's OpenBLAS.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import hashlib
 import json
 import math
 import os
+import threading
 import wave
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -61,22 +63,26 @@ WAV_CHUNK_FRAMES = 1 << 16
 
 
 @functools.lru_cache(maxsize=None)
-def openblas_threads():
-    """(set, get) for the thread count of the OpenBLAS that numpy loaded, or
-    None where none is mapped (macOS, another BLAS). Looked up on first use,
-    so importing the package reads no /proc file."""
+def openblas(name: str):
+    """The function `name` ("set_num_threads", "get_config", ...) of the
+    OpenBLAS that numpy loaded, under the prefix and suffix its build
+    exports, or None where none is mapped (macOS, another BLAS). Looked up
+    on first use, so importing the package reads no /proc file."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            # the path is the sixth field, and it may hold spaces
+            libs = sorted({line.split(None, 5)[5].rstrip("\n") for line in fh if "openblas" in line.lower()})
     except OSError:
         return None
-    for lib in map(ctypes.CDLL, libs):
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone, such as "... (deleted)"
+            continue
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            set_n, get_n = (getattr(lib, f"{prefix}_{op}_num_threads{suffix}", None) for op in ("set", "get"))
-            if set_n is not None and get_n is not None:
-                set_n.argtypes, set_n.restype = [ctypes.c_int], None
-                get_n.argtypes, get_n.restype = [], ctypes.c_int
-                return set_n, get_n
+            function = getattr(lib, f"{prefix}_{name}{suffix}", None)
+            if function is not None:
+                return function
     return None
 
 
@@ -86,17 +92,46 @@ def one_blas_thread():
     exit, also when the block raises; without OpenBLAS it does nothing. An
     idle OpenBLAS thread spins on a core for a while after each parallel
     GEMM, so a block that runs its own threads beside BLAS calls holds it."""
-    calls = openblas_threads()
-    if calls is None:
+    set_n, get_n = openblas("set_num_threads"), openblas("get_num_threads")
+    if set_n is None or get_n is None:
         yield
         return
-    set_n, get_n = calls
     before = get_n()
     set_n(1)
     try:
         yield
     finally:
         set_n(before)
+
+
+def run_blocks(work, starts, workers: int) -> list:
+    """[work(start) for start in starts], run by the calling thread and
+    workers - 1 helpers, each taking the next start from one iterator. A
+    helper runs in a copy of the caller's context, so under its np.errstate.
+    The first error stops every thread at its next start, and is raised
+    here once the helpers have joined."""
+    pending, lock, done, errors = iter(starts), threading.Lock(), {}, []
+
+    def run():
+        while not errors:
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return
+            try:
+                done[start] = work(start)
+            except BaseException as exc:  # raised by the caller once every thread has stopped
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run,)) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    run()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return [done[start] for start in starts]
 
 
 @dataclass(frozen=True)
@@ -284,9 +319,9 @@ def windowed_power_spectra(seg: AudioSegment, cfg: FeatureConfig) -> np.ndarray:
     window, double-length FFT. Returns power spectra [n_frames, n_bins].
 
     Row blocks of about FFT_BLOCK_BYTES of spectrum are transformed and
-    squared on FFT_WORKERS threads straight into the one output array. Each
-    block converts to float64, pre-emphasises and zero-pads only the samples
-    its own frames cover, so no whole-signal copy is made; pre-emphasis is elementwise, so
+    squared by run_blocks on FFT_WORKERS threads into the one output array.
+    Each block converts to float64, pre-emphasises and zero-pads only the
+    samples its own frames cover, so no whole-signal copy is made; pre-emphasis is elementwise, so
     every row equals np.abs(np.fft.rfft(...)) ** 2 of the whole frame array,
     whatever the block size or worker count."""
     length = seg.samples.shape[0]
@@ -312,8 +347,7 @@ def windowed_power_spectra(seg: AudioSegment, cfg: FeatureConfig) -> np.ndarray:
         np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=1), out=block)
         np.square(block, out=block)
 
-    with ThreadPoolExecutor(max_workers=FFT_WORKERS) as pool:
-        list(pool.map(transform, range(0, power.shape[0], rows)))  # re-raises a worker's error
+    run_blocks(transform, range(0, power.shape[0], rows), FFT_WORKERS)
     return power
 
 

@@ -17,9 +17,7 @@ thread count changes the bits.
 
 from __future__ import annotations
 
-import contextvars
 import struct
-import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,7 +27,7 @@ from . import memory
 from . import nncore as nc
 from .data import Sample, _check_dimension, labeled_mask
 from .errors import CheckpointMismatch, ConfigError, EmptySplit, NonFiniteLoss, NonFiniteValue, check_fields, check_finite
-from .features import CORES, FeaturePair, one_blas_thread, openblas_threads
+from .features import CORES, FeaturePair, one_blas_thread, openblas, run_blocks
 from .ioutil import BinaryReader, open_framed, pack_array_table, write_framed
 from .model import BranchOutputs, DualViewModel, ModelConfig
 from .nncore import Tensor
@@ -500,40 +498,15 @@ def embed(model: DualViewModel, samples: list[Sample], streams: int = 1) -> Embe
     not on its batch-mates, the list's length, the stream or the BLAS
     thread count.
 
-    The calling thread and streams - 1 helpers each take the next batch from
-    one shared iterator. A helper runs in a copy of the caller's context, so
-    it keeps the caller's np.errstate. The first error of any stream stops
-    the others at their next batch and is raised here. Without OpenBLAS one
-    stream runs: nothing would stop a BLAS of its own threads competing."""
+    The batches run on streams threads through features.run_blocks; without
+    OpenBLAS on one, as nothing would stop a BLAS of its own threads competing."""
     if not samples:
         raise EmptySplit("no samples to embed")
-    if openblas_threads() is None:
+    if openblas("set_num_threads") is None:
         streams = 1
-    starts, lock = iter(range(0, len(samples), INFER_BATCH)), threading.Lock()
-    done, errors = {}, []
-
-    def stream():
-        while not errors:
-            with lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            try:
-                done[start] = _infer_batch(model, samples, start)
-            except BaseException as exc:  # raised by the caller once every stream has stopped
-                errors.append(exc)
-
     with one_blas_thread(), nc.no_grad():
-        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(stream,))
-                   for _ in range(streams - 1)]
-        for helper in helpers:
-            helper.start()
-        stream()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return Embeddings(**{f.name: np.concatenate([done[s][f.name] for s in sorted(done)]) for f in fields(Embeddings)})
+        done = run_blocks(lambda start: _infer_batch(model, samples, start), range(0, len(samples), INFER_BATCH), streams)
+    return Embeddings(**{f.name: np.concatenate([batch[f.name] for batch in done]) for f in fields(Embeddings)})
 
 
 def predict_scores(model: DualViewModel, samples: list[Sample], ensemble: bool = False,

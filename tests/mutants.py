@@ -201,10 +201,13 @@ MUTANTS = (
            "        print(json.dumps(body))\n", "        print(json.dumps(body))\n        print(json.dumps(body))\n",
            "tests/test_cli.py::test_eval_json_reports_metric_names"),
     Mutant("the helper inference stream runs without the caller's context, so without its np.errstate",
-           "src/dvmer/training.py",
-           "threading.Thread(target=contextvars.copy_context().run, args=(stream,))",
-           "threading.Thread(target=stream)",
+           "src/dvmer/features.py",
+           "threading.Thread(target=contextvars.copy_context().run, args=(run,))",
+           "threading.Thread(target=run)",
            "tests/test_cli.py::test_an_overflow_in_the_helper_streams_batch_exits_4_naming_the_op"),
+    Mutant("run_blocks keeps taking starts after an error", "src/dvmer/features.py",
+           "        while not errors:\n", "        while True:\n",
+           "tests/test_training.py::test_an_error_in_one_stream_stops_the_other_at_its_next_batch"),
     Mutant("one_blas_thread leaves OpenBLAS at one thread", "src/dvmer/features.py",
            "    try:\n        yield\n    finally:\n        set_n(before)\n", "    yield\n",
            "tests/test_training.py::test_openblas_is_held_at_one_thread_inside_and_restored_after"),

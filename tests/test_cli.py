@@ -1154,7 +1154,7 @@ def test_train_evaluates_on_one_stream_and_eval_on_infer_streams(forty, tmp_path
     assert seen == ([1, 1] if command == "train" else [2])
 
 
-@pytest.mark.skipif(F.openblas_threads() is None, reason="no OpenBLAS: inference runs one stream")
+@pytest.mark.skipif(F.openblas("set_num_threads") is None, reason="no OpenBLAS: inference runs one stream")
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ("eval", "export-embeddings"))
 def test_an_overflow_in_the_helper_streams_batch_exits_4_naming_the_op(forty, tmp_path, capsys, monkeypatch,

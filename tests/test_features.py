@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import struct
 import sys
 import tempfile
+import threading
 import tracemalloc
 import wave
 from pathlib import Path
@@ -149,6 +151,92 @@ def test_fft_workers_fall_back_to_the_cpu_count_without_affinity(monkeypatch):
         monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
         spec.loader.exec_module(module)
         assert module.FFT_WORKERS == workers
+
+
+def _record_blocks(monkeypatch, workers):
+    """Run the FFT blocks on that many workers, one frame per block, and
+    record for each block whether the calling thread ran it and under which
+    np.geterr(): every block pre-emphasises its span once."""
+    seen, real = [], F.pre_emphasis
+
+    def pre_emphasis(x, coeff):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return real(x, coeff)
+
+    monkeypatch.setattr(F, "pre_emphasis", pre_emphasis)
+    monkeypatch.setattr(F, "FFT_WORKERS", workers)
+    monkeypatch.setattr(F, "FFT_BLOCK_BYTES", 1)
+    return seen
+
+
+_SMALL_CFG = F.FeatureConfig(segment_duration=1.0, frame_count=8)
+_SMALL_SEG = F.AudioSegment(np.random.default_rng(6).normal(size=_SMALL_CFG.segment_len) * 0.1, SR, 15.0)
+
+
+def test_at_one_fft_worker_every_block_runs_on_the_calling_thread(monkeypatch):
+    seen = _record_blocks(monkeypatch, 1)
+
+    def start(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    F.windowed_power_spectra(_SMALL_SEG, _SMALL_CFG)
+    assert [main for main, _ in seen] == [True] * _SMALL_CFG.n_frames(_SMALL_CFG.segment_len)
+
+
+def test_at_two_fft_workers_every_block_runs_in_the_callers_errstate(monkeypatch):
+    """The caller holds its first block until the helper has taken one, so
+    both threads run blocks; the helper runs under the caller's
+    np.errstate, as an inference stream does."""
+    seen = _record_blocks(monkeypatch, 2)
+    helper_ran, record = threading.Event(), F.pre_emphasis
+
+    def pre_emphasis(x, coeff):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_ran.wait(timeout=30)
+        else:
+            helper_ran.set()
+        return record(x, coeff)
+
+    monkeypatch.setattr(F, "pre_emphasis", pre_emphasis)
+    with np.errstate(all="ignore"):
+        caller = np.geterr()
+        F.windowed_power_spectra(_SMALL_SEG, _SMALL_CFG)
+    assert len(seen) == _SMALL_CFG.n_frames(_SMALL_CFG.segment_len)
+    assert {main for main, _ in seen} == {True, False}
+    assert all(errstate == caller for _, errstate in seen)
+
+
+def test_openblas_is_found_through_a_path_with_a_space_past_a_deleted_mapping(monkeypatch, tmp_path):
+    """A maps line's path is its sixth field and may hold spaces. Each
+    OpenBLAS line is fed back naming its library through a symlink in a
+    directory whose name holds a space, after a line for a mapped file
+    that is gone, which cannot be loaded and is passed over."""
+    if F.openblas("get_num_threads") is None:
+        pytest.skip("no OpenBLAS is mapped")
+    site, gone = tmp_path / "site with space", tmp_path / "a gone dir" / "libscipy_openblas64_.so"
+    site.mkdir()
+    real_open, fed = open, []
+
+    def maps_open(path, *args, **kwargs):
+        with real_open(path, *args, **kwargs) as fh:
+            lines = [line.split(None, 5) for line in fh if "openblas" in line.lower()]
+        fed.append(f"7f0000000000-7f0000001000 r--p 00000000 00:00 0    {gone} (deleted)\n")
+        for fields in lines:
+            lib = fields[5].rstrip("\n")
+            link = site / Path(lib).name
+            if not link.exists():
+                link.symlink_to(lib)
+            fed.append(" ".join(fields[:5] + [f"   {link}\n"]))
+        return io.StringIO("".join(fed))
+
+    F.openblas.cache_clear()
+    monkeypatch.setattr(F, "open", maps_open, raising=False)
+    try:
+        get_n = F.openblas("get_num_threads")
+        assert len(fed) > 1 and get_n is not None and get_n() >= 1
+    finally:
+        F.openblas.cache_clear()
 
 
 def _scatter(spans, shape):

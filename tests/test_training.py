@@ -538,7 +538,7 @@ def test_embed_on_more_streams_than_cores_runs_each_batch_once(monkeypatch):
         assert np.array_equal(getattr(emb, f.name), getattr(serial, f.name))
 
 
-@pytest.mark.skipif(F.openblas_threads() is None, reason="no OpenBLAS: embed runs one stream")
+@pytest.mark.skipif(F.openblas("set_num_threads") is None, reason="no OpenBLAS: embed runs one stream")
 def test_an_error_in_one_stream_stops_the_other_at_its_next_batch(monkeypatch):
     model = DualViewModel(TINY_MODEL, np.random.default_rng(43))
     samples = dk.synth_dataset(n=6 * tr.INFER_BATCH, seed=44)
@@ -559,11 +559,11 @@ def test_an_error_in_one_stream_stops_the_other_at_its_next_batch(monkeypatch):
     assert len(calls) <= 2
 
 
-@pytest.mark.skipif(F.openblas_threads() is None, reason="no OpenBLAS to hold")
+@pytest.mark.skipif(F.openblas("set_num_threads") is None, reason="no OpenBLAS to hold")
 @pytest.mark.parametrize("raises", (False, True))
 @pytest.mark.parametrize("call", ("embed", "extract_pair"))
 def test_openblas_is_held_at_one_thread_inside_and_restored_after(monkeypatch, call, raises):
-    set_n, get_n = F.openblas_threads()
+    set_n, get_n = F.openblas("set_num_threads"), F.openblas("get_num_threads")
     before = get_n()
     set_n(2)
     try:
